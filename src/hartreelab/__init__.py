@@ -16,9 +16,8 @@ from .asymptotics import (AsymptoticsReport, BlowupFrame, ProfileFit,
                           SymmetryRatio, UpperBoundScan, asymptotics_report,
                           blowup_rescale, default_radii, profile_fit,
                           symmetry_ratio, upper_bound_scan)
-from .constants import (SharpConstants, critical_exponent, k_identity_defect,
-                        newton_constant, omega, sharp_constants,
-                        unit_ball_volume)
+from .constants import (SharpConstants, k_identity_defect, newton_constant,
+                        omega, sharp_constants, unit_ball_volume)
 from .cylinder import (CylinderProfile, DelaunaySolution, KernelTable,
                        constant_solution, cylinder_convolution,
                        dispersion_function, dispersion_root, find_delaunay,
@@ -35,8 +34,7 @@ from .params import ProblemParams
 from .riesz import (AngularKernelSpec, BilinearCheck, CfCalibration,
                     NonlinearitySpec, ResidualReport, angular_kernel,
                     calibrate_cf, default_grid, hartree_potential, hartree_rhs,
-                    hls_ratio, nonlinearity_for, radial_laplacian, residual,
-                    residual_forms_gap, riesz_convolve)
+                    hls_ratio, nonlinearity_for, residual, riesz_convolve)
 from .spheres import (BubbleImage, ComparisonReport, CriticalRadiusValue,
                       EqualityFit, SphereInversion, TestSetSpec, bubble_image,
                       comparison_deficit, comparison_kernel, critical_radius,
@@ -57,7 +55,7 @@ __all__ = [
     "TestSetSpec", "UnsupportedDimensionError", "UpperBoundScan",
     "angular_kernel", "asymptotics_report", "blowup_rescale", "bubble_image",
     "calibrate_cf", "comparison_deficit", "comparison_kernel",
-    "constant_solution", "critical_exponent", "critical_radius",
+    "constant_solution", "critical_radius",
     "cylinder_convolution", "default_grid", "default_radii",
     "deficit_test_set", "dispersion_function", "dispersion_root",
     "equality_fit", "fd_laplacian", "find_delaunay", "from_cylinder",
@@ -65,8 +63,8 @@ __all__ = [
     "k_identity_defect", "kelvin_transform", "kernel_hat", "kernel_k2",
     "kernel_kalpha", "kernel_table", "make_bubble", "make_hls_extremal",
     "make_singular_power", "newton_constant", "nonlinearity_for",
-    "ode_residual", "omega", "profile_fit", "radial_laplacian", "residual",
-    "residual_forms_gap", "riesz_convolve", "sample_radial",
+    "ode_residual", "omega", "profile_fit", "residual", "riesz_convolve",
+    "sample_radial",
     "sharp_constants", "sphere_quadrature", "spherical_average",
     "symmetry_ratio", "to_cylinder", "unit_ball_volume", "upper_bound_scan",
 ]

@@ -256,38 +256,31 @@ def _cmd_bubble_check(cfg: dict) -> dict:
     em = _Emitter("bubble-check", cfg)
     window = (cfg["window_lo"], cfg["window_hi"])
     cal = riesz.calibrate_cf(params, window=window, per_decade=cfg["per_decade"])
-    nl = riesz.nonlinearity_for(params, c_f=cal.c_f)
-    bub = make_bubble(params)
-    prof = sample_radial(bub, riesz.default_grid(cfg["per_decade"]))
-    reports = {}
-    for form in ("differential", "integral"):
-        rep = riesz.residual(prof, params, nl, form=form, window=window,
-                             u_exact=bub.radial_fn)
-        reports[form] = rep
+    prof = sample_radial(make_bubble(params), cal.rhs.grid)
+    diff, integ, gap = riesz.residual(prof, cal.rhs, params, window, c_f=cal.c_f)
+    reports = {"differential": diff, "integral": integ}
+    for form, rep in reports.items():
         em.csv(f"residual_{form}.csv",
                {"r": rep.residual.grid.r, "residual": rep.residual.values,
                 "scale": rep.scale.values},
                [f"form={form}", f"rel_norm={artifacts.format_float(rep.rel_norm)}"])
-    gap = riesz.residual_forms_gap(prof, params, nl, window=window,
-                                   u_exact=bub.radial_fn)
     doc = {
         "n": params.n,
         "alpha": params.alpha,
         "c_f": cal.c_f,
         "c_f_fit_residual": cal.residual_norm,
         "window": list(window),
-        "differential": reports["differential"].summary(),
-        "integral": reports["integral"].summary(),
+        "differential": diff.summary(),
+        "integral": integ.summary(),
         "forms_gap": gap,
         "tolerance": cfg["tolerance"],
     }
     em.json("bubble_check.json", doc)
     em.svg("bubble_check.svg",
-           [(form, reports[form].residual.grid.r, np.abs(reports[form].residual.values))
-            for form in ("differential", "integral")],
+           [(form, rep.residual.grid.r, np.abs(rep.residual.values))
+            for form, rep in reports.items()],
            xlabel="r", ylabel="|residual|", logx=True, logy=True)
-    worst = max(reports["differential"].rel_norm, reports["integral"].rel_norm,
-                gap)
+    worst = max(diff.rel_norm, integ.rel_norm, gap)
     if worst > cfg["tolerance"]:
         raise AccuracyError(
             f"bubble residual {worst:.3e} exceeds the required {cfg['tolerance']:.1e}",

@@ -101,11 +101,6 @@ def _exp_checked(log_value: float, name: str) -> float:
     return value
 
 
-def critical_exponent(params: ProblemParams) -> float:
-    """The exponent p = (n + alpha)/(n - 2) of the critical nonlinearity."""
-    return params.p
-
-
 def sharp_constants(params: ProblemParams) -> SharpConstants:
     """Evaluate the sharp-constant family for the given (n, alpha).
 

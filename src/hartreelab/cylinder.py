@@ -325,7 +325,8 @@ class KernelTable:
 
     @staticmethod
     def _cache_path(params, tol, cache_dir) -> Path:
-        name = f"kernel_hat_{params.label()}_tol{repr(float(tol))}.csv"
+        # repr keys: label() rounds alpha, and nearby alphas must not share a file
+        name = f"kernel_hat_n{params.n}a{float(params.alpha)!r}_tol{float(tol)!r}.csv"
         return Path(cache_dir) / name
 
     def _save(self, params, tol, cache_dir) -> None:
@@ -356,6 +357,9 @@ class KernelTable:
                 meta[k] = v
             elif ln and not ln.startswith("t,"):
                 body.append(tuple(float(x) for x in ln.split(",")))
+        if (int(meta["n"]), float(meta["alpha"]), float(meta["tol"])) \
+                != (params.n, float(params.alpha), float(tol)):
+            return None     # a table for another request: rebuild
         data = np.array(body)
         return cls(n=int(meta["n"]), alpha=float(meta["alpha"]),
                    tol=float(meta["tol"]), t_samples=data[:, 0], values=data[:, 1],

@@ -38,7 +38,7 @@ that build them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from . import artifacts
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
-from .errors import AccuracyError, IntegrabilityError, SamplingError
+from .errors import AccuracyError, GridError, IntegrabilityError, SamplingError
 from .fields import RadialGrid, RadialProfile
 from .params import ProblemParams
 
@@ -560,12 +560,6 @@ def _laplacian_parts(prof: RadialProfile, params: ProblemParams):
     return -lap, scale
 
 
-def radial_laplacian(prof: RadialProfile, params: ProblemParams) -> RadialProfile:
-    """-u'' - (n-1)/r u' via second-order differences in log r."""
-    neglap, _ = _laplacian_parts(prof, params)
-    return RadialProfile(prof.grid, neglap)
-
-
 def default_grid(per_decade: int = 96) -> RadialGrid:
     """The workhorse grid for residual studies: 1e-4 .. 1e4."""
     return RadialGrid.geometric(1e-4, 1e4, per_decade)
@@ -579,6 +573,7 @@ class CfCalibration:
     per_decade: int         # grid density used
     n: int
     alpha: float
+    rhs: RadialProfile = field(compare=False)  # the bubble's rhs at the fitted c_f
 
 
 _CF_CACHE: dict = {}
@@ -592,38 +587,39 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
     the window is a single ratio of weighted inner products between the
     bubble's exact (closed-form) Laplacian and the convolution side
     evaluated at c_f = 1.  The fitted value and the leftover residual are
-    both reported; nothing is silently absorbed.
+    both reported; nothing is silently absorbed.  The convolution side,
+    rescaled to the fitted c_f, is kept as ``rhs`` for :func:`residual`.
     """
+    window = (float(window[0]), float(window[1]))
     key = (params.n, params.alpha, window, per_decade)
     if key in _CF_CACHE:
         return _CF_CACHE[key]
 
     n = params.n
-    consts = sharp_constants(params)
-    amp = consts.c_n
+    amp = sharp_constants(params).c_n
     nu = params.nu
-    p = params.p
     grid = default_grid(per_decade)
     r = grid.r
 
     u_exact = lambda s: amp * (1.0 + np.asarray(s) ** 2) ** (-nu)
     neglap = amp * n * (n - 2.0) * (1.0 + r ** 2) ** (-(n + 2.0) / 2.0)
 
-    unit = NonlinearitySpec(p=p, c_f=1.0)
-    conv = riesz_convolve(lambda s: unit.F(u_exact(s)),
-                          AngularKernelSpec(n, params.alpha),
-                          grid=grid, inner_exponent=0.0, outer_exponent=-(n + params.alpha))
-    m_side = conv.values * unit.f(u_exact(r))
+    # the bubble with its exact tails: bounded at 0, r^(2-n) at infinity
+    bubble = RadialProfile(grid, u_exact(r), inner_exponent=0.0,
+                           outer_exponent=-(n - 2.0))
+    unit_rhs = hartree_rhs(bubble, params, NonlinearitySpec(p=params.p, c_f=1.0),
+                           u_exact=u_exact)
 
     mask = (r >= window[0]) & (r <= window[1])
     wq = r[mask] ** n * np.gradient(np.log(r[mask]))
-    b, m = neglap[mask], m_side[mask]
+    b, m = neglap[mask], unit_rhs.values[mask]
     c_f = float(np.dot(wq * b, m) / np.dot(wq * m, m))
     res = b - c_f * m
     rel = float(math.sqrt(np.dot(wq, res ** 2) / np.dot(wq, b ** 2)))
 
-    out = CfCalibration(c_f=c_f, residual_norm=rel, window=tuple(window),
-                        per_decade=per_decade, n=n, alpha=params.alpha)
+    out = CfCalibration(c_f=c_f, residual_norm=rel, window=window,
+                        per_decade=per_decade, n=n, alpha=params.alpha,
+                        rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
     _CF_CACHE[key] = out
     return out
 
@@ -733,66 +729,51 @@ def _window_norms(grid: RadialGrid, res: np.ndarray, scale: np.ndarray,
     return rel_norm, rel_max
 
 
-def residual(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,
-             form: str = "differential", window=(0.05, 20.0),
-             u_exact: Optional[Callable] = None) -> ResidualReport:
-    """Residual of -Lap u = (R_alpha * F(u)) f(u) in the requested form.
+def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
+             window=(0.05, 20.0), *, c_f: float) -> tuple:
+    """(differential, integral, forms_gap) of -Lap u = rhs for the given rhs.
 
     differential: -Lap u - rhs, term-scale |u''| + (n-1)/r|u'| parts + |rhs|.
     integral:     u - c2 R_2 * rhs with c2 the Green normalization of
                   :func:`newton_constant`; scale |u| + |c2 R_2 * rhs|.
 
-    Relative norms are weighted L2 over the window with the volume measure
-    r^n dlog r.
+    ``rhs`` is (R_alpha * F(u)) f(u) on u's grid, e.g. ``calibrate_cf(...).rhs``
+    with ``c_f`` the normalization it was built at.  Relative norms are
+    weighted L2 over the window with the volume measure r^n dlog r.
+
+    For decaying u the Green convolution intertwines the two forms exactly:
+    u - c2 R_2 * rhs = c2 R_2 * (-Lap u - rhs).  The forms gap is the
+    weighted relative L2 distance of the two sides, normalized by |u|, over
+    the window; quadrature and stencil error are all that should remain.
     """
-    rhs = hartree_rhs(u, params, nl, u_exact=u_exact)
+    if not np.array_equal(rhs.grid.r, u.grid.r):
+        raise GridError("the rhs must live on u's grid")
     n = params.n
-    if form == "differential":
-        neglap, term_scale = _laplacian_parts(u, params)
-        res = neglap - rhs.values
-        scale = term_scale + np.abs(rhs.values)
-        c2 = None
-        ratio = None
-    elif form == "integral":
-        c2 = newton_constant(n)
-        ratio = newton_constant_alt(n) / c2
-        conv = riesz_convolve(rhs, AngularKernelSpec(n, 2.0))
-        res = u.values - c2 * conv.values
-        scale = np.abs(u.values) + np.abs(c2 * conv.values)
-        c2 = float(c2)
-    else:
-        raise ValueError(f"unknown residual form {form!r}")
-    rel_norm, rel_max = _window_norms(u.grid, res, scale, window, n)
-    return ResidualReport(form=form, n=n, alpha=params.alpha, c_f=nl.c_f,
-                          window=tuple(window), rel_norm=rel_norm, rel_max=rel_max,
-                          residual=RadialProfile(u.grid, res),
-                          scale=RadialProfile(u.grid, scale),
-                          c2=c2, c2_alt_ratio=ratio)
-
-
-def residual_forms_gap(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,
-                       window=(0.05, 20.0), u_exact: Optional[Callable] = None) -> float:
-    """Consistency gap between the two residual forms.
-
-    For decaying u the Green convolution intertwines them exactly:
-    u - c2 R_2 * rhs = c2 R_2 * (-Lap u - rhs).  The gap is the weighted
-    relative L2 distance of the two sides, normalized by |u|, over the
-    window; quadrature and stencil error are all that should remain.
-    """
-    n = params.n
+    window = tuple(window)
+    green = AngularKernelSpec(n, 2.0)
     c2 = newton_constant(n)
-    rep_d = residual(u, params, nl, form="differential", window=window, u_exact=u_exact)
-    rep_i = residual(u, params, nl, form="integral", window=window, u_exact=u_exact)
-    rdiff = rep_d.residual
+
+    def report(form, res, scale, **green_consts):
+        rel_norm, rel_max = _window_norms(u.grid, res, scale, window, n)
+        return ResidualReport(form=form, n=n, alpha=params.alpha, c_f=c_f,
+                              window=window, rel_norm=rel_norm, rel_max=rel_max,
+                              residual=RadialProfile(u.grid, res),
+                              scale=RadialProfile(u.grid, scale), **green_consts)
+
+    neglap, term_scale = _laplacian_parts(u, params)
+    res_d = neglap - rhs.values
+    differential = report("differential", res_d, term_scale + np.abs(rhs.values))
+
+    conv = c2 * riesz_convolve(rhs, green).values
+    res_i = u.values - conv
+    integral = report("integral", res_i, np.abs(u.values) + np.abs(conv),
+                      c2=float(c2), c2_alt_ratio=newton_constant_alt(n) / c2)
+
     # the differential residual decays like the rhs tail; declare that for the map
-    rdiff = rdiff.with_exponents(0.0, -(n + 2.0))
-    mapped = riesz_convolve(rdiff, AngularKernelSpec(n, 2.0))
-    gap = rep_i.residual.values - c2 * mapped.values
-    r = u.grid.r
-    mask = (r >= window[0]) & (r <= window[1])
-    wq = r[mask] ** n * np.gradient(np.log(r[mask]))
-    return math.sqrt(float(np.dot(wq, gap[mask] ** 2))
-                     / float(np.dot(wq, u.values[mask] ** 2)))
+    mapped = riesz_convolve(RadialProfile(u.grid, res_d, 0.0, -(n + 2.0)), green)
+    gap, _ = _window_norms(u.grid, res_i - c2 * mapped.values, np.abs(u.values),
+                           window, n)
+    return differential, integral, gap
 
 
 # ============================================================

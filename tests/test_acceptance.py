@@ -88,17 +88,11 @@ def test_bubble_residuals_small_in_both_equation_forms(params):
     # stencil error through the Green convolution, and the (5, 3) pair
     # needs h below log(10)/100 to push that under the 1e-3 contract
     cal = riesz.calibrate_cf(params, window=window, per_decade=128)
-    nl = riesz.nonlinearity_for(params, c_f=cal.c_f)
-    bub = make_bubble(params)
-    prof = sample_radial(bub, riesz.default_grid(128))
-    norms = {}
-    for form in ("differential", "integral"):
-        rep = riesz.residual(prof, params, nl, form=form, window=window,
-                             u_exact=bub.radial_fn)
-        norms[form] = rep.rel_norm
-        assert rep.rel_norm <= 1e-3, (form, rep.rel_norm)
-    gap = riesz.residual_forms_gap(prof, params, nl, window=window,
-                                   u_exact=bub.radial_fn)
+    prof = sample_radial(make_bubble(params), riesz.default_grid(128))
+    *reports, gap = riesz.residual(prof, cal.rhs, params, window, c_f=cal.c_f)
+    norms = {rep.form: rep.rel_norm for rep in reports}
+    for form, rel_norm in norms.items():
+        assert rel_norm <= 1e-3, (form, rel_norm)
     assert gap <= 1e-3, (norms, gap)
     assert time.perf_counter() - t0 < 120.0
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hartreelab import cli, sharp_constants, ProblemParams
+from hartreelab import cli, riesz, sharp_constants, ProblemParams
 
 
 def run(capsys, *argv):
@@ -132,6 +132,27 @@ def test_bubble_check_command(capsys):
     assert doc["differential"]["rel_norm"] < 1e-3
     assert doc["integral"]["rel_norm"] < 1e-3
     assert doc["forms_gap"] < 1e-3
+
+
+def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
+    # R_alpha * F(u) for the calibration and rhs, R_2 * rhs, R_2 * (-Lap u - rhs)
+    calls = {"riesz_convolve": 0, "hartree_rhs": 0}
+
+    def counted(name):
+        fn = getattr(riesz, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(riesz, "_CF_CACHE", {})
+    for name in calls:
+        monkeypatch.setattr(riesz, name, counted(name))
+    # only the call count is under test, so the accuracy gate is opened
+    rc, _, _ = run(capsys, "bubble-check", "--per-decade", "16", "--tolerance", "1")
+    assert rc == 0
+    assert calls == {"riesz_convolve": 3, "hartree_rhs": 1}
 
 
 # ============================================================

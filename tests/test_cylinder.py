@@ -101,6 +101,17 @@ def test_kernel_table_csv_cache_roundtrip(tmp_path):
     assert loaded.decay_constant == built.decay_constant
 
 
+def test_kernel_table_cache_never_serves_another_alpha(tmp_path):
+    near = ProblemParams(3, 2.0000001)
+    KernelTable.build(P32, cache_dir=tmp_path)
+    assert KernelTable.build(near, cache_dir=tmp_path).alpha == near.alpha
+    assert len(list(tmp_path.glob("kernel_hat_*.csv"))) == 2
+    # a file whose header names another request is rebuilt, not trusted
+    path = KernelTable._cache_path(near, 1e-10, tmp_path)
+    path.write_bytes(KernelTable._cache_path(P32, 1e-10, tmp_path).read_bytes())
+    assert KernelTable.build(near, cache_dir=tmp_path).alpha == near.alpha
+
+
 # ============================================================
 # profiles and the coordinate map
 # ============================================================

@@ -19,9 +19,9 @@ from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         make_bubble, nonlinearity_for, sample_radial,
                         sharp_constants)
 from hartreelab.constants import omega
-from hartreelab.errors import IntegrabilityError, SamplingError
+from hartreelab.errors import GridError, IntegrabilityError, SamplingError
 from hartreelab.riesz import (default_grid, hartree_potential, hartree_rhs,
-                              residual, residual_forms_gap, riesz_convolve)
+                              residual, riesz_convolve)
 
 P32 = ProblemParams(3, 2.0)
 
@@ -148,25 +148,43 @@ def test_calibration_matches_analytic_value(n, a):
     assert nl.c_f == cal.c_f and nl.p == P.p
 
 
+def test_calibration_window_may_be_a_list():
+    listed = calibrate_cf(P32, window=[0.05, 20.0], per_decade=24)
+    assert listed.c_f == calibrate_cf(P32, window=(0.05, 20.0), per_decade=24).c_f
+    assert listed.window == (0.05, 20.0)
+
+
 # ============================================================
 # residuals
 # ============================================================
 
 
 def test_bubble_residuals_both_forms():
-    nl = nonlinearity_for(P32)
-    bub = make_bubble(P32)
-    prof = sample_radial(bub, default_grid(96))
-    rep_d = residual(prof, P32, nl, form="differential", u_exact=bub.radial_fn)
-    rep_i = residual(prof, P32, nl, form="integral", u_exact=bub.radial_fn)
+    cal = calibrate_cf(P32)
+    prof = sample_radial(make_bubble(P32), default_grid(96))
+    rep_d, rep_i, gap = residual(prof, cal.rhs, P32, c_f=cal.c_f)
+    assert (rep_d.form, rep_i.form) == ("differential", "integral")
+    assert rep_d.c_f == rep_i.c_f == cal.c_f
     assert rep_d.rel_norm < 1e-3
     assert rep_i.rel_norm < 1e-3
+    assert rep_d.c2 is None
     assert rep_i.c2 == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-15)
     assert rep_i.c2_alt_ratio == pytest.approx(0.5, rel=1e-15)
-    gap = residual_forms_gap(prof, P32, nl, u_exact=bub.radial_fn)
     assert gap < 1e-3
-    with pytest.raises(ValueError):
-        residual(prof, P32, nl, form="weak")
+    with pytest.raises(GridError):
+        residual(sample_radial(make_bubble(P32), default_grid(48)), cal.rhs, P32,
+                 c_f=cal.c_f)
+
+
+def test_calibration_rhs_is_the_hartree_rhs_at_the_fit():
+    cal = calibrate_cf(P32, per_decade=24)
+    bub = make_bubble(P32)
+    prof = sample_radial(bub, cal.rhs.grid).with_exponents(0.0, -1.0)
+    want = hartree_rhs(prof, P32, NonlinearitySpec(p=P32.p, c_f=cal.c_f),
+                       u_exact=bub.radial_fn)
+    np.testing.assert_allclose(cal.rhs.values, want.values, rtol=1e-13)
+    assert cal.rhs.inner_exponent == 0.0
+    assert cal.rhs.outer_exponent == pytest.approx(-5.0, rel=1e-15)
 
 
 def test_rhs_closed_form_on_bubble():
