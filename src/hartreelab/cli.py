@@ -340,9 +340,10 @@ def _cmd_delaunay(cfg: dict) -> dict:
     doc = {"l_0": l_0, "u_c": u_c}
     doc.update(sol.summary())
     em.json("delaunay.json", doc)
-    if em.out is not None:
-        sol.to_csv(em.out / "delaunay_profile.csv")
-        em.written.append("delaunay_profile.csv")
+    em.csv("delaunay_profile.csv", {"t": sol.profile.t, "U": sol.profile.values},
+           [f"period={artifacts.format_float(sol.period)}",
+            f"epsilon={artifacts.format_float(sol.epsilon)}",
+            f"residual_norm={artifacts.format_float(sol.residual_norm)}"])
     em.svg("delaunay.svg", [("U", sol.profile.t, sol.profile.values)],
            xlabel="t", ylabel="U")
     if not sol.converged:
@@ -408,9 +409,10 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
         "equality_fit": fit_doc,
     }
     em.json("moving_spheres.json", doc)
-    if em.out is not None and not report.ok:
-        report.violations_to_csv(em.out / "deficit_violations.csv")
-        em.written.append("deficit_violations.csv")
+    if not report.ok:
+        columns = {f"y{i + 1}": col for i, col in enumerate(report.violations.T)}
+        columns["deficit"] = report.violation_deficits
+        em.csv("deficit_violations.csv", columns)
     return em.summary(doc)
 
 

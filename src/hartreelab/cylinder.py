@@ -16,12 +16,15 @@ omega(n-1) e^{-(n-alpha)|t|/2}.  The explicit bubble becomes
 C_n(alpha) (2 cosh t)^{-(n-2)/2}; bounded oscillating solutions on the
 cylinder (Delaunay-type) correspond to singular solutions of the PDE.
 
-This module owns the kernel table (QUADPACK-built and disk-cacheable; a
-deliberately different discretization from the Gauss-Jacobi rules of the
-radial module, so the two can cross-check each other), the discrete
-convolution and ODE residual on uniform t-grids, the constant solution
-and its dispersion relation, and a Newton/continuation finder for even
-periodic solutions at fixed period.
+Khat is the radial angular kernel in log coordinates: cosh t - 1 =
+(r - s)^2 / (2 r s) for t = ln(r/s), so Khat(t) = (r s)^((n-alpha)/2)
+k_alpha(r, s).  ``kernel_hat`` and the disk-cacheable ``KernelTable``
+evaluate it with the shared QUADPACK reference of the radial module; the
+Gauss-Jacobi rules there stay the independent discretization, so the two
+routes cross-check each other.  This module owns the discrete convolution
+and ODE residual on uniform t-grids, the constant solution and its
+dispersion relation, and a Newton/continuation finder for even periodic
+solutions at fixed period.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (AccuracyError, ConvergenceError, GridError,
                      IntegrabilityError, ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
 from .params import ProblemParams
-from .riesz import NonlinearitySpec
+from .riesz import NonlinearitySpec, _kernel_quad
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 
@@ -55,17 +58,18 @@ _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 
 @dataclass(frozen=True)
 class CylinderProfile:
-    """Values on a uniform t-grid, either decaying on the line or L-periodic.
+    """Values on a uniform t-grid: decaying on the line, L-periodic, or data.
 
     Decaying profiles promise |U| <= 1e-8 at both grid ends (so that
     zero-extension beyond the grid is harmless in convolutions); periodic
     profiles cover exactly one period, nodes at t_0 + j h for j = 0..N-1
-    with N h = L.
+    with N h = L.  Data profiles (residuals of decaying profiles, say)
+    promise nothing about their ends.
     """
 
     t: np.ndarray
     values: np.ndarray
-    boundary: str = "decaying"       # "decaying" or "periodic"
+    boundary: str = "decaying"       # "decaying", "periodic" or "data"
     period: Optional[float] = None   # required iff periodic
 
     def __post_init__(self):
@@ -88,11 +92,11 @@ class CylinderProfile:
                 raise GridError(
                     f"periodic span {t.size * h:.6g} (N h) must equal the period "
                     f"{self.period:.6g}")
-        elif self.boundary == "decaying":
+        elif self.boundary in ("decaying", "data"):
             if self.period is not None:
-                raise GridError("decaying profiles take no period")
+                raise GridError(f"{self.boundary} profiles take no period")
             end = max(abs(v[0]), abs(v[-1]))
-            if end > 1e-8:
+            if self.boundary == "decaying" and end > 1e-8:
                 raise GridError(
                     f"decaying profiles must be below 1e-8 at the grid ends, got {end:.3e}; "
                     "widen the t-range")
@@ -115,14 +119,6 @@ class CylinderProfile:
         cs = CubicSpline(self.t, self.values)
         out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), cs(tq), 0.0)
         return out if out.ndim else float(out)
-
-    def to_csv(self, path, metadata: Optional[dict] = None) -> None:
-        header = ["hartreelab cylinder profile v1", f"boundary={self.boundary}"]
-        if self.period is not None:
-            header.append(f"period={artifacts.format_float(self.period)}")
-        for k, v in (metadata or {}).items():
-            header.append(f"{k}={v}")
-        artifacts.write_csv(path, {"t": self.t, "U": self.values}, header)
 
 
 def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01,
@@ -176,40 +172,6 @@ def from_cylinder(U: CylinderProfile, params: ProblemParams) -> RadialProfile:
 # ============================================================
 
 
-def _khat_quad(n: int, alpha: float, t: float):
-    """(value, error bound) of Khat(t) by adaptive QUADPACK with endpoint weights.
-
-    Splits at tau = 0; on [0, 1] substitutes w = cosh t - tau - eps with
-    eps = cosh t - 1, so the algebraic endpoint factor w^((n-3)/2) sits at
-    the origin where QUADPACK's weighted rules hold it exactly and the
-    abscissae stay O(1) however large t gets.  For t = 0 the combined
-    endpoint exponent (n - 3 + alpha - n)/2 must exceed -1, i.e. alpha > 1,
-    otherwise the kernel diverges there.
-    """
-    a = (n - 3) / 2.0
-    q = (alpha - n) / 2.0
-    front = omega(n - 2) * 2.0 ** q
-    t = abs(float(t))
-    if t >= _ASYMPTOTIC_T:
-        return _khat_asymptotic(n, alpha, np.array([t]))[0], 0.0
-    if t == 0.0:
-        if alpha <= 1.0:
-            raise IntegrabilityError(
-                f"the cylinder kernel diverges at t=0 for alpha={alpha} <= 1")
-        val, err = quad(lambda x: 1.0, -1.0, 1.0, weight="alg", wvar=(a, a + q),
-                        limit=200, epsabs=0.0, epsrel=1e-12)
-        return front * val, front * err
-    eps = 2.0 * math.sinh(t / 2.0) ** 2   # cosh t - 1, computed stably
-    c = 1.0 + eps
-    val1, err1 = quad(lambda x: (1.0 - x) ** a * (c - x) ** q, -1.0, 0.0,
-                      weight="alg", wvar=(a, 0.0), limit=200,
-                      epsabs=0.0, epsrel=1e-12)
-    val2, err2 = quad(lambda w: (2.0 - w) ** a * (eps + w) ** q, 0.0, 1.0,
-                      weight="alg", wvar=(a, 0.0), limit=400,
-                      epsabs=0.0, epsrel=1e-12)
-    return front * (val1 + val2), front * (err1 + err2)
-
-
 def _khat_asymptotic(n: int, alpha: float, t: np.ndarray) -> np.ndarray:
     """omega(n-1) (2 cosh t)^((alpha-n)/2), overflow-safe; exact for large |t|."""
     q = (alpha - n) / 2.0
@@ -221,29 +183,26 @@ def _khat_asymptotic(n: int, alpha: float, t: np.ndarray) -> np.ndarray:
 def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
     """The cylinder kernel Khat at t (scalar or array), to tolerance tol.
 
-    Adaptive integration for moderate t, the exact exponential tail beyond;
-    independent of the Gauss-Jacobi rules in the radial module.  Raises an
-    accuracy error if QUADPACK cannot certify tol, and an integrability
-    error at t = 0 when alpha <= 1.
+    The shared QUADPACK reference at d = cosh t - 1 for |t| < 25, the
+    exact exponential tail beyond; independent of the Gauss-Jacobi rules
+    in the radial module.  Raises an accuracy error if QUADPACK cannot
+    certify tol, and an integrability error at t = 0 when alpha <= 1.
     """
     if tol <= 0:
         raise ParameterRangeError("kernel_hat needs tol > 0")
+    n, alpha = params.n, params.alpha
     arr = np.asarray(t, dtype=float)
-    out = np.empty(arr.shape, dtype=float)
-    flat = arr.ravel()
-    flat_out = out.ravel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i, ti in enumerate(flat):
-            val, err = _khat_quad(params.n, params.alpha, ti)
-            if err > tol * max(abs(val), 1e-300):
-                raise AccuracyError(
-                    f"kernel_hat at t={ti} certified only {err / abs(val):.2e}",
-                    achieved=err / abs(val))
-            flat_out[i] = val
-    if arr.ndim == 0:
-        return float(flat_out[0])
-    return out
+    flat = np.abs(arr).ravel()
+    out = _khat_asymptotic(n, alpha, flat)
+    for i in np.flatnonzero(flat < _ASYMPTOTIC_T):
+        # cosh t - 1, computed stably
+        val, err = _kernel_quad(n, alpha, 2.0 * math.sinh(flat[i] / 2.0) ** 2)
+        if err > tol * val:
+            raise AccuracyError(
+                f"kernel_hat at t={flat[i]} certified only {err / val:.2e}",
+                achieved=err / val)
+        out[i] = 2.0 ** ((alpha - n) / 2.0) * val
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ============================================================
@@ -301,16 +260,7 @@ class KernelTable:
         t = np.concatenate([[0.0],
                             np.geomspace(1e-4, 0.1, 72),
                             np.arange(0.11, _ASYMPTOTIC_T + 1e-9, 0.01)])
-        vals = np.empty_like(t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for i, ti in enumerate(t):
-                v, e = _khat_quad(params.n, params.alpha, ti)
-                if e > tol * abs(v):
-                    raise AccuracyError(
-                        f"kernel table sample at t={ti} certified only {e / v:.2e}",
-                        achieved=e / v)
-                vals[i] = v
+        vals = kernel_hat(params, t, tol)
         lam = (params.n - params.alpha) / 2.0
         spline = CubicSpline(t, np.log(vals))
         core, _ = quad(lambda s: np.exp(spline(s)), 0.0, _ASYMPTOTIC_T,
@@ -509,20 +459,10 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     res = -d2 + nu2 * v - rhs
     scale = np.abs(d2) + nu2 * np.abs(v) + np.abs(rhs)
     rel = math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
-    prof = CylinderProfile(U.t, res, boundary=U.boundary, period=U.period) \
-        if U.boundary == "periodic" else _residual_profile(U.t, res)
-    return prof, rel
-
-
-def _residual_profile(t, res):
-    # residual of a decaying profile need not be below 1e-8 at the ends,
-    # so bypass the decaying-end contract by storing it as plain data
-    prof = object.__new__(CylinderProfile)
-    object.__setattr__(prof, "t", t)
-    object.__setattr__(prof, "values", np.asarray(res, dtype=float))
-    object.__setattr__(prof, "boundary", "data")
-    object.__setattr__(prof, "period", None)
-    return prof
+    if U.boundary == "periodic":
+        return CylinderProfile(U.t, res, boundary="periodic", period=U.period), rel
+    # the residual of a decaying profile need not be below 1e-8 at the ends
+    return CylinderProfile(U.t, res, boundary="data"), rel
 
 
 # ============================================================
@@ -622,12 +562,6 @@ class DelaunaySolution:
         doc["t"] = [float(x) for x in self.profile.t]
         doc["U"] = [float(x) for x in self.profile.values]
         artifacts.write_json(path, doc)
-
-    def to_csv(self, path) -> None:
-        self.profile.to_csv(path, metadata={
-            "epsilon": artifacts.format_float(self.epsilon),
-            "residual_norm": artifacts.format_float(self.residual_norm),
-        })
 
 
 class _HalfGridSystem:

@@ -16,7 +16,6 @@ access paths.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -27,6 +26,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_jacobi
 
+from . import artifacts
 from .constants import omega, sharp_constants
 from .errors import GridError, SamplingError, UnsupportedDimensionError
 from .params import ProblemParams
@@ -217,16 +217,12 @@ class RadialProfile:
     # ---------- serialization ----------
 
     def to_csv(self, path, metadata: Optional[dict] = None) -> None:
-        buf = io.StringIO()
-        buf.write("# hartreelab radial profile v1\n")
-        for key, val in (metadata or {}).items():
-            buf.write(f"# {key}={val}\n")
-        buf.write(f"# inner_exponent={_fmt_opt(self.inner_exponent)}\n")
-        buf.write(f"# outer_exponent={_fmt_opt(self.outer_exponent)}\n")
-        buf.write("r,value\n")
-        for r, v in zip(self.grid.r, self.values):
-            buf.write(f"{float(r)!r},{float(v)!r}\n")
-        Path(path).write_text(buf.getvalue())
+        artifacts.write_csv(path, {"r": self.grid.r, "value": self.values}, [
+            "hartreelab radial profile v1",
+            *(f"{key}={val}" for key, val in (metadata or {}).items()),
+            f"inner_exponent={_fmt_opt(self.inner_exponent)}",
+            f"outer_exponent={_fmt_opt(self.outer_exponent)}",
+        ])
 
     @classmethod
     def from_csv(cls, path) -> "RadialProfile":

@@ -38,16 +38,18 @@ that build them.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import artifacts
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
-from .errors import AccuracyError, GridError, IntegrabilityError, SamplingError
+from .errors import (AccuracyError, GridError, IntegrabilityError,
+                     ParameterDomainError, SamplingError)
 from .fields import RadialGrid, RadialProfile
 from .params import ProblemParams
 
@@ -65,9 +67,10 @@ class AngularKernelSpec:
 
     def __post_init__(self):
         if self.n < 3:
-            raise SamplingError(f"angular kernels need n >= 3, got {self.n}")
+            raise ParameterDomainError(f"angular kernels need n >= 3, got {self.n}")
         if not (0.0 < self.beta < self.n):
-            raise SamplingError(f"kernel order must lie in (0, n), got beta={self.beta}")
+            raise ParameterDomainError(
+                f"kernel order must lie in (0, n), got beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,6 @@ class _KernelFamily:
     def __init__(self, n: int, beta: float):
         self.n = n
         self.beta = beta
-        self.a = (n - 3) / 2.0
         self.q = (beta - n) / 2.0
         self.front = omega(n - 2)
         if beta > 1.0:
@@ -252,28 +254,6 @@ class _KernelFamily:
 
     # ---------- one-time reference validation ----------
 
-    def _reference(self, d: float):
-        """QUADPACK value and error bound of the core integral at separation d.
-
-        Scaled so that 2 r s = 1 (gap squared = d); the adaptive integrator
-        is a genuinely different discretization, but near the diagonal its
-        own error estimate grows and comparisons must honor it.
-        """
-        a, q = self.a, self.q
-        c = 1.0 + d
-        if d == 0.0:
-            val, err = quad(lambda t: 1.0, -1.0, 1.0,
-                            weight="alg", wvar=(a, a + q), limit=200)
-        else:
-            val1, err1 = quad(lambda t: (1.0 - t) ** a * (c - t) ** q, -1.0, 0.0,
-                              weight="alg", wvar=(a, 0.0), limit=200)
-            # substitute v = c - tau on [0, 1]: endpoint weight (v - d)^a at v = d
-            val2, err2 = quad(lambda v: (2.0 - v + d) ** a * v ** q, d, c,
-                              weight="alg", wvar=(a, 0.0), limit=400)
-            val = val1 + val2
-            err = err1 + err2
-        return self.front * val, self.front * err
-
     def _validate(self):
         checks = [16.0, 1.0, 1e-2, 1e-6]
         if self.beta > 1.0:
@@ -283,13 +263,49 @@ class _KernelFamily:
             # r s = 1/2 so gap2 = d and b = 1
             got = self._eval_rule(self.rules[-1], np.array([d]), np.array([1.0]),
                                   np.array([d]))[0]
-            want, err = self._reference(d)
+            want, err = _kernel_quad(self.n, self.beta, d)
             slack = max(1e-10, 5.0 * err / abs(want))
             worst = max(worst, max(abs(got - want) / abs(want) - slack, 0.0))
         if worst > 0.0:
             raise AccuracyError(
                 f"angular kernel rule for (n, beta)=({self.n}, {self.beta}) failed its "
                 f"build-time self check", achieved=worst)
+
+
+def _kernel_quad(n: int, beta: float, d: float):
+    """(value, error bound) of k_beta at 2 r s = 1 by adaptive QUADPACK.
+
+    The value is omega(n-2) int_{-1}^{1} (1 - tau^2)^((n-3)/2)
+    (1 + d - tau)^q dtau with q = (beta-n)/2, so k_beta(r, s) = (2 r s)^q
+    times it at d = (r - s)^2 / (2 r s), and the cylinder kernel is
+    Khat(t) = 2^q times it at d = cosh t - 1.  This is the independent
+    reference for the Gauss-Jacobi rules.  The split is at tau = 0; on
+    [0, 1] the variable w = 1 - tau puts the endpoint factor w^((n-3)/2) at
+    the origin, where QUADPACK's weighted rules hold it exactly and the
+    abscissae stay O(1) however large d gets.  At d = 0 the combined
+    endpoint exponent (beta - 3)/2 must exceed -1, i.e. beta > 1.
+    """
+    a = (n - 3) / 2.0
+    q = (beta - n) / 2.0
+    if d == 0.0 and beta <= 1.0:
+        raise IntegrabilityError(
+            f"the kernel with beta={beta} <= 1 diverges on the diagonal (r = s, t = 0)")
+    c = 1.0 + d
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if d == 0.0:
+            val, err = quad(lambda x: 1.0, -1.0, 1.0, weight="alg", wvar=(a, a + q),
+                            limit=200, epsabs=0.0, epsrel=1e-12)
+        else:
+            val1, err1 = quad(lambda x: (1.0 - x) ** a * (c - x) ** q, -1.0, 0.0,
+                              weight="alg", wvar=(a, 0.0), limit=200,
+                              epsabs=0.0, epsrel=1e-12)
+            val2, err2 = quad(lambda w: (2.0 - w) ** a * (d + w) ** q, 0.0, 1.0,
+                              weight="alg", wvar=(a, 0.0), limit=400,
+                              epsabs=0.0, epsrel=1e-12)
+            val, err = val1 + val2, err1 + err2
+    front = omega(n - 2)
+    return front * val, front * err
 
 
 _FAMILIES: dict = {}
@@ -320,7 +336,7 @@ def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
         d = (rr - ss) ** 2 / (2.0 * rr * ss) if rr * ss > 0 else math.inf
         scale = (2.0 * rr * ss) ** fam.q if rr * ss > 0 else max(rr, ss) ** (2 * fam.q)
         if math.isfinite(d):
-            ref, ref_err = fam._reference(d)
+            ref, ref_err = _kernel_quad(spec.n, spec.beta, d)
             err = abs(val - scale * ref) / abs(scale * ref)
             if err > tol + 5.0 * ref_err / abs(ref):
                 raise AccuracyError(
@@ -332,49 +348,6 @@ def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
 # ============================================================
 # radial quadrature scaffolding
 # ============================================================
-
-
-class _GFun:
-    """Radial integrand source: interior evaluator plus declared power tails."""
-
-    def __init__(self, evaluate: Callable, r_lo: float, r_hi: float,
-                 e_in: Optional[float], e_out: Optional[float],
-                 exact_outside: bool = False):
-        self.evaluate = evaluate
-        self.r_lo = r_lo
-        self.r_hi = r_hi
-        self.e_in = e_in
-        self.e_out = e_out
-        self.exact_outside = exact_outside
-        self.v_lo = float(evaluate(np.array([r_lo]))[0])
-        self.v_hi = float(evaluate(np.array([r_hi]))[0])
-
-    @classmethod
-    def from_profile(cls, prof: RadialProfile) -> "_GFun":
-        return cls(lambda s: prof(s), prof.grid.r_min, prof.grid.r_max,
-                   prof.inner_exponent, prof.outer_exponent)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, grid: RadialGrid,
-                      e_in: float, e_out: float) -> "_GFun":
-        return cls(lambda s: np.asarray(fn(s), dtype=float), grid.r_min, grid.r_max,
-                   e_in, e_out, exact_outside=True)
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.exact_outside:
-            return self.evaluate(s)
-        out = np.empty_like(s)
-        below = s < self.r_lo
-        above = s > self.r_hi
-        mid = ~(below | above)
-        if np.any(mid):
-            out[mid] = self.evaluate(s[mid])
-        if np.any(below):
-            out[below] = self.v_lo * (s[below] / self.r_lo) ** self.e_in
-        if np.any(above):
-            out[above] = self.v_hi * (s[above] / self.r_hi) ** self.e_out
-        return out
 
 
 def _gl_panels(breaks: np.ndarray, order_nodes):
@@ -474,15 +447,16 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             raise IntegrabilityError(
                 "riesz_convolve needs declared tail exponents; estimate_exponents "
                 "or declare them explicitly")
-        gf = _GFun.from_profile(g)
-        base_grid = g.grid if grid is None else grid
+        profile, known = g, g.grid
+        base_grid = known if grid is None else grid
+        e_in, e_out = profile.inner_exponent, profile.outer_exponent
+        g = lambda s: profile(s, extrapolate=True)
     else:
         if grid is None or inner_exponent is None or outer_exponent is None:
             raise ValueError("callable g needs grid=, inner_exponent=, outer_exponent=")
-        gf = _GFun.from_callable(g, grid, inner_exponent, outer_exponent)
-        base_grid = grid
+        known = base_grid = grid
+        e_in, e_out = inner_exponent, outer_exponent
 
-    e_in, e_out = gf.e_in, gf.e_out
     if e_in + n <= 0.0:
         raise IntegrabilityError(
             f"inner tail s^({e_in}) s^(n-1) is not integrable at 0 (need e_in + n > 0)")
@@ -493,22 +467,24 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
 
     fam = _family(spec)
     radii = base_grid.r if out_radii is None else np.asarray(out_radii, dtype=float)
-    if radii.min() < gf.r_lo or radii.max() > gf.r_hi:
+    r_lo, r_hi = known.r_min, known.r_max
+    if radii.min() < r_lo or radii.max() > r_hi:
         raise SamplingError(
             "output radii must lie inside the grid the source is known on")
-    lo = gf.r_lo / _EXTEND
-    hi = gf.r_hi * _EXTEND
+    lo = r_lo / _EXTEND
+    hi = r_hi * _EXTEND
     out = np.empty(radii.size, dtype=float)
 
     om = omega(n - 1)
     # analytic tails beyond the extended quadrature range, kernel at leading order
-    inner_tail_const = om * gf.v_lo * gf.r_lo ** (-e_in) * lo ** (e_in + n) / (e_in + n)
-    outer_tail_const = -om * gf.v_hi * gf.r_hi ** (-e_out) * hi ** (e_out + beta) / (e_out + beta)
+    v_lo, v_hi = np.asarray(g(np.array([r_lo, r_hi])), dtype=float)
+    inner_tail_const = om * v_lo * r_lo ** (-e_in) * lo ** (e_in + n) / (e_in + n)
+    outer_tail_const = -om * v_hi * r_hi ** (-e_out) * hi ** (e_out + beta) / (e_out + beta)
 
     for i, r in enumerate(radii):
         s, w = _diagonal_nodes(r, lo, hi, _LADDER_DEPTH)
         kern = fam.evaluate(np.full_like(s, r), s)
-        val = float(np.dot(w, gf(s) * s ** (n - 1) * kern))
+        val = float(np.dot(w, np.asarray(g(s), dtype=float) * s ** (n - 1) * kern))
         val += inner_tail_const * r ** (beta - n)   # s << r: k ~ om r^(beta-n)
         val += outer_tail_const                      # s >> r: k ~ om s^(beta-n)
         out[i] = val

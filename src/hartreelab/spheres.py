@@ -241,7 +241,6 @@ class ComparisonReport:
     violations: np.ndarray        # points with deficit < -1e-8 * scale
     violation_deficits: np.ndarray
     kernel_checks: dict
-    critical_radius: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -256,17 +255,10 @@ class ComparisonReport:
             "min_normalized": self.min_normalized,
             "violations": int(self.violations.shape[0]),
             "kernel_checks": self.kernel_checks,
-            "critical_radius": self.critical_radius,
         }
 
     def to_json(self, path) -> None:
         artifacts.write_json(path, self.summary())
-
-    def violations_to_csv(self, path) -> None:
-        cols = {f"y{i + 1}": self.violations[:, i]
-                for i in range(self.violations.shape[1] if self.violations.size else 0)}
-        cols["deficit"] = self.violation_deficits
-        artifacts.write_csv(path, cols, ["hartreelab deficit violations v1"])
 
 
 def comparison_deficit(u: Field, inv: SphereInversion, test_points,

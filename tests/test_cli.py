@@ -90,7 +90,13 @@ def test_delaunay_command_finds_the_orbit(tmp_path, capsys):
     assert doc["converged"] and doc["nontrivial"] and not doc["partial_result"]
     assert doc["epsilon"] < doc["u_c"]
     assert doc["residual_norm"] < 1e-5
-    assert (out / "delaunay_profile.csv").exists()
+    lines = (out / "delaunay_profile.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={doc['config_hash']}"
+    assert f"# epsilon={doc['epsilon']!r}" in lines
+    assert any(ln.startswith("# period=") for ln in lines)
+    assert any(ln.startswith("# residual_norm=") for ln in lines)
+    assert lines[lines.index("t,U") + 1].startswith("0.0,")
+    assert "delaunay_profile.csv" in doc["artifacts"]
 
 
 def test_moving_spheres_command_defaults(capsys):
@@ -102,6 +108,22 @@ def test_moving_spheres_command_defaults(capsys):
     assert not doc["critical_radius_unbounded"]
     assert doc["deficit"]["violations"] == 0
     assert doc["equality_fit"] is None
+
+
+def test_moving_spheres_violations_are_stamped(tmp_path, capsys):
+    # mu = 0.8 exceeds the critical radius 0.5, so the comparison fails
+    out = tmp_path / "ms"
+    rc, stdout, _ = run(capsys, "moving-spheres", "--mu", "0.8", "--out", str(out))
+    assert rc == 0
+    doc = json.loads(stdout)
+    assert doc["deficit"]["violations"] > 0
+    assert "critical_radius" not in doc["deficit"]
+    assert doc["artifacts"] == ["config.json", "deficit_violations.csv",
+                                "moving_spheres.json"]
+    lines = (out / "deficit_violations.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={doc['config_hash']}"
+    assert lines[1] == "y1,y2,y3,deficit"
+    assert len(lines) == 2 + doc["deficit"]["violations"]
 
 
 def test_moving_spheres_constant_field_dichotomy(capsys):

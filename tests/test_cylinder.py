@@ -8,7 +8,9 @@ The (n, alpha) = (3, 2) closed forms drive most checks:
     D(w)      = w^2 + (1/4) (2 - 5 - 5/(1 + 4 w^2)),  root w_0 = 1, L_0 = 2 pi
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,10 @@ from hartreelab.cylinder import periodized_weights
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
 KT32 = kernel_table(P32)
+
+# k_beta(1, s) and Khat(ln(1/s)) at 40 digits, from make_kernel_oracle.py
+KERNEL_ORACLE = json.loads((Path(__file__).parent / "fixtures"
+                            / "kernel_oracle.json").read_text())["cases"]
 
 
 # ============================================================
@@ -68,6 +74,20 @@ def test_kernel_identity_against_angular_route(n, a):
     lhs = (r * s) ** ((n - a) / 2.0) * angular_kernel(spec, r, s)
     rhs = kernel_hat(P, np.log(r / s))
     assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("case", KERNEL_ORACLE,
+                         ids=lambda c: f"n{c['n']}b{c['beta']:g}s{c['s']}")
+def test_kernels_match_multiprecision_oracle(case):
+    n, beta = case["n"], case["beta"]
+    s, t = float(case["s"]), float(case["t"])
+    near_diagonal = s - 1.0 < 1e-5
+    # Gauss-Jacobi rules: a few ulp everywhere, beta <= 1 near the diagonal too
+    got = angular_kernel(AngularKernelSpec(n, beta), 1.0, s)
+    assert abs(got / float(case["k"]) - 1.0) < 1e-14
+    # QUADPACK: a few ulp, up to 5e-14 at s - 1 = 1e-6 for n >= 4
+    got = kernel_hat(ProblemParams(n, beta), t)
+    assert abs(got / float(case["khat"]) - 1.0) < (2e-13 if near_diagonal else 1e-14)
 
 
 def test_kernel_table_invariants():
@@ -143,6 +163,15 @@ def test_cylinder_profile_contracts():
     assert per(t[0] + 64 * span + 0.1) == pytest.approx(per(t[0] + 0.1), rel=1e-9)
 
 
+def test_data_profiles_carry_any_end_values():
+    t = np.linspace(-1.0, 1.0, 64)
+    data = CylinderProfile(t, np.exp(-t * t), boundary="data")
+    assert data.boundary == "data" and data.period is None
+    assert data(0.0) == pytest.approx(1.0, rel=1e-6)
+    with pytest.raises(GridError):
+        CylinderProfile(t, np.exp(-t * t), boundary="data", period=2.0)
+
+
 def test_to_cylinder_maps_bubble_to_sech_power():
     bub = make_bubble(P32)
     U = to_cylinder(bub, P32)
@@ -192,6 +221,7 @@ def test_ode_residual_on_cylinder_bubble():
     res, rel = ode_residual(U, NL32, KT32)
     assert rel < 1e-3
     assert res.t.shape == U.t.shape
+    assert res.boundary == "data" and res.period is None
 
 
 def test_ode_residual_on_constant_solution():
@@ -266,9 +296,5 @@ def test_delaunay_serialization(tmp_path):
     uc, l0 = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.72 * uc, 1.05 * l0, kt=KT32, n_nodes=128)
     sol.to_json(tmp_path / "orbit.json")
-    sol.to_csv(tmp_path / "orbit.csv")
     body = (tmp_path / "orbit.json").read_text()
     assert '"period"' in body and '"epsilon"' in body
-    lines = (tmp_path / "orbit.csv").read_text().splitlines()
-    assert lines[0] == "# hartreelab cylinder profile v1"
-    assert any(ln.startswith("# epsilon=") for ln in lines)

@@ -19,7 +19,8 @@ from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         make_bubble, nonlinearity_for, sample_radial,
                         sharp_constants)
 from hartreelab.constants import omega
-from hartreelab.errors import GridError, IntegrabilityError, SamplingError
+from hartreelab.errors import (GridError, IntegrabilityError,
+                               ParameterDomainError, SamplingError)
 from hartreelab.riesz import (default_grid, hartree_potential, hartree_rhs,
                               residual, riesz_convolve)
 
@@ -82,8 +83,11 @@ def test_kernel_diagonal_integrability():
         angular_kernel(spec, 1.0, 1.0)
     with pytest.raises(SamplingError):
         angular_kernel(spec, 0.0, 0.0)
-    with pytest.raises(SamplingError):
+    # outside the admissible (n, beta) the spec itself refuses
+    with pytest.raises(ParameterDomainError):
         AngularKernelSpec(3, 3.5)
+    with pytest.raises(ParameterDomainError):
+        AngularKernelSpec(2, 1.0)
 
 
 # ============================================================
