@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +26,7 @@ import numpy as np
 
 from . import artifacts, asymptotics, cylinder, riesz, spheres
 from .constants import sharp_constants
-from .errors import (AccuracyError, ConvergenceError, GridError,
-                     HartreelabError, IntegrabilityError, ParameterDomainError,
-                     ParameterRangeError, SamplingError,
-                     UnsupportedDimensionError)
+from .errors import AccuracyError, ConvergenceError, HartreelabError
 from .fields import Field, make_bubble, make_singular_power, sample_radial
 from .params import ProblemParams
 

@@ -43,8 +43,8 @@ from scipy.signal import fftconvolve
 
 from . import artifacts
 from .constants import omega
-from .errors import (AccuracyError, ConvergenceError, GridError,
-                     IntegrabilityError, ParameterRangeError, SamplingError)
+from .errors import (AccuracyError, GridError, IntegrabilityError,
+                     ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
 from .params import ProblemParams
 from .riesz import NonlinearitySpec, _kernel_quad

@@ -250,10 +250,10 @@ class RadialProfile:
             "format": "hartreelab.radial_profile.v1",
             "inner_exponent": self.inner_exponent,
             "outer_exponent": self.outer_exponent,
-            "r": [float(x) for x in self.grid.r],
-            "value": [float(x) for x in self.values],
+            "r": self.grid.r,
+            "value": self.values,
         })
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        artifacts.write_json(path, doc)
 
     @classmethod
     def from_json(cls, path) -> "RadialProfile":

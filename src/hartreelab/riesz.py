@@ -18,13 +18,15 @@ block on [-1, 0], dyadically graded Gauss-Legendre panels accumulating at
 tau = 1, and a Gauss-Jacobi tip panel whose weight exponent switches to
 the combined (n-3)/2 + (beta-n)/2 on the diagonal r = s.  Everything is
 expressed in the stable variable 1 - tau so that r ~ s costs no
-significant digits.  Rules of three depths are kept per (n, beta) and
-point batches are bucketed by d, which makes whole-profile convolutions
-a handful of dense matrix products.
+significant digits.  Rules of three depths are kept per (n, beta), and
+each evaluation sends its points to the shallowest rule that serves their d.
 
-The radial s-integral splits at the diagonal s = r with geometric panel
-grading (ratio 2) toward it, log-uniform Gauss panels away from it, and
-declared power-law tails integrated out to infinity.
+The kernel is homogeneous, k_beta(r, r rho) = r^(beta-n) k_beta(1, rho), so
+the radial s-integral is taken in the ratio rho = s/r with one rule for all
+output radii: panels halve (ratio 2) into the diagonal rho = 1 from both
+sides, log-uniform Gauss panels cover the far zones, and declared power-law
+tails are integrated out to infinity.  A convolution evaluates the kernel
+once, on that rule, and then costs one dot product per output radius.
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
 the differential form via the log-radius finite-difference Laplacian and
@@ -364,53 +366,20 @@ def _gl_panels(breaks: np.ndarray, order_nodes):
 
 def _log_block(lo: float, hi: float, per_decade: float = 6.0):
     """Log-uniform panel breakpoints for a smooth power-law-like stretch."""
-    if hi <= lo:
-        return None
     m = max(int(math.ceil(math.log10(hi / lo) * per_decade)), 1)
     return np.geomspace(lo, hi, m + 1)
 
 
-def _ladder(lo: float, apex: float, depth: int):
-    """Dyadically graded breakpoints from lo toward apex (accumulating at apex)."""
-    span = apex - lo
-    if span <= 0.0:
-        return None
-    b = apex - span * 2.0 ** (-np.arange(depth + 1, dtype=float))
-    return np.append(b, apex)
+def _diagonal_nodes(lo: float, hi: float, depth: int):
+    """Nodes/weights in the ratio rho = s/r on [lo, hi], graded into rho = 1.
 
-
-def _diagonal_nodes(r: float, lo: float, hi: float, depth: int):
-    """All s-quadrature nodes/weights for one output radius r in [lo, hi]."""
-    nodes = []
-    weights = []
-    # left stretch
-    if r > lo:
-        split = max(lo, r / 2.0)
-        blk = _log_block(lo, split)
-        if blk is not None and r / 2.0 > lo:
-            nn, ww = _gl_panels(blk, _GL12)
-            nodes.append(nn)
-            weights.append(ww)
-        lad = _ladder(split, r, depth)
-        if lad is not None:
-            nn, ww = _gl_panels(lad, _GL12)
-            nodes.append(nn)
-            weights.append(ww)
-    # right stretch
-    if r < hi:
-        split = min(hi, 2.0 * r)
-        lad = _ladder(2.0 * r - split, r, depth)  # left twin, mirrored about r
-        if lad is not None:
-            rev = (2.0 * r - lad)[::-1]
-            nn, ww = _gl_panels(rev, _GL12)
-            nodes.append(nn)
-            weights.append(ww)
-        blk = _log_block(split, hi)
-        if blk is not None and 2.0 * r < hi:
-            nn, ww = _gl_panels(blk, _GL12)
-            nodes.append(nn)
-            weights.append(ww)
-    return np.concatenate(nodes), np.concatenate(weights)
+    Log-uniform panels cover [lo, 1/2] and [2, hi]; between them the panels
+    halve toward the diagonal from both sides, ``depth`` times each.
+    """
+    step = 2.0 ** (-np.arange(depth + 1, dtype=float))
+    breaks = np.concatenate([_log_block(lo, 0.5)[:-1], 1.0 - step / 2.0, [1.0],
+                             (1.0 + step)[::-1], _log_block(2.0, hi)[1:]])
+    return _gl_panels(breaks, _GL12)
 
 
 # ============================================================
@@ -423,38 +392,44 @@ _LADDER_DEPTH = 36  # dyadic grading depth toward the diagonal
 
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
                    inner_exponent: Optional[float] = None,
-                   outer_exponent: Optional[float] = None,
-                   out_radii: Optional[np.ndarray] = None) -> RadialProfile:
+                   outer_exponent: Optional[float] = None) -> RadialProfile:
     """(R_beta * g)(r) = int_0^inf g(s) s^(n-1) k_beta(r, s) ds for radial g.
 
     ``g`` is a RadialProfile (interpolated inside its grid, continued by its
-    declared exponents outside) or a plain callable, in which case ``grid``
-    and both exponents must be supplied and the callable is trusted on all
-    of (0, inf).  No normalizing constant is applied; callers own those.
+    declared exponents outside; it carries its own grid and exponents, so
+    passing any of the three keywords with it is a ValueError) or a plain
+    callable, in which case ``grid`` and both exponents must be supplied and
+    the callable is trusted on all of (0, inf).  No normalizing constant is
+    applied; callers own those.
 
     Preconditions (checked): inner_exponent + n > 0 and
     outer_exponent + beta < 0, otherwise the defining integral diverges.
 
-    The s-quadrature splits at s = r, grades dyadically into the diagonal,
-    covers the far zones with log-uniform Gauss panels out to _EXTEND times
-    the grid, and finishes both ends with the analytic power-law tail under
-    the kernel's leading asymptotics.  Output lands on the input grid (or
-    ``out_radii``), tail exponents set from the kernel's mapping properties.
+    The kernel is homogeneous, k_beta(r, r rho) = r^(beta-n) k_beta(1, rho),
+    so one rule in the ratio rho = s/r serves every output radius:
+    (R_beta * g)(r) = r^beta int g(r rho) rho^(n-1) k_beta(1, rho) drho.
+    The rule grades dyadically into rho = 1, covers the far zones with
+    log-uniform Gauss panels reaching _EXTEND times beyond the grid from
+    every radius, and the kernel is evaluated on it once.  Both ends finish
+    with the analytic power-law tail under the kernel's leading asymptotics.
+    Output lands on the source grid, tail exponents set from the kernel's
+    mapping properties.
     """
     n, beta = spec.n, spec.beta
     if isinstance(g, RadialProfile):
+        if grid is not None or inner_exponent is not None or outer_exponent is not None:
+            raise ValueError("a RadialProfile source carries its own grid and exponents; "
+                             "pass none of grid=, inner_exponent=, outer_exponent=")
         if g.inner_exponent is None or g.outer_exponent is None:
             raise IntegrabilityError(
                 "riesz_convolve needs declared tail exponents; estimate_exponents "
                 "or declare them explicitly")
-        profile, known = g, g.grid
-        base_grid = known if grid is None else grid
-        e_in, e_out = profile.inner_exponent, profile.outer_exponent
+        profile = g
+        grid, e_in, e_out = profile.grid, profile.inner_exponent, profile.outer_exponent
         g = lambda s: profile(s, extrapolate=True)
     else:
         if grid is None or inner_exponent is None or outer_exponent is None:
             raise ValueError("callable g needs grid=, inner_exponent=, outer_exponent=")
-        known = base_grid = grid
         e_in, e_out = inner_exponent, outer_exponent
 
     if e_in + n <= 0.0:
@@ -465,36 +440,30 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             f"outer tail decays like s^({e_out}); need e_out + beta < 0 for the "
             "convolution to converge")
 
-    fam = _family(spec)
-    radii = base_grid.r if out_radii is None else np.asarray(out_radii, dtype=float)
-    r_lo, r_hi = known.r_min, known.r_max
-    if radii.min() < r_lo or radii.max() > r_hi:
-        raise SamplingError(
-            "output radii must lie inside the grid the source is known on")
-    lo = r_lo / _EXTEND
-    hi = r_hi * _EXTEND
-    out = np.empty(radii.size, dtype=float)
+    r = grid.r
+    r_lo, r_hi = grid.r_min, grid.r_max
+    # from every radius the rule reaches [r_lo / _EXTEND, r_hi * _EXTEND]
+    rho_lo = r_lo / _EXTEND / r_hi
+    rho_hi = r_hi * _EXTEND / r_lo
+    rho, w = _diagonal_nodes(rho_lo, rho_hi, _LADDER_DEPTH)
+    wk = w * rho ** (n - 1) * _family(spec).evaluate(1.0, rho)
+    out = r ** beta * np.array([np.dot(wk, np.asarray(g(ri * rho), dtype=float))
+                                for ri in r])
 
     om = omega(n - 1)
-    # analytic tails beyond the extended quadrature range, kernel at leading order
+    # analytic tails beyond the rule, g a power law there, kernel at leading order
     v_lo, v_hi = np.asarray(g(np.array([r_lo, r_hi])), dtype=float)
-    inner_tail_const = om * v_lo * r_lo ** (-e_in) * lo ** (e_in + n) / (e_in + n)
-    outer_tail_const = -om * v_hi * r_hi ** (-e_out) * hi ** (e_out + beta) / (e_out + beta)
+    # s << r: k ~ om r^(beta-n)
+    out += (om * v_lo * r_lo ** (-e_in) * (r * rho_lo) ** (e_in + n) / (e_in + n)
+            * r ** (beta - n))
+    # s >> r: k ~ om s^(beta-n)
+    out -= om * v_hi * r_hi ** (-e_out) * (r * rho_hi) ** (e_out + beta) / (e_out + beta)
 
-    for i, r in enumerate(radii):
-        s, w = _diagonal_nodes(r, lo, hi, _LADDER_DEPTH)
-        kern = fam.evaluate(np.full_like(s, r), s)
-        val = float(np.dot(w, np.asarray(g(s), dtype=float) * s ** (n - 1) * kern))
-        val += inner_tail_const * r ** (beta - n)   # s << r: k ~ om r^(beta-n)
-        val += outer_tail_const                      # s >> r: k ~ om s^(beta-n)
-        out[i] = val
-
-    prof = RadialProfile(RadialGrid(radii) if out_radii is not None else base_grid, out)
     # mapping of tails: finite limit at 0 when g s^(beta-1) is integrable there,
     # potential decay r^(beta-n) at infinity when g has finite mass
     v_e_in = 0.0 if e_in + beta > 0.0 else e_in + beta
     v_e_out = beta - n if e_out + n < 0.0 else e_out + beta
-    return prof.with_exponents(v_e_in, v_e_out)
+    return RadialProfile(grid, out, v_e_in, v_e_out)
 
 
 # ============================================================

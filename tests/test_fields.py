@@ -1,14 +1,15 @@
 """Grids, radial profiles, fields, and the sphere quadrature."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hartreelab import (Field, ProblemParams, RadialGrid, RadialProfile,
-                        make_bubble, make_hls_extremal, make_singular_power,
-                        sample_radial, sharp_constants, spherical_average,
-                        sphere_quadrature)
+                        artifacts, make_bubble, make_hls_extremal,
+                        make_singular_power, sample_radial, sharp_constants,
+                        spherical_average, sphere_quadrature)
 from hartreelab.constants import omega
 from hartreelab.errors import (GridError, SamplingError,
                                UnsupportedDimensionError)
@@ -93,6 +94,9 @@ def test_profile_csv_json_roundtrip(tmp_path):
     prof.to_json(tmp_path / "p.json")
     back = RadialProfile.from_json(tmp_path / "p.json")
     np.testing.assert_array_equal(back.values, prof.values)
+    # the JSON artifact is the canonical writer's output
+    text = (tmp_path / "p.json").read_text()
+    assert text == artifacts.dumps_json(json.loads(text))
 
 
 # ============================================================

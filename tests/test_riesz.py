@@ -16,7 +16,7 @@ import pytest
 
 from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         RadialProfile, angular_kernel, calibrate_cf, hls_ratio,
-                        make_bubble, nonlinearity_for, sample_radial,
+                        make_bubble, nonlinearity_for, riesz, sample_radial,
                         sharp_constants)
 from hartreelab.constants import omega
 from hartreelab.errors import (GridError, IntegrabilityError,
@@ -119,6 +119,36 @@ def test_convolution_from_profile():
     want = conformal_constant(n, a) * (1.0 + grid.r ** 2) ** (-(n - a) / 2.0)
     # interpolation of the profile costs several digits over the exact route
     assert np.max(np.abs(v.values / want - 1.0)) < 1e-6
+
+
+def test_profile_source_refuses_grid_and_exponent_keywords():
+    # a profile carries its own grid and tails; overriding them is an error
+    grid = default_grid(16)
+    prof = RadialProfile(grid, (1.0 + grid.r ** 2) ** -2.5, inner_exponent=0.0,
+                         outer_exponent=-5.0)
+    spec = AngularKernelSpec(3, 2.0)
+    for kwargs in ({"grid": default_grid(24)}, {"inner_exponent": 0.0},
+                   {"outer_exponent": -5.0}):
+        with pytest.raises(ValueError):
+            riesz_convolve(prof, spec, **kwargs)
+
+
+def test_convolution_evaluates_the_kernel_once(monkeypatch):
+    calls = []
+    evaluate = riesz._KernelFamily.evaluate
+
+    def counted(self, r, s):
+        calls.append(s)
+        return evaluate(self, r, s)
+
+    monkeypatch.setattr(riesz._KernelFamily, "evaluate", counted)
+    grid = default_grid(16)
+    h = lambda r: (1.0 + np.asarray(r) ** 2) ** -2.5
+    spec = AngularKernelSpec(3, 2.0)
+    riesz_convolve(h, spec, grid=grid, inner_exponent=0.0, outer_exponent=-5.0)
+    assert len(calls) == 1
+    riesz_convolve(RadialProfile(grid, h(grid.r), 0.0, -5.0), spec)
+    assert len(calls) == 2
 
 
 # ============================================================
