@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.signal import fftconvolve
 
 from . import artifacts
 from .constants import omega
@@ -439,7 +439,9 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
         return np.real(np.fft.ifft(np.fft.fft(c) * np.fft.fft(g)))
     c = _line_weights(kt, h, m)
     full = np.concatenate([c[:0:-1], c])
-    return fftconvolve(g, full, mode="same")
+    # a linear convolution padded past 3m - 2, keeping its centred m samples
+    size = next_fast_len(3 * m - 2, True)
+    return irfft(rfft(g, size) * rfft(full, size), size)[m - 1:2 * m - 1]
 
 
 def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):

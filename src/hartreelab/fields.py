@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -140,6 +141,7 @@ class RadialProfile:
 
     # ---------- interpolation ----------
 
+    @cached_property
     def _interpolant(self):
         if self.is_positive:
             return PchipInterpolator(self.grid.log_r, np.log(self.values), extrapolate=False)
@@ -165,7 +167,7 @@ class RadialProfile:
                 raise SamplingError("no outer_exponent declared for extrapolation above r_max")
         out = np.empty_like(rr)
         inside = ~(below | above)
-        pch = self._interpolant()
+        pch = self._interpolant
         if np.any(inside):
             if pch is not None:
                 out[inside] = np.exp(pch(np.log(rr[inside])))

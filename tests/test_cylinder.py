@@ -24,7 +24,7 @@ from hartreelab import (AngularKernelSpec, CylinderProfile, GridError,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sample_radial, sharp_constants,
                         to_cylinder)
-from hartreelab.cylinder import periodized_weights
+from hartreelab.cylinder import _line_weights, periodized_weights
 
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
@@ -214,6 +214,17 @@ def test_periodized_weights_mass():
     assert abs(np.sum(c) / KT32.norm_l1 - 1.0) < 1e-5
     conv = cylinder_convolution(np.ones(512), KT32, h, "periodic")
     np.testing.assert_allclose(conv, np.sum(c), rtol=1e-13)
+
+
+@pytest.mark.parametrize("m", [8, 257, 1000])
+def test_line_convolution_matches_the_direct_sum(m):
+    h = 0.05
+    g = np.random.default_rng(m).standard_normal(m)
+    c = _line_weights(KT32, h, m)
+    full = np.concatenate([c[:0:-1], c])
+    want = np.convolve(g, full)[m - 1:2 * m - 1]
+    got = cylinder_convolution(g, KT32, h, "line")
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_ode_residual_on_cylinder_bubble():

@@ -1,9 +1,14 @@
-"""Source hygiene: every module uses what it imports.
+"""Source hygiene: every module uses what it imports, and the CLI's import
+stays lean.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the unused-import check: its imports are the
+package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,17 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_cli_import_skips_heavy_scipy_subpackages():
+    # the module set, not a time: scipy.signal (and the scipy.stats it pulls
+    # in) are heavy imports that no command uses
+    probe = ("import sys, hartreelab.cli; "
+             "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') "
+             "if m in sys.modules))")
+    src = str(Path(hartreelab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == ""

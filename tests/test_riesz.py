@@ -13,11 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
-                        RadialProfile, angular_kernel, calibrate_cf, hls_ratio,
-                        make_bubble, nonlinearity_for, riesz, sample_radial,
-                        sharp_constants)
+                        RadialProfile, angular_kernel, calibrate_cf, fields,
+                        hls_ratio, make_bubble, nonlinearity_for, riesz,
+                        sample_radial, sharp_constants)
 from hartreelab.constants import omega
 from hartreelab.errors import (GridError, IntegrabilityError,
                                ParameterDomainError, SamplingError)
@@ -65,6 +67,39 @@ def test_kernel_symmetry_and_homogeneity():
     scaled = angular_kernel(spec, lam * r, lam * s)
     assert np.max(np.abs(scaled / (lam ** (2.5 - 4.0) * angular_kernel(spec, r, s))
                          - 1.0)) < 1e-13
+
+
+# derandomized, a fixed example count and no deadline: the same draws on
+# every machine.  Radii are log-uniform; rho stays off the diagonal, where
+# beta <= 1 kernels are not finite.
+KERNEL_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                           database=None)
+
+
+@st.composite
+def kernel_points(draw):
+    n = draw(st.sampled_from([3, 4, 5]))
+    beta = draw(st.floats(0.3, n - 0.1))
+    r = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rho = 10.0 ** draw(st.floats(-4.0, 4.0))
+    assume(abs(rho - 1.0) >= 1e-6)
+    return AngularKernelSpec(n, beta), r, rho
+
+
+@KERNEL_PROPERTY
+@given(kernel_points())
+def test_kernel_homogeneity_property(point):
+    # k(r, r rho) = r^(beta-n) k(1, rho): the rule riesz_convolve rests on
+    spec, r, rho = point
+    want = r ** (spec.beta - spec.n) * angular_kernel(spec, 1.0, rho)
+    assert abs(angular_kernel(spec, r, r * rho) / want - 1.0) <= 1e-13
+
+
+@KERNEL_PROPERTY
+@given(kernel_points())
+def test_kernel_symmetry_property(point):
+    spec, r, rho = point
+    assert angular_kernel(spec, r, r * rho) == angular_kernel(spec, r * rho, r)
 
 
 def test_kernel_certified_evaluation():
@@ -149,6 +184,21 @@ def test_convolution_evaluates_the_kernel_once(monkeypatch):
     assert len(calls) == 1
     riesz_convolve(RadialProfile(grid, h(grid.r), 0.0, -5.0), spec)
     assert len(calls) == 2
+
+
+def test_profile_convolution_builds_one_interpolant(monkeypatch):
+    builds = []
+    pchip = fields.PchipInterpolator
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return pchip(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "PchipInterpolator", counted)
+    grid = default_grid(16)
+    h = (1.0 + grid.r ** 2) ** -2.5
+    riesz_convolve(RadialProfile(grid, h, 0.0, -5.0), AngularKernelSpec(3, 2.0))
+    assert len(builds) == 1
 
 
 # ============================================================
