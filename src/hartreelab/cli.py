@@ -78,7 +78,7 @@ SCHEMAS = {
         period=_Opt(0.0, float, "explicit period L (0 means period_factor * L_0)"),
         period_factor=_Opt(1.05, float, "period as a multiple of the bifurcation L_0"),
         epsilon_factor=_Opt(0.5, float, "neck target as a multiple of U_c"),
-        steps=_Opt(30, int, "continuation ladder length"),
+        steps=_Opt(30, int, "maximum continuation steps along the branch"),
         nodes=_Opt(512, int, "collocation points per period (even, <= 2048)"),
         plot=_Opt(False, bool, "write an SVG of the orbit"),
     ),

@@ -18,13 +18,13 @@ cylinder (Delaunay-type) correspond to singular solutions of the PDE.
 
 Khat is the radial angular kernel in log coordinates: cosh t - 1 =
 (r - s)^2 / (2 r s) for t = ln(r/s), so Khat(t) = (r s)^((n-alpha)/2)
-k_alpha(r, s).  ``kernel_hat`` and the disk-cacheable ``KernelTable``
+k_alpha(r, s).  ``kernel_hat`` and the ``KernelTable`` sampled from it
 evaluate it with the shared QUADPACK reference of the radial module; the
 Gauss-Jacobi rules there stay the independent discretization, so the two
 routes cross-check each other.  This module owns the discrete convolution
 and ODE residual on uniform t-grids, the constant solution and its
-dispersion relation, and a Newton/continuation finder for even periodic
-solutions at fixed period.
+dispersion relation, and a pseudo-arclength finder that traces even
+periodic solutions from their bifurcation to a requested period.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -217,7 +217,7 @@ class KernelTable:
     Behind the samples sits a cubic spline of log Khat, exact exponential
     asymptotics beyond t_cut, the kernel's L1 norm, and its decay constant
     omega(n-1) = lim Khat(t) e^{(n-alpha)|t|/2}.  Built once per
-    (n, alpha, tol) and cacheable to CSV.
+    (n, alpha, tol) and cached in process by ``kernel_table``.
     """
 
     n: int
@@ -248,15 +248,10 @@ class KernelTable:
     # ---------- construction ----------
 
     @classmethod
-    def build(cls, params: ProblemParams, tol: float = 1e-10,
-              cache_dir=None) -> "KernelTable":
+    def build(cls, params: ProblemParams, tol: float = 1e-10) -> "KernelTable":
         if params.alpha <= 1.0:
             raise IntegrabilityError(
                 "the cylinder pipeline needs a bounded kernel, i.e. alpha > 1")
-        if cache_dir is not None:
-            cached = cls._load(params, tol, cache_dir)
-            if cached is not None:
-                return cached
         t = np.concatenate([[0.0],
                             np.geomspace(1e-4, 0.1, 72),
                             np.arange(0.11, _ASYMPTOTIC_T + 1e-9, 0.01)])
@@ -266,55 +261,9 @@ class KernelTable:
         core, _ = quad(lambda s: np.exp(spline(s)), 0.0, _ASYMPTOTIC_T,
                        limit=400, points=[0.01, 0.1, 1.0])
         tail = omega(params.n - 1) * math.exp(-lam * _ASYMPTOTIC_T) / lam
-        table = cls(n=params.n, alpha=params.alpha, tol=tol, t_samples=t,
-                    values=vals, decay_constant=omega(params.n - 1),
-                    norm_l1=2.0 * (core + tail), _spline=spline)
-        if cache_dir is not None:
-            table._save(params, tol, cache_dir)
-        return table
-
-    @staticmethod
-    def _cache_path(params, tol, cache_dir) -> Path:
-        # repr keys: label() rounds alpha, and nearby alphas must not share a file
-        name = f"kernel_hat_n{params.n}a{float(params.alpha)!r}_tol{float(tol)!r}.csv"
-        return Path(cache_dir) / name
-
-    def _save(self, params, tol, cache_dir) -> None:
-        path = self._cache_path(params, tol, cache_dir)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        artifacts.write_csv(path, {"t": self.t_samples, "khat": self.values}, [
-            "hartreelab kernel table v1",
-            f"n={self.n}",
-            f"alpha={artifacts.format_float(self.alpha)}",
-            f"tol={artifacts.format_float(self.tol)}",
-            f"decay_constant={artifacts.format_float(self.decay_constant)}",
-            f"norm_l1={artifacts.format_float(self.norm_l1)}",
-        ])
-
-    @classmethod
-    def _load(cls, params, tol, cache_dir) -> Optional["KernelTable"]:
-        path = cls._cache_path(params, tol, cache_dir)
-        if not path.exists():
-            return None
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or lines[0] != "# hartreelab kernel table v1":
-            return None
-        meta = {}
-        body = []
-        for ln in lines[1:]:
-            if ln.startswith("# "):
-                k, _, v = ln[2:].partition("=")
-                meta[k] = v
-            elif ln and not ln.startswith("t,"):
-                body.append(tuple(float(x) for x in ln.split(",")))
-        if (int(meta["n"]), float(meta["alpha"]), float(meta["tol"])) \
-                != (params.n, float(params.alpha), float(tol)):
-            return None     # a table for another request: rebuild
-        data = np.array(body)
-        return cls(n=int(meta["n"]), alpha=float(meta["alpha"]),
-                   tol=float(meta["tol"]), t_samples=data[:, 0], values=data[:, 1],
-                   decay_constant=float(meta["decay_constant"]),
-                   norm_l1=float(meta["norm_l1"]))
+        return cls(n=params.n, alpha=params.alpha, tol=tol, t_samples=t,
+                   values=vals, decay_constant=omega(params.n - 1),
+                   norm_l1=2.0 * (core + tail), _spline=spline)
 
     # ---------- evaluation ----------
 
@@ -359,12 +308,11 @@ class KernelTable:
 _TABLE_CACHE: dict = {}
 
 
-def kernel_table(params: ProblemParams, tol: float = 1e-10,
-                 cache_dir=None) -> KernelTable:
+def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
     """Process-cached KernelTable.build."""
     key = (params.n, params.alpha, tol)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = KernelTable.build(params, tol, cache_dir=cache_dir)
+        _TABLE_CACHE[key] = KernelTable.build(params, tol)
     return _TABLE_CACHE[key]
 
 
@@ -386,7 +334,9 @@ def periodized_weights(kt: KernelTable, h: float, n_nodes: int,
 
     Images are accumulated until a whole round adds less than trunc_tol of
     the running total, then the remaining geometric tail of the exponential
-    asymptotics is added in closed form.
+    asymptotics is added in closed form.  The weights are symmetric bit for
+    bit (c[k] == c[N - k]), so the periodic convolution of an even profile
+    is even.
     """
     N = n_nodes
     L = N * h
@@ -394,7 +344,7 @@ def periodized_weights(kt: KernelTable, h: float, n_nodes: int,
     c = _line_weights(kt, h, N)
     k = np.arange(N, dtype=float)
     total = c.copy()
-    total[1:] += h * kt.values_at(h * (N - k[1:]))   # the mirrored first image
+    total[1:] += c[:0:-1]   # the mirrored first image: offset N - 1 carries M1 too
     j = 1
     while True:
         add = h * (kt.values_at(h * (k + j * N)) + kt.values_at(h * (j * N + N - k)))
@@ -426,6 +376,11 @@ def _second_difference(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     return d2
 
 
+def _circular(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Circular convolution of g with the periodic weights c, by real FFT."""
+    return irfft(rfft(c) * rfft(g), g.size)
+
+
 def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
                          boundary: str, n_nodes: Optional[int] = None) -> np.ndarray:
     """(Khat * g) on the uniform grid carrying g.
@@ -435,8 +390,8 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
     """
     m = g.size
     if boundary == "periodic":
-        c = periodized_weights(kt, h, m if n_nodes is None else n_nodes)
-        return np.real(np.fft.ifft(np.fft.fft(c) * np.fft.fft(g)))
+        return _circular(periodized_weights(kt, h, m if n_nodes is None else n_nodes),
+                         g)
     c = _line_weights(kt, h, m)
     full = np.concatenate([c[:0:-1], c])
     # a linear convolution padded past 3m - 2, keeping its centred m samples
@@ -536,7 +491,7 @@ class DelaunaySolution:
     amplitude: float          # max U - min U over the period
     converged: bool
     nontrivial: bool
-    partial_result: bool      # epsilon_target not reached before stagnation
+    partial_result: bool      # the neck stayed above epsilon_target
     solver_tol: float
     steps: list = field(default_factory=list)   # continuation log
 
@@ -567,7 +522,15 @@ class DelaunaySolution:
 
 
 class _HalfGridSystem:
-    """The even-about-0 discretization on half a period, folded dense operators."""
+    """The even-about-0 discretization of one period L, on its half grid.
+
+    The unknowns are U(j h), j = 0..m, with h = L/N and m = N/2; the full
+    period is their even reflection.  Folding the symmetric circulant of
+    ``periodized_weights`` gives C[i, j] = c[(i - j) % N] + c[(i + j) % N],
+    where columns 0 and m, which have no mirror node, keep only the first
+    term.  A is the folded second difference plus nu^2, kept as its three
+    diagonals.
+    """
 
     def __init__(self, params, nl, kt, L, n_nodes):
         if n_nodes % 2:
@@ -577,100 +540,135 @@ class _HalfGridSystem:
                                       "2048 nodes is the ceiling")
         self.nl = nl
         self.N = n_nodes
-        self.m = n_nodes // 2
-        self.h = L / n_nodes
-        self.L = L
-        nu2 = params.nu ** 2
-        N, m, h = self.N, self.m, self.h
+        self.m = m = n_nodes // 2
+        self.h = h = L / n_nodes
+        self.weights = periodized_weights(kt, h, n_nodes)
+        self.a_diag = 2.0 / h ** 2 + params.nu ** 2
+        # the mirror nodes of 0 and m fold onto 1 and m - 1
+        self.a_upper = np.full(m, -1.0 / h ** 2)
+        self.a_upper[0] *= 2.0
+        self.a_lower = self.a_upper[::-1]
 
-        fold = np.minimum(np.arange(N), N - np.arange(N))
-        E = np.zeros((N, m + 1))
-        E[np.arange(N), fold] = 1.0
-
-        offsets = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
-        offsets = np.minimum(offsets, N - offsets)
-        cper = periodized_weights(kt, h, N)
-        C_full = cper[offsets]
-
-        A_full = np.zeros((N, N))
-        idx = np.arange(N)
-        A_full[idx, idx] = 2.0 / h ** 2 + nu2
-        A_full[idx, (idx + 1) % N] = -1.0 / h ** 2
-        A_full[idx, (idx - 1) % N] = -1.0 / h ** 2
-
-        self.A = A_full[: m + 1] @ E
-        self.C = C_full[: m + 1] @ E
-        self.t_half = h * np.arange(m + 1)
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The folded convolution matrix; only the Jacobian needs it dense."""
+        c, N, m = self.weights, self.N, self.m
+        j = np.arange(m + 1)
+        C = c[(j[:, None] - j) % N]
+        C[:, 1:m] += c[(j[:, None] + j[1:m]) % N]
+        return C
 
     def residual(self, x):
-        conv = self.C @ self.nl.F(x)
-        return self.A @ x - self.nl.f(x) * conv, conv
+        """(A x - f(x) conv, conv), conv = Khat * F(U) by ode_residual's operator."""
+        conv = _circular(self.weights, self.full_values(self.nl.F(x)))[:self.m + 1]
+        res = self.a_diag * x - self.nl.f(x) * conv
+        res[:-1] += self.a_upper * x[1:]
+        res[1:] += self.a_lower * x[:-1]
+        return res, conv
 
-    def jacobian(self, x, conv):
-        return (self.A
-                - (self.nl.f(x)[:, None] * self.C) * self.nl.F_prime(x)[None, :]
-                - np.diag(conv * self.nl.f_prime(x)))
+    def jacobian(self, x, conv, out=None):
+        """A - diag(f(x)) C diag(F'(x)) - diag(f'(x) conv), written into out."""
+        J = np.multiply(self.C, -self.nl.f(x)[:, None], out=out)
+        J *= self.nl.F_prime(x)
+        j = np.arange(self.m + 1)
+        J[j, j] += self.a_diag - self.nl.f_prime(x) * conv
+        J[j[:-1], j[1:]] += self.a_upper
+        J[j[1:], j[:-1]] += self.a_lower
+        return J
 
     def full_values(self, x):
-        fold = np.minimum(np.arange(self.N), self.N - np.arange(self.N))
-        return x[fold]
+        return np.concatenate([x, x[-2:0:-1]])
 
 
-def _newton(system, x0, tol, max_iter=50, pin_eps: Optional[float] = None):
-    """Damped Newton on the folded system; optionally pins U(0) = pin_eps.
+def _bifurcation_period(params, nl, kt, uc: float, n_nodes: int, L: float) -> float:
+    """L_c^h: where the discrete even branch leaves the constant U_c.
 
-    Returns (x, converged, final_norm, iterations).  Steps that fail to
-    reduce the residual norm after 6 halvings end the iteration early.
+    At the constant the folded operator is diagonal in cos(2 pi k t / L), and
+    its k = 1 eigenvalue
+
+        4/h^2 sin^2(pi/N) + nu^2 - f(U_c) F'(U_c) c^_1 - f'(U_c) F(U_c) c^_0,
+
+    with c^ = rfft(periodized_weights), falls through zero at L_c^h.  The
+    root is bracketed by doubling from L and polished by Brent.
     """
-    x = x0.copy()
-    g, conv = system.residual(x)
-    if pin_eps is not None:
-        g = g.copy()
-        g[0] = x[0] - pin_eps
-    norm = float(np.max(np.abs(g)))
+    a = float(nl.f(uc) * nl.F_prime(uc))
+    b = float(nl.f_prime(uc) * nl.F(uc))
+
+    def lam1(Lq):
+        h = Lq / n_nodes
+        chat = rfft(periodized_weights(kt, h, n_nodes))[:2].real
+        return (4.0 / h ** 2 * math.sin(math.pi / n_nodes) ** 2 + params.nu ** 2
+                - a * chat[1] - b * chat[0])
+
+    hi = L
+    while lam1(hi) >= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while lam1(lo) < 0.0:
+        lo /= 2.0
+    return brentq(lam1, lo, hi, xtol=1e-13, rtol=1e-14)
+
+
+def _newton(build, x, L, tol, border=None, max_iter=8):
+    """Newton on the folded system R(x, L) = 0 from (x, L).
+
+    At fixed L (border None) the unknowns are x, and the iteration ends one
+    full step past max|R| <= tol, so the orbit returned does not depend on
+    its seed.  With border = (row, target) L is unknown too, the system is
+    closed by row . (x, L) = target, R_L is a forward difference, and the
+    iteration ends at max|R| <= tol.  A residual that fails to fall ends it
+    unconverged.  Returns (x, L, converged, the last max|R| evaluated,
+    iterations).
+    """
+    last = math.inf
     for it in range(max_iter):
-        if norm <= tol:
-            return x, True, norm, it
-        J = system.jacobian(x, conv)
-        if pin_eps is not None:
-            J = J.copy()
-            J[0, :] = 0.0
-            J[0, 0] = 1.0
+        system = build(L)
+        g, conv = system.residual(x)
+        norm = float(np.max(np.abs(g)))
+        if not norm < last or (border is not None and norm <= tol):
+            return x, L, norm <= tol, norm, it
+        m1 = system.m + 1
+        if border is None:
+            J = system.jacobian(x, conv)
+        else:
+            row, target = border
+            dL = 1e-7 * L
+            J = np.empty((m1 + 1, m1 + 1))
+            system.jacobian(x, conv, out=J[:m1, :m1])
+            J[:m1, m1] = (build(L + dL).residual(x)[0] - g) / dL
+            J[m1] = row
+            g = np.append(g, row[:m1] @ x + row[m1] * L - target)
         try:
             step = np.linalg.solve(J, g)
         except np.linalg.LinAlgError:
-            return x, False, norm, it
-        lam = 1.0
-        for _ in range(7):
-            x_try = x - lam * step
-            g_try, conv_try = system.residual(x_try)
-            if pin_eps is not None:
-                g_try = g_try.copy()
-                g_try[0] = x_try[0] - pin_eps
-            norm_try = float(np.max(np.abs(g_try)))
-            if norm_try < norm or norm_try <= tol:
-                x, g, conv, norm = x_try, g_try, conv_try, norm_try
-                break
-            lam /= 2.0
-        else:
-            return x, False, norm, it + 1
-    return x, norm <= tol, norm, max_iter
+            return x, L, False, norm, it
+        x = x - step[:m1]
+        if border is not None:
+            L = L - step[m1]
+        elif norm <= tol:
+            g, _ = system.residual(x)
+            return x, L, True, float(np.max(np.abs(g))), it + 1
+        last = norm
+    return x, L, False, last, max_iter
 
 
 def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
                   epsilon_target: float, L: float, continuation_steps: int = 40,
                   *, kt: Optional[KernelTable] = None, n_nodes: int = 512,
                   newton_tol_factor: float = 1e-12) -> DelaunaySolution:
-    """Seek an even, L-periodic, positive cylinder orbit with neck near epsilon_target.
+    """Trace the even periodic branch from its bifurcation to period L.
 
-    Continuation starts just below the constant solution U_c with a cosine
-    seed, marches the pinned neck value downward (secant predictor,
-    step-halving on failure), and free-polishes every pinned solve; at
-    fixed L the polished orbits settle onto the branch's own neck value,
-    so the march is declared stagnant once the polished neck stops moving,
-    and the partial-result flag records whether epsilon_target was reached.
-    The returned solution is the last converged polish (the constant
-    solution when the target is U_c itself or nothing nontrivial exists).
+    The discrete branch leaves the constant U_c at L_c^h (see
+    ``_bifurcation_period``).  Its first point is pinned at cosine amplitude
+    -0.06 U_c with L free; later points are pseudo-arclength steps (Keller
+    1977) on the secant tangent in the scaled variables (x / U_c, L / L_c),
+    the step ds grown 1.5x after a corrector of at most 2 iterations and
+    halved after a failed one.  Correctors stop at max|R| <= 1e-4 max(1, U_c),
+    which keeps them on the branch; once L is crossed, the secant
+    interpolant at L is polished by Newton at fixed L to the full tolerance.
+    epsilon_target only sets partial_result (the neck stayed above it).  If
+    L is not crossed within continuation_steps correctors, the constant is
+    returned with converged=False.
     """
     if L <= 0:
         raise ParameterRangeError("the period must be positive")
@@ -684,8 +682,13 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             f"epsilon_target {epsilon_target} exceeds the constant solution {uc}")
 
     system = _HalfGridSystem(params, nl, kt, L, n_nodes)
+
+    def build(Lq):
+        return system if Lq == L else _HalfGridSystem(params, nl, kt, Lq, n_nodes)
+
+    m = system.m
     tol = newton_tol_factor * (4.0 / system.h ** 2) * max(1.0, uc)
-    const = np.full(system.m + 1, uc)
+    const = np.full(m + 1, uc)
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)
@@ -703,55 +706,46 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     if epsilon_target >= uc * (1.0 - 1e-9):
         return make_solution(const, True, 0.0, [], False)
 
-    # pinned-neck ladder, geometric refinement leaving the constant branch
-    gaps = np.geomspace(0.02 * uc, uc - epsilon_target, continuation_steps)
+    Lc = _bifurcation_period(params, nl, kt, uc, n_nodes, L)
+    # the x part as an RMS, so that ds does not grow with the node count
+    scale = np.append(np.full(m + 1, 1.0 / (uc * math.sqrt(m + 1))), 1.0 / Lc)
+    cos1 = np.cos(np.pi * np.arange(m + 1) / m)
+    pin = np.append(cos1 * (2.0 / m), 0.0)   # trapezoid cosine coefficient
+    pin[[0, m]] /= 2.0
+    prev, cur = np.append(const, Lc), None
+    ds = 0.0
     steps: list = []
-    found = []   # (x, norm) of accepted nontrivial polishes
-    x_prev = None
-    eps_prev = None
-
-    for gap in gaps:
-        eps = uc - gap
-        if x_prev is None:
-            seed = uc + (eps - uc) * np.cos(2.0 * np.pi * system.t_half / L)
-        elif len(found) >= 2 and eps_prev is not None:
-            # secant predictor along the pinned family
-            x_a, _ = found[-2][0], None
-            x_b = found[-1][0]
-            seed = x_b + (x_b - x_a) * ((eps - x_b[0]) / (x_b[0] - x_a[0] + 1e-300))
+    for _ in range(continuation_steps):
+        if cur is None:
+            seed, border = np.append(uc - 0.06 * uc * cos1, Lc), (pin, -0.06 * uc)
         else:
-            seed = x_prev + (eps - x_prev[0])
-        x_pin, ok_pin, norm_pin, it_pin = _newton(system, seed, tol, pin_eps=eps)
-        entry = {"eps_request": float(eps), "pinned_converged": bool(ok_pin),
-                 "pinned_norm": float(norm_pin), "pinned_iterations": int(it_pin)}
-        if not ok_pin:
-            entry["polish"] = "skipped"
-            steps.append(entry)
+            tangent = (cur - prev) * scale
+            tangent /= np.linalg.norm(tangent)
+            seed = cur + ds * tangent / scale
+            border = (tangent * scale, float(tangent @ (seed * scale)))
+        x, Lx, ok, _, its = _newton(build, seed[:-1], seed[-1],
+                                    1e-4 * max(1.0, uc), border)
+        if ok and cur is None:
+            cur = np.append(x, Lx)
+            ds = float(np.linalg.norm((cur - prev) * scale))
+        elif ok:
+            prev, cur = cur, np.append(x, Lx)
+        steps.append({"period": float(Lx), "neck": float(x[0]), "ds": ds,
+                      "pinned_iterations": its, "converged": ok})
+        if cur is None:
             break
-        x_prev, eps_prev = x_pin, eps
-        x_pol, ok_pol, norm_pol, it_pol = _newton(system, x_pin, tol)
-        if x_pol[0] > x_pol[-1]:
-            # reversal on the half grid translates by L/2; keep the neck at t=0
-            x_pol = x_pol[::-1].copy()
-        amp = float(x_pol.max() - x_pol.min())
-        entry.update({"polish_converged": bool(ok_pol), "polish_norm": float(norm_pol),
-                      "polish_iterations": int(it_pol),
-                      "actual_eps": float(x_pol[0]), "amplitude": amp})
-        accepted = (ok_pol and amp > 1e-5 * uc and float(x_pol.min()) > 0.0)
-        entry["accepted"] = bool(accepted)
-        steps.append(entry)
-        if accepted:
-            found.append((x_pol, norm_pol))
-            if x_pol[0] <= epsilon_target * (1.0 + 1e-6):
-                return make_solution(x_pol, True, norm_pol, steps, False)
-            if len(found) >= 2 and abs(found[-1][0][0] - found[-2][0][0]) \
-                    < 1e-9 * uc:
-                # fixed L pins the branch's neck; the march cannot progress
-                return make_solution(x_pol, True, norm_pol, steps, True)
-
-    if found:
-        x_best, norm_best = found[-1]
-        return make_solution(x_best, True, norm_best, steps,
-                             x_best[0] > epsilon_target * (1.0 + 1e-6))
-    # nothing nontrivial: report the constant branch, flag the shortfall
+        if not ok:
+            ds /= 2.0
+            continue
+        if its <= 2:
+            ds *= 1.5
+        if (prev[-1] - L) * (cur[-1] - L) <= 0.0:
+            w = (L - prev[-1]) / (cur[-1] - prev[-1])
+            seed = prev[:-1] + w * (cur[:-1] - prev[:-1])
+            x, _, ok, norm, its = _newton(build, seed, L, tol)
+            steps.append({"period": L, "neck": float(x[0]),
+                          "polish_iterations": its, "converged": ok})
+            return make_solution(x, ok, norm, steps,
+                                 bool(x[0] > epsilon_target * (1.0 + 1e-6)))
+    # the branch never reached L: report the constant, flag the shortfall
     return make_solution(const, False, float("nan"), steps, True)

@@ -24,7 +24,8 @@ from hartreelab import (AngularKernelSpec, CylinderProfile, GridError,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sample_radial, sharp_constants,
                         to_cylinder)
-from hartreelab.cylinder import _line_weights, periodized_weights
+from hartreelab.cylinder import (_bifurcation_period, _line_weights,
+                                 periodized_weights)
 
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
@@ -111,27 +112,6 @@ def test_kernel_table_requires_bounded_kernel():
         KernelTable.build(ProblemParams(3, 1.0))
 
 
-def test_kernel_table_csv_cache_roundtrip(tmp_path):
-    built = KernelTable.build(ProblemParams(4, 2.0), cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("kernel_hat_*.csv"))) == 1
-    loaded = KernelTable.build(ProblemParams(4, 2.0), cache_dir=tmp_path)
-    np.testing.assert_array_equal(loaded.t_samples, built.t_samples)
-    np.testing.assert_array_equal(loaded.values, built.values)
-    assert loaded.norm_l1 == built.norm_l1
-    assert loaded.decay_constant == built.decay_constant
-
-
-def test_kernel_table_cache_never_serves_another_alpha(tmp_path):
-    near = ProblemParams(3, 2.0000001)
-    KernelTable.build(P32, cache_dir=tmp_path)
-    assert KernelTable.build(near, cache_dir=tmp_path).alpha == near.alpha
-    assert len(list(tmp_path.glob("kernel_hat_*.csv"))) == 2
-    # a file whose header names another request is rebuilt, not trusted
-    path = KernelTable._cache_path(near, 1e-10, tmp_path)
-    path.write_bytes(KernelTable._cache_path(P32, 1e-10, tmp_path).read_bytes())
-    assert KernelTable.build(near, cache_dir=tmp_path).alpha == near.alpha
-
-
 # ============================================================
 # profiles and the coordinate map
 # ============================================================
@@ -214,6 +194,22 @@ def test_periodized_weights_mass():
     assert abs(np.sum(c) / KT32.norm_l1 - 1.0) < 1e-5
     conv = cylinder_convolution(np.ones(512), KT32, h, "periodic")
     np.testing.assert_allclose(conv, np.sum(c), rtol=1e-13)
+
+
+@pytest.mark.parametrize("N", [64, 512, 1024])
+def test_periodized_weights_are_symmetric(N):
+    # offset N - 1 is offset -1: it carries the cusp moment M1 as offset 1 does
+    c = periodized_weights(KT32, 6.6 / N, N)
+    assert np.array_equal(c[1:], c[:0:-1])
+
+
+def test_periodic_convolution_of_an_even_profile_is_even():
+    N = 512
+    t = 6.6 / N * np.arange(N)
+    g = 1.0 + 0.3 * np.cos(2.0 * np.pi * t / 6.6) + 0.1 * np.sin(np.pi * t / 6.6) ** 4
+    g[N // 2 + 1:] = g[N // 2 - 1:0:-1]
+    conv = cylinder_convolution(g, KT32, 6.6 / N, "periodic")
+    assert np.max(np.abs(conv[1:] - conv[:0:-1])) <= 1e-15 * np.max(np.abs(conv))
 
 
 @pytest.mark.parametrize("m", [8, 257, 1000])
@@ -301,6 +297,56 @@ def test_find_delaunay_nontrivial_orbit():
     # fixed L pins the branch's neck above this target: partial by design
     assert sol.partial_result
     assert sol.steps, "continuation log should not be empty"
+
+
+@pytest.mark.parametrize("factor, nodes, neck", [
+    (1.05, 128, 0.805586787212),
+    (1.05, 256, 0.805720910856),
+    (1.05, 512, 0.805754338499),
+    (1.01, 512, 0.917835033463),
+    (1.3, 512, 0.494784005535),
+])
+def test_find_delaunay_necks(factor, nodes, neck):
+    # the necks of the pinned-neck ladder this continuation replaced
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=nodes)
+    assert sol.converged and sol.nontrivial
+    assert abs(sol.epsilon / uc - neck) <= 1e-9
+    assert sol.profile.values[0] == sol.profile.values.min()
+
+
+def test_find_delaunay_orbit_solves_its_own_check():
+    # ode_residual convolves with the weights the solver folded
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    assert sol.residual_norm <= 1e-10
+    # the log counts every Newton iteration: correctors, then the landing
+    assert all("pinned_iterations" in s for s in sol.steps[:-1])
+    assert sol.steps[-1]["period"] == sol.period
+    assert sol.steps[-1]["polish_iterations"] >= 2
+
+
+def test_find_delaunay_traces_far_from_the_bifurcation():
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 2.0 * l0, kt=KT32, n_nodes=128)
+    assert sol.converged and sol.nontrivial and not sol.partial_result
+    assert sol.epsilon / uc == pytest.approx(0.161, abs=1e-3)
+
+
+def test_find_delaunay_below_the_bifurcation_returns_the_constant():
+    uc = constant_solution(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 5.0, 8, kt=KT32, n_nodes=64)
+    assert not sol.converged and sol.partial_result and not sol.nontrivial
+    assert sol.epsilon == uc
+    assert len(sol.steps) == 8
+
+
+def test_discrete_bifurcation_converges_to_the_dispersion_root():
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    err = [_bifurcation_period(P32, NL32, KT32, uc, N, 1.05 * l0) / l0 - 1.0
+           for N in (256, 512)]
+    assert abs(err[1]) < 1e-5
+    assert err[0] / err[1] == pytest.approx(4.0, rel=0.01)   # second order in h
 
 
 def test_delaunay_serialization(tmp_path):

@@ -8,6 +8,8 @@ computable image parameters.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab import (Field, ParameterDomainError, ParameterRangeError,
                         ProblemParams, SamplingError, SphereInversion,
@@ -57,6 +59,24 @@ def test_kelvin_transform_is_self_inverse():
     assert np.max(np.abs(twice(pts) / u(pts) - 1.0)) < 1e-13
     with pytest.raises(ParameterRangeError):
         kelvin_transform(u, inv, 0.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       log_mu=st.floats(-2.0, 2.0),
+       exponent=st.floats(0.1, 6.0),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: np.linalg.norm(d) > 0.1),
+       log_dist=st.floats(-2.0, 2.0))
+def test_kelvin_transform_is_an_involution(center, log_mu, exponent, direction,
+                                           log_dist):
+    # the same inversion and exponent twice give u back, away from the center
+    inv = SphereInversion(np.array(center), 10.0 ** log_mu)
+    u = make_bubble(P32, center=[0.4, -0.3, 0.2], mu=0.8)
+    d = np.array(direction)
+    y = inv.center + 10.0 ** log_dist * inv.radius * d / np.linalg.norm(d)
+    twice = kelvin_transform(kelvin_transform(u, inv, exponent), inv, exponent)
+    assert abs(twice(y) / u(y) - 1.0) <= 1e-12
 
 
 def test_kelvin_image_singularities_are_tracked():
