@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ from .constants import omega
 from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
-from .params import ProblemParams
+from .params import CACHE_SIZE, ProblemParams
 from .riesz import NonlinearitySpec, _kernel_quad
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
@@ -107,17 +107,20 @@ class CylinderProfile:
     def spacing(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        if self.boundary == "periodic":
+            return CubicSpline(np.append(self.t, self.t[0] + self.period),
+                               np.append(self.values, self.values[0]),
+                               bc_type="periodic")
+        return CubicSpline(self.t, self.values)
+
     def __call__(self, tq):
         """Cubic-spline evaluation (periodic-aware for periodic profiles)."""
         tq = np.asarray(tq, dtype=float)
         if self.boundary == "periodic":
-            L = self.period
-            tc = np.append(self.t, self.t[0] + L)
-            vc = np.append(self.values, self.values[0])
-            cs = CubicSpline(tc, vc, bc_type="periodic")
-            return cs((tq - self.t[0]) % L + self.t[0])
-        cs = CubicSpline(self.t, self.values)
-        out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), cs(tq), 0.0)
+            return self._spline((tq - self.t[0]) % self.period + self.t[0])
+        out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), self._spline(tq), 0.0)
         return out if out.ndim else float(out)
 
 
@@ -305,15 +308,14 @@ class KernelTable:
         return 2.0 * (core + tail)
 
 
-_TABLE_CACHE: dict = {}
-
-
 def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
     """Process-cached KernelTable.build."""
-    key = (params.n, params.alpha, tol)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = KernelTable.build(params, tol)
-    return _TABLE_CACHE[key]
+    return _kernel_table(params, tol)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_table(params: ProblemParams, tol: float) -> KernelTable:
+    return KernelTable.build(params, tol)
 
 
 # ============================================================
@@ -321,46 +323,39 @@ def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
 # ============================================================
 
 
-def _line_weights(kt: KernelTable, h: float, m: int) -> np.ndarray:
-    """Product-integration weights c_k, k = 0..m-1, for the line convolution."""
-    c = h * kt.values_at(h * np.arange(m, dtype=float))
-    c[0], c[1] = kt.central_moments(h)
+def _line_weights(kt: KernelTable, h: float, offsets: np.ndarray) -> np.ndarray:
+    """Product-integration weights h Khat(h|s|) at integer offsets s.
+
+    The kernel's cusp makes plain samples lose an order next to 0, so the
+    offsets |s| = 0 and 1 carry the cell moments M0 and M1 instead.
+    """
+    s = np.abs(offsets)
+    c = h * kt.values_at(h * s)
+    m0, m1 = kt.central_moments(h)
+    c[s == 0] = m0
+    c[s == 1] = m1
     return c
 
 
-def periodized_weights(kt: KernelTable, h: float, n_nodes: int,
-                       trunc_tol: float = 1e-15) -> np.ndarray:
+def periodized_weights(kt: KernelTable, h: float, n_nodes: int) -> np.ndarray:
     """Weights of the L-periodized kernel, L = n_nodes h, offsets 0..n_nodes-1.
 
-    Images are accumulated until a whole round adds less than trunc_tol of
-    the running total, then the remaining geometric tail of the exponential
-    asymptotics is added in closed form.  The weights are symmetric bit for
-    bit (c[k] == c[N - k]), so the periodic convolution of an even profile
-    is even.
+    For offsets k = 0..N/2 the images k + j N with |j| <= J, J = floor(t_cut
+    / L) + 1, are sampled from the table; every image with |j| > J lies
+    beyond t_cut, on Khat's exact exponential tail, and is summed as a
+    geometric series.  Offsets past N/2 mirror that half, so the weights
+    are symmetric bit for bit (c[k] == c[N - k]) and the periodic
+    convolution of an even profile is even.
     """
     N = n_nodes
     L = N * h
     lam = (kt.n - kt.alpha) / 2.0
-    c = _line_weights(kt, h, N)
-    k = np.arange(N, dtype=float)
-    total = c.copy()
-    total[1:] += c[:0:-1]   # the mirrored first image: offset N - 1 carries M1 too
-    j = 1
-    while True:
-        add = h * (kt.values_at(h * (k + j * N)) + kt.values_at(h * (j * N + N - k)))
-        add[0] = 2.0 * h * kt.values_at(h * j * N)
-        total += add
-        if np.max(add) <= trunc_tol * np.max(total):
-            break
-        j += 1
-        if j > 100000:
-            raise AccuracyError("periodized kernel sum failed to converge")
-    # closed-form remainder of the asymptotic tail, both directions
-    decay = math.exp(-lam * L)
-    rem = h * kt.decay_constant * (np.exp(-lam * h * (k + (j + 1) * N))
-                                   + np.exp(-lam * h * ((j + 1) * N + N - k)))
-    total += rem / (1.0 - decay)
-    return total
+    J = int(kt.t_cut // L) + 1
+    k = np.arange(N // 2 + 1)
+    half = _line_weights(kt, h, k + N * np.arange(-J, J + 1)[:, None]).sum(axis=0)
+    tail = np.exp(-lam * ((J + 1) * L + h * k)) + np.exp(-lam * ((J + 1) * L - h * k))
+    half += h * kt.decay_constant * tail / (1.0 - math.exp(-lam * L))
+    return np.concatenate([half, half[(N - 1) // 2:0:-1]])
 
 
 def _second_difference(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
@@ -382,7 +377,7 @@ def _circular(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
-                         boundary: str, n_nodes: Optional[int] = None) -> np.ndarray:
+                         boundary: str) -> np.ndarray:
     """(Khat * g) on the uniform grid carrying g.
 
     Line mode zero-extends beyond the grid (callers owe the decaying-end
@@ -390,10 +385,8 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
     """
     m = g.size
     if boundary == "periodic":
-        return _circular(periodized_weights(kt, h, m if n_nodes is None else n_nodes),
-                         g)
-    c = _line_weights(kt, h, m)
-    full = np.concatenate([c[:0:-1], c])
+        return _circular(periodized_weights(kt, h, m), g)
+    full = _line_weights(kt, h, np.arange(1 - m, m))
     # a linear convolution padded past 3m - 2, keeping its centred m samples
     size = next_fast_len(3 * m - 2, True)
     return irfft(rfft(g, size) * rfft(full, size), size)[m - 1:2 * m - 1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +30,7 @@ from scipy.special import roots_jacobi
 from . import artifacts
 from .constants import omega, sharp_constants
 from .errors import GridError, SamplingError, UnsupportedDimensionError
-from .params import ProblemParams
+from .params import CACHE_SIZE, ProblemParams
 
 _LOG10 = math.log(10.0)
 _MAX_LOG_SPACING = _LOG10 / 16.0   # grid contract: at least 16 nodes per decade
@@ -438,9 +438,6 @@ def sample_radial(field: Field, grid: RadialGrid, direction=None,
 # sphere quadrature (n = 3, 4, 5)
 # ============================================================
 
-_SPHERE_CACHE: dict = {}
-
-
 def sphere_quadrature(n: int, order: int = 14):
     """Product Gauss nodes and weights on the unit sphere S^(n-1) in R^n.
 
@@ -451,12 +448,10 @@ def sphere_quadrature(n: int, order: int = 14):
     if n not in (3, 4, 5):
         raise UnsupportedDimensionError(
             f"sphere quadrature implemented for n in {{3, 4, 5}}, got n={n}")
-    key = (n, order)
-    if key not in _SPHERE_CACHE:
-        _SPHERE_CACHE[key] = _sphere_rule(n, order)
-    return _SPHERE_CACHE[key]
+    return _sphere_rule(n, order)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _sphere_rule(n: int, order: int):
     if n == 2:
         m = max(order + 1, 4)

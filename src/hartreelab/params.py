@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from .errors import ParameterDomainError
 
+# every in-process cache is an lru_cache of this size on its builder
+CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ProblemParams:

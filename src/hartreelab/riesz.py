@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +54,7 @@ from .constants import newton_constant, newton_constant_alt, omega, sharp_consta
 from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterDomainError, SamplingError)
 from .fields import RadialGrid, RadialProfile
-from .params import ProblemParams
+from .params import CACHE_SIZE, ProblemParams
 
 # ============================================================
 # specs
@@ -310,14 +311,9 @@ def _kernel_quad(n: int, beta: float, d: float):
     return front * val, front * err
 
 
-_FAMILIES: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _family(spec: AngularKernelSpec) -> _KernelFamily:
-    key = (spec.n, spec.beta)
-    if key not in _FAMILIES:
-        _FAMILIES[key] = _KernelFamily(spec.n, spec.beta)
-    return _FAMILIES[key]
+    return _KernelFamily(spec.n, spec.beta)
 
 
 def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
@@ -521,9 +517,6 @@ class CfCalibration:
     rhs: RadialProfile = field(compare=False)  # the bubble's rhs at the fitted c_f
 
 
-_CF_CACHE: dict = {}
-
-
 def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
                  per_decade: int = 96) -> CfCalibration:
     """Fit the F-normalization c_f on the explicit bubble, once per (n, alpha).
@@ -535,11 +528,11 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
     both reported; nothing is silently absorbed.  The convolution side,
     rescaled to the fitted c_f, is kept as ``rhs`` for :func:`residual`.
     """
-    window = (float(window[0]), float(window[1]))
-    key = (params.n, params.alpha, window, per_decade)
-    if key in _CF_CACHE:
-        return _CF_CACHE[key]
+    return _calibrate_cf(params, (float(window[0]), float(window[1])), per_decade)
 
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCalibration:
     n = params.n
     amp = sharp_constants(params).c_n
     nu = params.nu
@@ -562,11 +555,9 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
     res = b - c_f * m
     rel = float(math.sqrt(np.dot(wq, res ** 2) / np.dot(wq, b ** 2)))
 
-    out = CfCalibration(c_f=c_f, residual_norm=rel, window=window,
-                        per_decade=per_decade, n=n, alpha=params.alpha,
-                        rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
-    _CF_CACHE[key] = out
-    return out
+    return CfCalibration(c_f=c_f, residual_norm=rel, window=window,
+                         per_decade=per_decade, n=n, alpha=params.alpha,
+                         rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
 
 
 def nonlinearity_for(params: ProblemParams, c_f: Optional[float] = None) -> NonlinearitySpec:

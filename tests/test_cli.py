@@ -168,7 +168,7 @@ def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(riesz, "_CF_CACHE", {})
+    riesz._calibrate_cf.cache_clear()
     for name in calls:
         monkeypatch.setattr(riesz, name, counted(name))
     # only the call count is under test, so the accuracy gate is opened

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from hartreelab import (AngularKernelSpec, CylinderProfile, GridError,
                         IntegrabilityError, KernelTable, ParameterRangeError,
@@ -24,6 +25,7 @@ from hartreelab import (AngularKernelSpec, CylinderProfile, GridError,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sample_radial, sharp_constants,
                         to_cylinder)
+from hartreelab import cylinder
 from hartreelab.cylinder import (_bifurcation_period, _line_weights,
                                  periodized_weights)
 
@@ -143,6 +145,26 @@ def test_cylinder_profile_contracts():
     assert per(t[0] + 64 * span + 0.1) == pytest.approx(per(t[0] + 0.1), rel=1e-9)
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "decaying"])
+def test_cylinder_profile_builds_its_spline_once(boundary, monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return CubicSpline(*args, **kwargs)
+
+    monkeypatch.setattr(cylinder, "CubicSpline", counted)
+    t = np.linspace(-10.0, 10.0, 64)
+    if boundary == "periodic":
+        L = 64 * (t[1] - t[0])
+        U = CylinderProfile(t, np.cos(2.0 * np.pi * t / L), boundary=boundary, period=L)
+    else:
+        U = CylinderProfile(t, np.exp(-t * t), boundary=boundary)
+    for tq in (0.3, np.linspace(-2.0, 2.0, 5), -0.7):
+        U(tq)
+    assert len(builds) == 1
+
+
 def test_data_profiles_carry_any_end_values():
     t = np.linspace(-1.0, 1.0, 64)
     data = CylinderProfile(t, np.exp(-t * t), boundary="data")
@@ -196,7 +218,20 @@ def test_periodized_weights_mass():
     np.testing.assert_allclose(conv, np.sum(c), rtol=1e-13)
 
 
-@pytest.mark.parametrize("N", [64, 512, 1024])
+@pytest.mark.parametrize("N", [64, 65, 512])
+@pytest.mark.parametrize("L", [0.5, 6.6, 30.0])
+def test_periodized_weights_closed_form(N, L):
+    # away from the cusp cells the weights are h Khat summed over all images:
+    # 4 pi h (e^{-hk/2} + e^{-(L-hk)/2}) / (1 - e^{-L/2}) for Khat = 4 pi e^{-|t|/2}
+    h = L / N
+    c = periodized_weights(KT32, h, N)
+    k = np.arange(2, N - 1)
+    want = 4.0 * np.pi * h * (np.exp(-h * k / 2.0) + np.exp(-(L - h * k) / 2.0)) \
+        / (1.0 - np.exp(-L / 2.0))
+    assert np.max(np.abs(c[2:N - 1] / want - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 65, 512, 1024])
 def test_periodized_weights_are_symmetric(N):
     # offset N - 1 is offset -1: it carries the cusp moment M1 as offset 1 does
     c = periodized_weights(KT32, 6.6 / N, N)
@@ -216,8 +251,7 @@ def test_periodic_convolution_of_an_even_profile_is_even():
 def test_line_convolution_matches_the_direct_sum(m):
     h = 0.05
     g = np.random.default_rng(m).standard_normal(m)
-    c = _line_weights(KT32, h, m)
-    full = np.concatenate([c[:0:-1], c])
+    full = _line_weights(KT32, h, np.arange(1 - m, m))
     want = np.convolve(g, full)[m - 1:2 * m - 1]
     got = cylinder_convolution(g, KT32, h, "line")
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

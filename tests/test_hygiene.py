@@ -1,5 +1,5 @@
-"""Source hygiene: every module uses what it imports, and the CLI's import
-stays lean.
+"""Source hygiene: every module uses what it imports, caches only through
+``functools.lru_cache``, and the CLI's import stays lean.
 
 ``__init__.py`` is exempt from the unused-import check: its imports are the
 package's re-exports.
@@ -39,6 +39,27 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_dict_caches(path):
+    # a module-level dict that the module writes into is a hand-rolled cache:
+    # unbounded and uncountable, where an lru_cache on the builder is neither
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            dicts.update(t.id for t in targets if isinstance(t, ast.Name))
+    written = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            written.add(getattr(node.value, "id", None))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("setdefault", "update"):
+            written.add(getattr(node.func.value, "id", None))
+    caches = sorted(dicts & written)
+    assert not caches, f"{path.name} caches in module-level dicts: {', '.join(caches)}"
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():
