@@ -36,9 +36,11 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from . import artifacts
@@ -200,10 +202,10 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
     for i in np.flatnonzero(flat < _ASYMPTOTIC_T):
         # cosh t - 1, computed stably
         val, err = _kernel_quad(n, alpha, 2.0 * math.sinh(flat[i] / 2.0) ** 2)
-        if err > tol * val:
+        if abs(err) > tol * val:
             raise AccuracyError(
-                f"kernel_hat at t={flat[i]} certified only {err / val:.2e}",
-                achieved=err / val)
+                f"kernel_hat at t={flat[i]} certified only {abs(err) / val:.2e}",
+                achieved=abs(err) / val)
         out[i] = 2.0 ** ((alpha - n) / 2.0) * val
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -546,9 +548,10 @@ class _HalfGridSystem:
     def C(self) -> np.ndarray:
         """The folded convolution matrix; only the Jacobian needs it dense."""
         c, N, m = self.weights, self.N, self.m
-        j = np.arange(m + 1)
-        C = c[(j[:, None] - j) % N]
-        C[:, 1:m] += c[(j[:, None] + j[1:m]) % N]
+        # c[(i - j) % N] is a window of c[m:] ++ c[:m + 1] read backwards, and
+        # c[i + j] (i + j < N) a window of c[1:]: no index arrays are built
+        C = sliding_window_view(np.concatenate([c[m:], c[:m + 1]]), m + 1)[:, ::-1].copy()
+        C[:, 1:m] += sliding_window_view(c[1:N], m - 1)
         return C
 
     def residual(self, x):
@@ -631,10 +634,15 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
             J[:m1, m1] = (build(L + dL).residual(x)[0] - g) / dL
             J[m1] = row
             g = np.append(g, row[:m1] @ x + row[m1] * L - target)
-        try:
-            step = np.linalg.solve(J, g)
-        except np.linalg.LinAlgError:
-            return x, L, False, norm, it
+        # J is C-ordered, so its transpose factors in place; a zero pivot,
+        # which LAPACK reports as a warning, leaves the step undefined
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(J.T, overwrite_a=True, check_finite=False)
+            except LinAlgWarning:
+                return x, L, False, norm, it
+        step = lu_solve(lu, g, trans=1, check_finite=False)
         x = x - step[:m1]
         if border is not None:
             L = L - step[m1]

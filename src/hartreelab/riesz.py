@@ -26,7 +26,12 @@ the radial s-integral is taken in the ratio rho = s/r with one rule for all
 output radii: panels halve (ratio 2) into the diagonal rho = 1 from both
 sides, log-uniform Gauss panels cover the far zones, and declared power-law
 tails are integrated out to infinity.  A convolution evaluates the kernel
-once, on that rule, and then costs one dot product per output radius.
+once, on that rule; the Newton kernel beta = 2 needs no rule at all, since
+Newton's theorem gives k_2(1, rho) = omega(n-1) max(1, rho)^(2-n).  A
+callable source then costs one dot product per output radius.  A profile
+source is its declared power law beyond its grid, so the nodes there are
+summed once for all radii, by one prefix and one suffix sum, and only the
+in-grid nodes are interpolated, for a block of radii at a time.
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
 the differential form via the log-radius finite-difference Laplacian and
@@ -267,7 +272,7 @@ class _KernelFamily:
             got = self._eval_rule(self.rules[-1], np.array([d]), np.array([1.0]),
                                   np.array([d]))[0]
             want, err = _kernel_quad(self.n, self.beta, d)
-            slack = max(1e-10, 5.0 * err / abs(want))
+            slack = max(1e-10, 5.0 * abs(err / want))
             worst = max(worst, max(abs(got - want) / abs(want) - slack, 0.0))
         if worst > 0.0:
             raise AccuracyError(
@@ -336,7 +341,7 @@ def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
         if math.isfinite(d):
             ref, ref_err = _kernel_quad(spec.n, spec.beta, d)
             err = abs(val - scale * ref) / abs(scale * ref)
-            if err > tol + 5.0 * ref_err / abs(ref):
+            if err > tol + 5.0 * abs(ref_err / ref):
                 raise AccuracyError(
                     f"angular kernel at (r, s)=({rr}, {ss}) reached {err:.2e}, "
                     f"requested {tol:.2e}", achieved=err)
@@ -384,6 +389,7 @@ def _diagonal_nodes(lo: float, hi: float, depth: int):
 
 _EXTEND = 1e5       # quadrature extension factor beyond the declared grid
 _LADDER_DEPTH = 36  # dyadic grading depth toward the diagonal
+_BLOCK_POINTS = 1 << 14  # interpolant points per block of radii: 128 KB a float array
 
 
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
@@ -406,12 +412,18 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
     (R_beta * g)(r) = r^beta int g(r rho) rho^(n-1) k_beta(1, rho) drho.
     The rule grades dyadically into rho = 1, covers the far zones with
     log-uniform Gauss panels reaching _EXTEND times beyond the grid from
-    every radius, and the kernel is evaluated on it once.  Both ends finish
-    with the analytic power-law tail under the kernel's leading asymptotics.
-    Output lands on the source grid, tail exponents set from the kernel's
-    mapping properties.
+    every radius, and the kernel is evaluated on it once; the Newton kernel
+    beta = 2 is taken in closed form, omega(n-1) max(1, rho)^(2-n)
+    (Newton's theorem).  Both ends finish with the analytic power-law tail
+    under the kernel's leading asymptotics.  A callable source is sampled
+    at every node for every radius.  For a profile source the nodes that
+    fall beyond its grid see only its declared power law, so their share is
+    one prefix or suffix sum of the rule, and the in-grid nodes of a block
+    of radii go through the interpolant in one call.  Output lands on the
+    source grid, tail exponents set from the kernel's mapping properties.
     """
     n, beta = spec.n, spec.beta
+    profile = None
     if isinstance(g, RadialProfile):
         if grid is not None or inner_exponent is not None or outer_exponent is not None:
             raise ValueError("a RadialProfile source carries its own grid and exponents; "
@@ -422,7 +434,6 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
                 "or declare them explicitly")
         profile = g
         grid, e_in, e_out = profile.grid, profile.inner_exponent, profile.outer_exponent
-        g = lambda s: profile(s, extrapolate=True)
     else:
         if grid is None or inner_exponent is None or outer_exponent is None:
             raise ValueError("callable g needs grid=, inner_exponent=, outer_exponent=")
@@ -442,24 +453,68 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
     rho_lo = r_lo / _EXTEND / r_hi
     rho_hi = r_hi * _EXTEND / r_lo
     rho, w = _diagonal_nodes(rho_lo, rho_hi, _LADDER_DEPTH)
-    wk = w * rho ** (n - 1) * _family(spec).evaluate(1.0, rho)
-    out = r ** beta * np.array([np.dot(wk, np.asarray(g(ri * rho), dtype=float))
-                                for ri in r])
-
     om = omega(n - 1)
-    # analytic tails beyond the rule, g a power law there, kernel at leading order
-    v_lo, v_hi = np.asarray(g(np.array([r_lo, r_hi])), dtype=float)
-    # s << r: k ~ om r^(beta-n)
-    out += (om * v_lo * r_lo ** (-e_in) * (r * rho_lo) ** (e_in + n) / (e_in + n)
-            * r ** (beta - n))
-    # s >> r: k ~ om s^(beta-n)
-    out -= om * v_hi * r_hi ** (-e_out) * (r * rho_hi) ** (e_out + beta) / (e_out + beta)
+    if beta == 2.0:
+        # the sphere average of |x - y|^(2-n) (Lieb-Loss, Analysis, Thm 9.7)
+        k1 = om * np.maximum(rho, 1.0) ** (2.0 - n)
+    else:
+        k1 = _family(spec).evaluate(1.0, rho)
+    wk = w * rho ** (n - 1) * k1
+
+    # analytic tails beyond the rule, where g is a power law, per unit of
+    # g(r_lo) (r / r_lo)^e_in and g(r_hi) (r / r_hi)^e_out; the kernel at
+    # leading order: s << r, k ~ om r^(beta-n); s >> r, k ~ om s^(beta-n)
+    head = om * rho_lo ** (e_in + n) / (e_in + n)
+    tail = -om * rho_hi ** (e_out + beta) / (e_out + beta)
+    if profile is None:
+        v_lo, v_hi = np.asarray(g(np.array([r_lo, r_hi])), dtype=float)
+        sums = np.array([np.dot(wk, np.asarray(g(ri * rho), dtype=float)) for ri in r])
+        sums += v_lo * (r / r_lo) ** e_in * head + v_hi * (r / r_hi) ** e_out * tail
+    else:
+        sums = _profile_sums(profile, rho, wk, head, tail)
+    out = r ** beta * sums
 
     # mapping of tails: finite limit at 0 when g s^(beta-1) is integrable there,
     # potential decay r^(beta-n) at infinity when g has finite mass
     v_e_in = 0.0 if e_in + beta > 0.0 else e_in + beta
     v_e_out = beta - n if e_out + n < 0.0 else e_out + beta
     return RadialProfile(grid, out, v_e_in, v_e_out)
+
+
+def _profile_sums(profile: RadialProfile, rho: np.ndarray, wk: np.ndarray,
+                  head: float, tail: float) -> np.ndarray:
+    """sum_j wk_j g(r rho_j) at every grid radius r, tails included, for a profile g.
+
+    Below r_min, g(r rho) = g(r_min) (r / r_min)^e_in rho^e_in, so the nodes
+    there, a prefix of the rule, contribute g(r_min) (r / r_min)^e_in times
+    a prefix sum of wk rho^e_in that starts from the analytic ``head``;
+    above r_max likewise a suffix sum of wk rho^e_out that starts from
+    ``tail``.  The in-grid nodes of a block of radii are interpolated in one
+    call and reduced per radius by bincount.
+    """
+    grid = profile.grid
+    r, r_lo, r_hi = grid.r, grid.r_min, grid.r_max
+    e_in, e_out = profile.inner_exponent, profile.outer_exponent
+    k_lo = np.searchsorted(rho, r_lo / r)                # below r_min: nodes [0, k_lo)
+    k_hi = np.searchsorted(rho, r_hi / r, side="right")  # above r_max: nodes [k_hi, end)
+    # k_lo peaks at r_lo and k_hi bottoms out at r_hi: the powers are taken on
+    # rho < 1 below and rho > 1 above only, where the tails decay
+    lo, hi = k_lo[0], k_hi[-1]
+    below = np.cumsum(np.concatenate([[head], wk[:lo] * rho[:lo] ** e_in]))
+    above = np.cumsum(np.concatenate([[tail], (wk[hi:] * rho[hi:] ** e_out)[::-1]]))[::-1]
+    sums = (profile.values[0] * (r / r_lo) ** e_in * below[k_lo]
+            + profile.values[-1] * (r / r_hi) ** e_out * above[k_hi - hi])
+
+    counts = k_hi - k_lo
+    step = max(_BLOCK_POINTS // int(counts.max()), 1)
+    for i in range(0, r.size, step):
+        c = counts[i:i + step]
+        owner = np.repeat(np.arange(c.size), c)
+        j = np.arange(owner.size) + np.repeat(k_lo[i:i + step] - (np.cumsum(c) - c), c)
+        # a node within rounding of the grid's ends stays on the interpolant
+        s = np.clip(r[i:i + step][owner] * rho[j], r_lo, r_hi)
+        sums[i:i + step] += np.bincount(owner, wk[j] * profile(s), minlength=c.size)
+    return sums
 
 
 # ============================================================

@@ -10,14 +10,15 @@ The (n, alpha) = (3, 2) closed forms drive most checks:
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from hartreelab import (AngularKernelSpec, CylinderProfile, GridError,
-                        IntegrabilityError, KernelTable, ParameterRangeError,
+from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
+                        GridError, IntegrabilityError, KernelTable, ParameterRangeError,
                         ProblemParams, RadialGrid, SamplingError,
                         angular_kernel, constant_solution,
                         cylinder_convolution, dispersion_function,
@@ -65,6 +66,13 @@ def test_kernel_hat_guards():
     assert kernel_hat(P31, 0.5) > 0.0          # integrable off t = 0
     with pytest.raises(IntegrabilityError):
         kernel_hat(P31, 0.0)
+
+
+def test_kernel_hat_certifies_the_error_magnitude(monkeypatch):
+    # QUADPACK's error estimate is a magnitude; a negative one certifies nothing
+    monkeypatch.setattr(cylinder, "_kernel_quad", lambda n, beta, d: (1.0, -1e-3))
+    with pytest.raises(AccuracyError):
+        kernel_hat(P32, 1.0)
 
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0)])
@@ -373,6 +381,27 @@ def test_find_delaunay_below_the_bifurcation_returns_the_constant():
     assert not sol.converged and sol.partial_result and not sol.nontrivial
     assert sol.epsilon == uc
     assert len(sol.steps) == 8
+
+
+def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch):
+    def singular(self, x, conv, out=None):
+        J = np.empty((self.m + 1, self.m + 1)) if out is None else out
+        J[...] = 0.0
+        return J
+
+    monkeypatch.setattr(cylinder._HalfGridSystem, "jacobian", singular)
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    system = cylinder._HalfGridSystem(P32, NL32, KT32, 1.05 * l0, 64)
+    x = uc * (1.0 - 0.1 * np.cos(np.pi * np.arange(33) / 32))
+    pin = np.append(np.ones(33), 0.0)
+    # at fixed L and bordered with L free; no LinAlgWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for border in (None, (pin, float(x.sum()))):
+            got, L, converged, norm, its = cylinder._newton(
+                lambda Lq: system, x, 1.05 * l0, 1e-10, border)
+            assert not converged and its == 0 and norm > 0.0
+            assert np.array_equal(got, x) and L == 1.05 * l0
 
 
 def test_discrete_bifurcation_converges_to_the_dispersion_root():

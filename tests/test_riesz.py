@@ -10,6 +10,7 @@ which pins both the kernel normalization and the quadrature at once.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,14 +48,18 @@ def conformal_constant(n: int, a: float) -> float:
 
 
 def test_newton_kernel_closed_form():
-    # n = 3, beta = 2: the shell-potential average, 4 pi / max(r, s)
-    spec = AngularKernelSpec(3, 2.0)
+    # Newton's theorem: the sphere average of |x - y|^(2-n) is
+    # omega(n-1) max(r, s)^(2-n) (4 pi / max(r, s) in n = 3), an oracle for
+    # the Gauss-Jacobi rule, which riesz_convolve skips at beta = 2
     rng = np.random.default_rng(31)
     r = np.exp(rng.uniform(-2.0, 2.0, 64))
     s = np.exp(rng.uniform(-2.0, 2.0, 64))
-    got = angular_kernel(spec, r, s)
-    want = 4.0 * np.pi / np.maximum(r, s)
-    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    r[:3] = s[:3] = (0.5, 1.0, 2.0)
+    s[3:6] = r[3:6] * (1.0 + np.array([1e-12, 1e-6, -1e-3]))
+    for n in range(3, 8):
+        got = angular_kernel(AngularKernelSpec(n, 2.0), r, s)
+        want = omega(n - 1) * np.maximum(r, s) ** (2.0 - n)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-14
 
 
 def test_kernel_symmetry_and_homogeneity():
@@ -169,6 +174,8 @@ def test_profile_source_refuses_grid_and_exponent_keywords():
 
 
 def test_convolution_evaluates_the_kernel_once(monkeypatch):
+    # one kernel vector per convolution at a general beta; the Newton kernel
+    # needs none
     calls = []
     evaluate = riesz._KernelFamily.evaluate
 
@@ -178,12 +185,54 @@ def test_convolution_evaluates_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(riesz._KernelFamily, "evaluate", counted)
     grid = default_grid(16)
-    h = lambda r: (1.0 + np.asarray(r) ** 2) ** -2.5
+    for n, beta, evaluations in ((5, 3.0, 1), (3, 2.0, 0)):
+        calls.clear()
+        h = lambda r: (1.0 + np.asarray(r) ** 2) ** (-(n + beta) / 2.0)
+        spec = AngularKernelSpec(n, beta)
+        riesz_convolve(h, spec, grid=grid, inner_exponent=0.0,
+                       outer_exponent=-(n + beta))
+        assert len(calls) == evaluations
+        riesz_convolve(RadialProfile(grid, h(grid.r), 0.0, -(n + beta)), spec)
+        assert len(calls) == 2 * evaluations
+
+
+def _tail_profiles(grid):
+    # positive (PCHIP), sign-changing (np.interp), and a singular inner tail
+    r = grid.r
+    return [RadialProfile(grid, (1.0 + r ** 2) ** -2.5, 0.0, -5.0),
+            RadialProfile(grid, np.cos(np.log(r)) * (1.0 + r ** 2) ** -2.5, 0.0, -5.0),
+            RadialProfile(grid, r ** -1.5 * (1.0 + r ** 2) ** -2.0, -1.5, -5.5)]
+
+
+@pytest.mark.parametrize("n,beta", [(3, 2.0), (5, 3.0)])
+@pytest.mark.parametrize("which", range(3))
+def test_profile_route_equals_the_pointwise_route(n, beta, which):
+    # closed-form tail sums and blocked interpolation against sampling the
+    # profile, tails included, at every node for every radius
+    grid = default_grid(24)
+    prof = _tail_profiles(grid)[which]
+    spec = AngularKernelSpec(n, beta)
+    got = riesz_convolve(prof, spec)
+    want = riesz_convolve(lambda s: prof(s, extrapolate=True), spec, grid=grid,
+                          inner_exponent=prof.inner_exponent,
+                          outer_exponent=prof.outer_exponent)
+    assert (got.inner_exponent, got.outer_exponent) == (want.inner_exponent,
+                                                        want.outer_exponent)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
+
+
+def test_newton_profile_convolution_memory():
+    grid = default_grid(96)
+    prof = _tail_profiles(grid)[0]
     spec = AngularKernelSpec(3, 2.0)
-    riesz_convolve(h, spec, grid=grid, inner_exponent=0.0, outer_exponent=-5.0)
-    assert len(calls) == 1
-    riesz_convolve(RadialProfile(grid, h(grid.r), 0.0, -5.0), spec)
-    assert len(calls) == 2
+    riesz_convolve(prof, spec)        # warm: interpolant, imports
+    tracemalloc.start()
+    try:
+        riesz_convolve(prof, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_profile_convolution_builds_one_interpolant(monkeypatch):
