@@ -51,6 +51,13 @@ def _check_radii(radii) -> np.ndarray:
     return r
 
 
+def _smallest_decade(r: np.ndarray) -> np.ndarray:
+    """Mask of the descending radii within a decade of r_min, else the last two."""
+    last = r <= r[-1] * 10.0
+    last[-2:] = True
+    return last
+
+
 # ============================================================
 # upper bound scan
 # ============================================================
@@ -86,10 +93,7 @@ def upper_bound_scan(u: Field, radii, center=None) -> UpperBoundScan:
     s = np.array([ri ** nu * spherical_average(u, ri, center=center,
                                                order=_SPHERE_ORDER) for ri in r])
     sup = np.maximum.accumulate(s)
-    last = r <= r[-1] * 10.0
-    if np.count_nonzero(last) < 2:
-        last = np.zeros(r.size, dtype=bool)
-        last[-2:] = True
+    last = _smallest_decade(r)
     growth = float(s[-1] / max(np.abs(s[last][0]), 1e-300))
     slope = float(np.polyfit(np.log(r[last]), np.log(np.maximum(np.abs(s[last]), 1e-300)), 1)[0])
     total_growth = float(s[-1] / max(np.abs(s[0]), 1e-300))
@@ -135,10 +139,7 @@ def symmetry_ratio(u: Field, radii, center=None, slope_floor: float = 0.8) -> Sy
             raise ParameterDomainError(
                 f"symmetry ratio needs a positive field; min {lo} on |x|={ri}")
         ratios[i] = float(np.max(vals)) / lo - 1.0
-    last = r <= r[-1] * 10.0
-    if np.count_nonzero(last) < 2:
-        last = np.zeros(r.size, dtype=bool)
-        last[-2:] = True
+    last = _smallest_decade(r)
     positive = ratios[last] > 1e-14
     if not np.any(positive):
         return SymmetryRatio(radii=r, ratios=ratios, slope=None, certified=True,
@@ -255,10 +256,7 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit
     if np.any(uvals <= 0.0):
         raise ParameterDomainError("profile fit needs positive samples")
     target = np.log(uvals) + nu * np.log(r)   # log of r^nu u = log W(t + tau) wanted
-    small = t >= t[-1] - math.log(10.0)
-    if np.count_nonzero(small) < 2:
-        small = np.zeros(t.size, dtype=bool)
-        small[-2:] = True
+    small = _smallest_decade(r)
 
     def cost(tau):
         w = np.asarray(w_fun(t[small] + tau), dtype=float)
@@ -331,12 +329,6 @@ class AsymptoticsReport:
 
     def to_json(self, path) -> None:
         artifacts.write_json(path, self.summary())
-
-    def scan_to_csv(self, path) -> None:
-        artifacts.write_csv(path, self.upper.rows(), ["hartreelab upper-bound scan v1"])
-
-    def symmetry_to_csv(self, path) -> None:
-        artifacts.write_csv(path, self.symmetry.rows(), ["hartreelab symmetry ratio v1"])
 
 
 def asymptotics_report(u: Field, radii, params: ProblemParams,

@@ -323,14 +323,7 @@ def _cmd_delaunay(cfg: dict) -> dict:
     kt = cylinder.kernel_table(params)
     nl = riesz.nonlinearity_for(params)
     u_c, l_0 = cylinder.dispersion_root(params, nl, kt)
-    if cfg["period"] > 0.0:
-        period = cfg["period"]
-    else:
-        if l_0 is None:
-            raise ConvergenceError(
-                "no local bifurcation: the dispersion relation has no positive "
-                "root, and no explicit period was configured")
-        period = cfg["period_factor"] * l_0
+    period = cfg["period"] if cfg["period"] > 0.0 else cfg["period_factor"] * l_0
     sol = cylinder.find_delaunay(params, nl, cfg["epsilon_factor"] * u_c, period,
                                  cfg["steps"], kt=kt, n_nodes=cfg["nodes"])
     doc = {"l_0": l_0, "u_c": u_c}

@@ -21,9 +21,10 @@ Khat is the radial angular kernel in log coordinates: cosh t - 1 =
 k_alpha(r, s).  ``kernel_hat`` and the ``KernelTable`` sampled from it
 evaluate it with the shared QUADPACK reference of the radial module; the
 Gauss-Jacobi rules there stay the independent discretization, so the two
-routes cross-check each other.  This module owns the discrete convolution
-and ODE residual on uniform t-grids, the constant solution and its
-dispersion relation, and a pseudo-arclength finder that traces even
+routes cross-check each other.  Khat's Fourier transform, and with it
+the L1 norm, is a closed-form Gamma ratio.  This module owns the discrete
+convolution and ODE residual on uniform t-grids, the constant solution and
+its dispersion relation, and a pseudo-arclength finder that traces even
 periodic solutions from their bifurcation to a requested period.
 """
 
@@ -38,10 +39,11 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
+from scipy.special import loggamma
 
 from . import artifacts
 from .constants import omega
@@ -210,6 +212,25 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _khat_fourier(n: int, alpha: float, w):
+    """Khat's Fourier transform int Khat(t) e^{-i w t} dt, in closed form.
+
+    The Riesz potential maps radial powers to radial powers, so on the
+    cylinder its kernel's symbol is a ratio of Gamma functions:
+
+        pi^(n/2) Gamma(alpha/2) / Gamma((n-alpha)/2)
+            |Gamma((n-alpha)/4 + i w/2)|^2 / |Gamma((n+alpha)/4 + i w/2)|^2.
+
+    By |Gamma(x + i y)|^2 = Gamma(x)^2 prod_k (1 + y^2/(x+k)^2)^-1 it
+    strictly decreases in |w|; at w = 0 it is the L1 norm of Khat.
+    """
+    z = 0.5j * np.asarray(w, dtype=float)
+    log_c = (0.5 * n * math.log(math.pi) + loggamma(0.5 * alpha).real
+             - loggamma(0.5 * (n - alpha)).real)
+    return np.exp(log_c + 2.0 * (loggamma(0.25 * (n - alpha) + z).real
+                                 - loggamma(0.25 * (n + alpha) + z).real))
+
+
 # ============================================================
 # kernel table
 # ============================================================
@@ -219,10 +240,11 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
 class KernelTable:
     """Khat sampled on [0, t_cut] (even continuation implied) plus metadata.
 
-    Behind the samples sits a cubic spline of log Khat, exact exponential
-    asymptotics beyond t_cut, the kernel's L1 norm, and its decay constant
-    omega(n-1) = lim Khat(t) e^{(n-alpha)|t|/2}.  Built once per
-    (n, alpha, tol) and cached in process by ``kernel_table``.
+    The table stores its samples and a cubic spline of log Khat behind
+    them, with Khat's exact exponential asymptotics beyond t_cut.  The L1
+    norm, the Fourier transform and the decay constant omega(n-1) = lim
+    Khat(t) e^{(n-alpha)|t|/2} come in closed form, not from the samples.
+    Built once per (n, alpha, tol) and cached in process by ``kernel_table``.
     """
 
     n: int
@@ -230,9 +252,6 @@ class KernelTable:
     tol: float
     t_samples: np.ndarray
     values: np.ndarray
-    decay_constant: float
-    norm_l1: float
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         v = self.values
@@ -246,9 +265,6 @@ class KernelTable:
         ratio = v[tail] * np.exp(lam * self.t_samples[tail]) / self.decay_constant
         if np.max(np.abs(ratio - 1.0)) > 1e-6:
             raise AccuracyError("kernel tail does not settle on its decay constant")
-        if self._spline is None:
-            object.__setattr__(self, "_spline",
-                               CubicSpline(self.t_samples, np.log(v)))
 
     # ---------- construction ----------
 
@@ -260,15 +276,8 @@ class KernelTable:
         t = np.concatenate([[0.0],
                             np.geomspace(1e-4, 0.1, 72),
                             np.arange(0.11, _ASYMPTOTIC_T + 1e-9, 0.01)])
-        vals = kernel_hat(params, t, tol)
-        lam = (params.n - params.alpha) / 2.0
-        spline = CubicSpline(t, np.log(vals))
-        core, _ = quad(lambda s: np.exp(spline(s)), 0.0, _ASYMPTOTIC_T,
-                       limit=400, points=[0.01, 0.1, 1.0])
-        tail = omega(params.n - 1) * math.exp(-lam * _ASYMPTOTIC_T) / lam
         return cls(n=params.n, alpha=params.alpha, tol=tol, t_samples=t,
-                   values=vals, decay_constant=omega(params.n - 1),
-                   norm_l1=2.0 * (core + tail), _spline=spline)
+                   values=kernel_hat(params, t, tol))
 
     # ---------- evaluation ----------
 
@@ -297,17 +306,21 @@ class KernelTable:
         m1, _ = quad(lambda s: np.exp(self._spline(s)), h / 2.0, 1.5 * h, limit=100)
         return 2.0 * m0_half, m1
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        return CubicSpline(self.t_samples, np.log(self.values))
+
+    @property
+    def decay_constant(self) -> float:
+        return omega(self.n - 1)
+
+    @property
+    def norm_l1(self) -> float:
+        return self.fourier(0.0)
+
     def fourier(self, w: float) -> float:
-        """Khat's Fourier transform 2 int_0^inf Khat(t) cos(w t) dt (even in w)."""
-        lam = (self.n - self.alpha) / 2.0
-        w = abs(float(w))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            core, _ = quad(lambda s: np.exp(self._spline(s)), 0.0, self.t_cut,
-                           weight="cos", wvar=w, limit=800)
-        zt = complex(lam, w)
-        tail = self.decay_constant * (np.exp(-zt * self.t_cut) / zt).real
-        return 2.0 * (core + tail)
+        """The closed-form Fourier transform 2 int_0^inf Khat(t) cos(w t) dt."""
+        return float(_khat_fourier(self.n, self.alpha, w))
 
 
 def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
@@ -433,10 +446,12 @@ def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
                         kt: KernelTable, w: float) -> float:
     """D(w): the linearization of the ODE at U_c acting on e^{i w t}.
 
-    D(w) = w^2 + nu^2 [2 - p - p Khat^(w)/|Khat|_1]; negative at w = 0
-    (the balance equation makes the zero mode dominate), positive for large
-    w, and its smallest positive root w_0 marks the local bifurcation with
-    period 2 pi / w_0.  Independent of c_f: the constant solution absorbs it.
+    D(w) = w^2 + nu^2 [2 - p - p Khat^(w)/|Khat|_1], with Khat^ in closed
+    form.  Khat^ strictly decreases in |w|, so D strictly increases from
+    D(0) = 2 nu^2 (1 - p) < 0 (the balance equation makes the zero mode
+    dominate) and D(w) >= w^2 - 2 nu^2 (p - 1); its one positive root w_0
+    marks the local bifurcation with period 2 pi / w_0.  Independent of
+    c_f: the constant solution absorbs it.
     """
     nu2 = params.nu ** 2
     p = nl.p
@@ -447,22 +462,14 @@ def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
 def dispersion_root(params: ProblemParams, nl: NonlinearitySpec, kt: KernelTable):
     """(U_c, L_0): the constant solution and its bifurcation period.
 
-    L_0 = 2 pi / w_0 with w_0 the smallest positive zero of the dispersion
-    function, bracketed by a scan and polished by Brent.  Returns
-    (U_c, None) when no positive root exists (no local bifurcation).
+    L_0 = 2 pi / w_0 with w_0 the one positive zero of the dispersion
+    function, which changes sign on [0, nu sqrt(2 (p - 1))]: one Brent
+    solve, no scan.
     """
-    uc = constant_solution(params, nl, kt)
-    p = nl.p
-    nu = params.nu
-    w_hi = nu * math.sqrt(max(2.0 * p - 2.0, 1.0)) + 2.0
-    scan = np.linspace(1e-6, w_hi, 241)
-    vals = [dispersion_function(params, nl, kt, w) for w in scan]
-    for k in range(len(scan) - 1):
-        if vals[k] < 0.0 <= vals[k + 1]:
-            w0 = brentq(lambda w: dispersion_function(params, nl, kt, w),
-                        scan[k], scan[k + 1], xtol=1e-13, rtol=1e-14)
-            return uc, 2.0 * math.pi / w0
-    return uc, None
+    w_hi = params.nu * math.sqrt(2.0 * nl.p - 2.0)
+    w0 = brentq(lambda w: dispersion_function(params, nl, kt, w), 0.0, w_hi,
+                xtol=1e-13, rtol=1e-14)
+    return constant_solution(params, nl, kt), 2.0 * math.pi / w0
 
 
 # ============================================================

@@ -54,11 +54,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_jacobi, roots_legendre
 
-from . import artifacts
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
 from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterDomainError, SamplingError)
-from .fields import RadialGrid, RadialProfile
+from .fields import RadialGrid, RadialProfile, make_bubble, make_hls_extremal
 from .params import CACHE_SIZE, ProblemParams
 
 # ============================================================
@@ -590,11 +589,11 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
 def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCalibration:
     n = params.n
     amp = sharp_constants(params).c_n
-    nu = params.nu
     grid = default_grid(per_decade)
     r = grid.r
+    mask, wq = _window_weights(r, window, n)
 
-    u_exact = lambda s: amp * (1.0 + np.asarray(s) ** 2) ** (-nu)
+    u_exact = make_bubble(params).radial_fn
     neglap = amp * n * (n - 2.0) * (1.0 + r ** 2) ** (-(n + 2.0) / 2.0)
 
     # the bubble with its exact tails: bounded at 0, r^(2-n) at infinity
@@ -603,8 +602,6 @@ def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCa
     unit_rhs = hartree_rhs(bubble, params, NonlinearitySpec(p=params.p, c_f=1.0),
                            u_exact=u_exact)
 
-    mask = (r >= window[0]) & (r <= window[1])
-    wq = r[mask] ** n * np.gradient(np.log(r[mask]))
     b, m = neglap[mask], unit_rhs.values[mask]
     c_f = float(np.dot(wq * b, m) / np.dot(wq * m, m))
     res = b - c_f * m
@@ -698,22 +695,18 @@ class ResidualReport:
             doc["green_constant_alt_ratio"] = self.c2_alt_ratio
         return doc
 
-    def to_json(self, path, metadata: Optional[dict] = None) -> None:
-        doc = dict(metadata or {})
-        doc.update(self.summary())
-        doc["r"] = [float(x) for x in self.residual.grid.r]
-        doc["residual"] = [float(x) for x in self.residual.values]
-        doc["scale"] = [float(x) for x in self.scale.values]
-        artifacts.write_json(path, doc)
+
+def _window_weights(r: np.ndarray, window, n: int):
+    """(mask, weights): the window's grid nodes and their measure r^n dlog r."""
+    mask = (r >= window[0]) & (r <= window[1])
+    if np.count_nonzero(mask) < 2:
+        raise SamplingError(f"window {tuple(window)} holds fewer than 2 grid nodes")
+    return mask, r[mask] ** n * np.gradient(np.log(r[mask]))
 
 
 def _window_norms(grid: RadialGrid, res: np.ndarray, scale: np.ndarray,
                   window, n: int):
-    r = grid.r
-    mask = (r >= window[0]) & (r <= window[1])
-    if not np.any(mask):
-        raise SamplingError(f"window {window} contains no grid nodes")
-    wq = r[mask] ** n * np.gradient(np.log(r[mask]))
+    mask, wq = _window_weights(grid.r, window, n)
     rel_norm = math.sqrt(float(np.dot(wq, res[mask] ** 2))
                          / float(np.dot(wq, scale[mask] ** 2)))
     rel_max = float(np.max(np.abs(res[mask]) / scale[mask]))
@@ -816,8 +809,7 @@ def hls_ratio(params: ProblemParams, mu: float = 1.0,
     """
     n, a = params.n, params.alpha
     consts = sharp_constants(params)
-    expo = (n + a) / 2.0
-    f = lambda r: (mu / (mu ** 2 + np.asarray(r) ** 2)) ** expo
+    f = make_hls_extremal(params, mu=mu).radial_fn
     grid = RadialGrid.geometric(1e-4 * mu, 1e4 * mu, per_decade)
     v = riesz_convolve(f, AngularKernelSpec(n, a), grid=grid,
                        inner_exponent=0.0, outer_exponent=-(n + a))

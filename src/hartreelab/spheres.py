@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import artifacts
 from .errors import (ConvergenceError, ParameterDomainError,
                      ParameterRangeError, SamplingError)
 from .fields import Field
@@ -256,9 +255,6 @@ class ComparisonReport:
             "violations": int(self.violations.shape[0]),
             "kernel_checks": self.kernel_checks,
         }
-
-    def to_json(self, path) -> None:
-        artifacts.write_json(path, self.summary())
 
 
 def comparison_deficit(u: Field, inv: SphereInversion, test_points,

@@ -19,6 +19,7 @@ from hartreelab import (CylinderProfile, Field, GridError,
                         make_bubble, make_singular_power, nonlinearity_for,
                         profile_fit, sharp_constants, symmetry_ratio,
                         upper_bound_scan)
+from hartreelab import asymptotics
 
 P32 = ProblemParams(3, 2.0)
 
@@ -51,6 +52,22 @@ def test_scans_reject_bad_ladders():
         symmetry_ratio(u, [0.5])                 # single radius
     with pytest.raises(ParameterRangeError):
         upper_bound_scan(u, [0.5, 0.0])          # nonpositive
+
+
+@pytest.mark.parametrize("r", [default_radii(1e-3, 1.0), default_radii(1e-3, 2.0),
+                               default_radii(1e-12, 1.0), default_radii(0.3, 1.0),
+                               default_radii(0.05, 0.1), np.array([1.0, 1e-2, 1e-4])],
+                         ids=["3dec", "3dec2", "clipped", "short", "halfdec", "sparse"])
+def test_smallest_decade_matches_the_scans_masks(r):
+    # the two ways the probes spelled the mask: by r, and by t = -ln r
+    by_r = r <= r[-1] * 10.0
+    t = -np.log(r)
+    by_t = t >= t[-1] - math.log(10.0)
+    for old in (by_r, by_t):
+        if np.count_nonzero(old) < 2:
+            old[:] = False
+            old[-2:] = True
+        assert np.array_equal(asymptotics._smallest_decade(r), old)
 
 
 # ============================================================
@@ -236,12 +253,5 @@ def test_asymptotics_report_summary_and_files(tmp_path):
     assert not doc["fits"][0]["rejected"]
 
     rep.to_json(tmp_path / "report.json")
-    rep.scan_to_csv(tmp_path / "scan.csv")
-    rep.symmetry_to_csv(tmp_path / "sym.csv")
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded["symmetry_slope"] is None
-    scan_lines = (tmp_path / "scan.csv").read_text().splitlines()
-    assert scan_lines[0] == "# hartreelab upper-bound scan v1"
-    assert scan_lines[1].startswith("r,")
-    sym_lines = (tmp_path / "sym.csv").read_text().splitlines()
-    assert sym_lines[0] == "# hartreelab symmetry ratio v1"

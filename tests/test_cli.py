@@ -249,6 +249,17 @@ def test_unattainable_tolerance_exits_three(capsys):
     assert "identity mismatch" in err["message"]
 
 
+@pytest.mark.parametrize("lo, hi", [("20", "0.05"), ("1.0", "1.01")])
+def test_bubble_check_window_without_two_nodes_exits_three(capsys, lo, hi):
+    # an inverted window holds no grid radius, a narrow one a single radius
+    rc, stdout, stderr = run(capsys, "bubble-check", "--per-decade", "16",
+                             "--window-lo", lo, "--window-hi", hi)
+    assert rc == 3 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "SamplingError"
+    assert "fewer than 2 grid nodes" in err["message"]
+
+
 def test_subcritical_period_exits_four(capsys):
     # below the bifurcation period no nontrivial orbit exists, and the
     # solver reports the shortfall instead of returning the constant

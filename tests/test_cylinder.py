@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
@@ -27,6 +30,7 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         ode_residual, sample_radial, sharp_constants,
                         to_cylinder)
 from hartreelab import cylinder
+from hartreelab.constants import omega
 from hartreelab.cylinder import (_bifurcation_period, _line_weights,
                                  periodized_weights)
 
@@ -115,6 +119,43 @@ def test_kernel_table_invariants():
     for w in (0.0, 0.5, 1.0, 2.0):
         assert KT32.fourier(w) == pytest.approx(16.0 * math.pi / (1.0 + 4.0 * w * w),
                                                 rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_newton_symbol_closed_form(n):
+    # at alpha = 2, Khat(t) = omega(n-1) e^{-nu|t|} transforms to a Lorentzian
+    nu = (n - 2) / 2.0
+    w = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    want = 2.0 * omega(n - 1) * nu / (nu * nu + w * w)
+    got = cylinder._khat_fourier(n, 2.0, w)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_kernel_table_symbol_matches_quadrature(alpha, w):
+    # 2 int_0^inf Khat(t) cos(w t) dt from kernel_hat in pieces, the exact
+    # exponential tail summed beyond t = 25
+    P = ProblemParams(3, alpha)
+    breaks = [0.0, 1e-3, 1e-2, 0.1, 1.0, 3.0, 8.0, 15.0, 25.0]
+    core = sum(quad(lambda t: float(kernel_hat(P, t)) * math.cos(w * t), lo, hi,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(breaks[:-1], breaks[1:]))
+    z = complex((3.0 - alpha) / 2.0, w)
+    want = 2.0 * (core + omega(2) * (np.exp(-25.0 * z) / z).real)
+    kt = kernel_table(P)
+    assert abs(kt.fourier(w) / want - 1.0) <= 1e-12
+    if w == 0.0:
+        assert abs(kt.norm_l1 / want - 1.0) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=st.integers(3, 7), frac=st.floats(0.01, 0.99),
+       w=st.floats(0.0, 100.0), step=st.floats(1e-3, 10.0))
+def test_symbol_strictly_decreases(n, frac, w, step):
+    alpha = frac * n
+    lo, hi = cylinder._khat_fourier(n, alpha, np.array([w, w + step * (1.0 + w)]))
+    assert hi < lo
 
 
 def test_kernel_table_requires_bounded_kernel():

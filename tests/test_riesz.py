@@ -287,6 +287,16 @@ def test_calibration_window_may_be_a_list():
     assert listed.window == (0.05, 20.0)
 
 
+def test_window_without_two_nodes_is_refused():
+    with pytest.raises(SamplingError, match="fewer than 2 grid nodes"):
+        calibrate_cf(P32, window=(20.0, 0.05), per_decade=24)
+    cal = calibrate_cf(P32, per_decade=24)
+    prof = sample_radial(make_bubble(P32), cal.rhs.grid)
+    # 1.0 is the only grid radius in this window
+    with pytest.raises(SamplingError, match="fewer than 2 grid nodes"):
+        residual(prof, cal.rhs, P32, (1.0, 1.01), c_f=cal.c_f)
+
+
 # ============================================================
 # residuals
 # ============================================================
