@@ -22,7 +22,8 @@ k_alpha(r, s).  ``kernel_hat`` and the ``KernelTable`` sampled from it
 evaluate it with the shared QUADPACK reference of the radial module; the
 Gauss-Jacobi rules there stay the independent discretization, so the two
 routes cross-check each other.  Khat's Fourier transform, and with it
-the L1 norm, is a closed-form Gamma ratio.  This module owns the discrete
+the L1 norm, is a closed-form Gamma ratio, the same symbol the radial
+module's Riesz convolution multiplies by.  This module owns the discrete
 convolution and ODE residual on uniform t-grids, the constant solution and
 its dispersion relation, and a pseudo-arclength finder that traces even
 periodic solutions from their bifurcation to a requested period.
@@ -43,7 +44,6 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
-from scipy.special import loggamma
 
 from . import artifacts
 from .constants import omega
@@ -51,7 +51,7 @@ from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
 from .params import CACHE_SIZE, ProblemParams
-from .riesz import NonlinearitySpec, _kernel_quad
+from .riesz import NonlinearitySpec, _kernel_quad, _khat_fourier
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 
@@ -212,25 +212,6 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _khat_fourier(n: int, alpha: float, w):
-    """Khat's Fourier transform int Khat(t) e^{-i w t} dt, in closed form.
-
-    The Riesz potential maps radial powers to radial powers, so on the
-    cylinder its kernel's symbol is a ratio of Gamma functions:
-
-        pi^(n/2) Gamma(alpha/2) / Gamma((n-alpha)/2)
-            |Gamma((n-alpha)/4 + i w/2)|^2 / |Gamma((n+alpha)/4 + i w/2)|^2.
-
-    By |Gamma(x + i y)|^2 = Gamma(x)^2 prod_k (1 + y^2/(x+k)^2)^-1 it
-    strictly decreases in |w|; at w = 0 it is the L1 norm of Khat.
-    """
-    z = 0.5j * np.asarray(w, dtype=float)
-    log_c = (0.5 * n * math.log(math.pi) + loggamma(0.5 * alpha).real
-             - loggamma(0.5 * (n - alpha)).real)
-    return np.exp(log_c + 2.0 * (loggamma(0.25 * (n - alpha) + z).real
-                                 - loggamma(0.25 * (n + alpha) + z).real))
-
-
 # ============================================================
 # kernel table
 # ============================================================
@@ -320,7 +301,7 @@ class KernelTable:
 
     def fourier(self, w: float) -> float:
         """The closed-form Fourier transform 2 int_0^inf Khat(t) cos(w t) dt."""
-        return float(_khat_fourier(self.n, self.alpha, w))
+        return float(_khat_fourier(self.n, self.alpha, w).real)
 
 
 def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:

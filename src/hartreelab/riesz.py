@@ -13,7 +13,7 @@ algebraic near-singularity at tau = 1 whose strength is set by
     d = (r - s)^2 / (2 r s),
 
 the distance of the integrand's branch point 1 + d from the interval.
-The kernel is evaluated by a precomputed composite rule: a Gauss-Jacobi
+``angular_kernel`` evaluates it by a precomputed composite rule: a Gauss-Jacobi
 block on [-1, 0], dyadically graded Gauss-Legendre panels accumulating at
 tau = 1, and a Gauss-Jacobi tip panel whose weight exponent switches to
 the combined (n-3)/2 + (beta-n)/2 on the diagonal r = s.  Everything is
@@ -21,17 +21,15 @@ expressed in the stable variable 1 - tau so that r ~ s costs no
 significant digits.  Rules of three depths are kept per (n, beta), and
 each evaluation sends its points to the shallowest rule that serves their d.
 
-The kernel is homogeneous, k_beta(r, r rho) = r^(beta-n) k_beta(1, rho), so
-the radial s-integral is taken in the ratio rho = s/r with one rule for all
-output radii: panels halve (ratio 2) into the diagonal rho = 1 from both
-sides, log-uniform Gauss panels cover the far zones, and declared power-law
-tails are integrated out to infinity.  A convolution evaluates the kernel
-once, on that rule; the Newton kernel beta = 2 needs no rule at all, since
-Newton's theorem gives k_2(1, rho) = omega(n-1) max(1, rho)^(2-n).  A
-callable source then costs one dot product per output radius.  A profile
-source is its declared power law beyond its grid, so the nodes there are
-summed once for all radii, by one prefix and one suffix sum, and only the
-in-grid nodes are interpolated, for a block of radii at a time.
+The convolution itself never touches those rules.  In t = ln r the
+kernel (r s)^((n-beta)/2) k_beta(r, s) depends on t - ln s only, so the
+potential is a convolution on the line (the Mellin convolution theorem;
+Titchmarsh, Introduction to the Theory of Fourier Integrals, 1937) whose
+symbol is a closed-form Gamma ratio.  On a grid uniform in log r it is a
+padded real FFT of the tilted source against that symbol, one tilt per half
+of the grid, a trapezoidal
+rule that converges exponentially for sources analytic in a strip
+(Trefethen & Weideman, SIAM Review 56, 2014).
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
 the differential form via the log-radius finite-difference Laplacian and
@@ -51,8 +49,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import loggamma, roots_jacobi, roots_legendre
 
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
 from .errors import (AccuracyError, GridError, IntegrabilityError,
@@ -120,12 +119,15 @@ class _KernelRule:
 
     Stored in the variable omt = 1 - tau.  The kernel value is
 
-      omega(n-2) * [ sum_i W_i ((r-s)^2 + 2 r s omt_i)^q   (main + generic tip)
-                     or  ... + (2 r s)^q * tip_diag         (diagonal tip)   ]
+      omega(n-2) * [ sum_i W_i (2 r s + (r-s)^2 / omt_i)^q  (main + generic tip)
+                     or  ... + (2 r s)^q * tip_diag          (diagonal tip)   ]
 
-    with q = (beta - n)/2.  The rule is valid for d >= d_min with the
-    generic tip; the diagonal tip covers d < d_min at an error bounded by
-    the tip panel's mass, which the depth was chosen to make negligible.
+    with q = (beta - n)/2.  Each weight W_i carries its node's omt_i^q,
+    formed as one scaled product, so no power of a tiny omt (which would
+    overflow) meets a tiny weight (which would underflow).  The rule is
+    valid for d >= d_min with the generic tip; the diagonal tip covers
+    d < d_min at an error bounded by the tip panel's mass, which the depth
+    was chosen to make negligible.
     """
 
     __slots__ = ("omt", "w", "tip_omt", "tip_w", "tip_diag", "d_min", "depth")
@@ -153,25 +155,26 @@ def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
 
     # [-1, 0]: Gauss-Jacobi in (1 + tau); the (1 - tau)^a factor is smooth here
     xj, wj = roots_jacobi(20, 0.0, a)
-    tau = (xj - 1.0) / 2.0
-    omt_blocks.append(1.0 - tau)
-    w_blocks.append(wj * (1.0 - tau) ** a * 2.0 ** (-a - 1.0))
+    omt = (3.0 - xj) / 2.0
+    omt_blocks.append(omt)
+    w_blocks.append(wj * omt ** (a + q) * 2.0 ** (-a - 1.0))
 
-    # dyadic panels [1 - 2^-j, 1 - 2^-(j+1)] in omt coordinates: [2^-(j+1), 2^-j]
+    # dyadic panels [1 - 2^-j, 1 - 2^-(j+1)] in omt coordinates: [2^-(j+1), 2^-j],
+    # that is 2^-(j+1) unit with unit in [1, 2]; the panel's half-width and its
+    # nodes' omt^(a+q) combine into one power of two
     xg, wg = _GL16
-    for j in range(depth):
-        lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-        half = (hi - lo) / 2.0
-        omt = (hi + lo) / 2.0 + half * xg
-        w = wg * half * omt ** a * (2.0 - omt) ** a
-        omt_blocks.append(omt)
-        w_blocks.append(w)
+    unit = 1.5 + 0.5 * xg
+    scale = 2.0 ** -np.arange(1.0, depth + 1.0)[:, None]
+    omt = scale * unit
+    omt_blocks.append(omt.ravel())
+    w_blocks.append((0.5 * wg * unit ** (a + q) * scale ** (a + q + 1.0)
+                     * (2.0 - omt) ** a).ravel())
 
     # tip [1 - 2^-depth, 1]: Gauss-Jacobi absorbing (1 - tau)^a ...
     eps = 2.0 ** (-depth)
     xj, wj = roots_jacobi(16, a, 0.0)
     tip_omt = eps * (1.0 - xj) / 2.0
-    tip_w = wj * (eps / 2.0) ** (a + 1.0) * (2.0 - tip_omt) ** a
+    tip_w = wj * (eps / 2.0) ** (a + q + 1.0) * (1.0 - xj) ** q * (2.0 - tip_omt) ** a
 
     # ... and its diagonal variant with the combined exponent a + q, where the
     # integrand collapses to (2 r s)^q times a constant
@@ -201,7 +204,9 @@ class _KernelFamily:
         self.q = (beta - n) / 2.0
         self.front = omega(n - 2)
         if beta > 1.0:
-            full_depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 2048)
+            # capped where the panels' omt stay normal floats: distinct doubles
+            # r, s have d >= 2^-107, so only d = 0 ever uses the diagonal tip
+            full_depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 1000)
         else:
             # the diagonal integral diverges; grade deep enough that callers
             # who stay a relative 2^-40 away from it are still served
@@ -240,23 +245,15 @@ class _KernelFamily:
         return out
 
     def _eval_rule(self, rule, gap2, b, d):
-        core = (gap2[:, None] + b[:, None] * rule.omt[None, :]) ** self.q
-        vals = core @ rule.w
-        generic = d >= rule.d_min
-        if np.all(generic):
-            tip = ((gap2[:, None] + b[:, None] * rule.tip_omt[None, :]) ** self.q) @ rule.tip_w
-        else:
-            tip = np.empty_like(vals)
-            gmask = generic
-            if np.any(gmask):
-                tip[gmask] = ((gap2[gmask, None]
-                               + b[gmask, None] * rule.tip_omt[None, :]) ** self.q) @ rule.tip_w
-            dmask = ~gmask
+        vals = (b[:, None] + gap2[:, None] / rule.omt) ** self.q @ rule.w
+        tip = (b[:, None] + gap2[:, None] / rule.tip_omt) ** self.q @ rule.tip_w
+        diag = d < rule.d_min
+        if np.any(diag):
             if not np.isfinite(rule.tip_diag):
                 raise IntegrabilityError(
                     f"angular kernel with beta={self.beta} <= 1 diverges on the diagonal; "
                     "evaluate at separated radii only")
-            tip[dmask] = b[dmask] ** self.q * rule.tip_diag
+            tip[diag] = b[diag] ** self.q * rule.tip_diag
         return self.front * (vals + tip)
 
     # ---------- one-time reference validation ----------
@@ -265,18 +262,17 @@ class _KernelFamily:
         checks = [16.0, 1.0, 1e-2, 1e-6]
         if self.beta > 1.0:
             checks.append(0.0)
-        worst = 0.0
         for d in checks:
             # r s = 1/2 so gap2 = d and b = 1
             got = self._eval_rule(self.rules[-1], np.array([d]), np.array([1.0]),
                                   np.array([d]))[0]
             want, err = _kernel_quad(self.n, self.beta, d)
-            slack = max(1e-10, 5.0 * abs(err / want))
-            worst = max(worst, max(abs(got - want) / abs(want) - slack, 0.0))
-        if worst > 0.0:
-            raise AccuracyError(
-                f"angular kernel rule for (n, beta)=({self.n}, {self.beta}) failed its "
-                f"build-time self check", achieved=worst)
+            achieved = abs(got - want) / abs(want)
+            # written so that a NaN anywhere fails
+            if not achieved <= max(1e-10, 5.0 * abs(err / want)):
+                raise AccuracyError(
+                    f"angular kernel rule for (n, beta)=({self.n}, {self.beta}) failed its "
+                    f"build-time self check at d={d}", achieved=achieved)
 
 
 def _kernel_quad(n: int, beta: float, d: float):
@@ -289,8 +285,11 @@ def _kernel_quad(n: int, beta: float, d: float):
     reference for the Gauss-Jacobi rules.  The split is at tau = 0; on
     [0, 1] the variable w = 1 - tau puts the endpoint factor w^((n-3)/2) at
     the origin, where QUADPACK's weighted rules hold it exactly and the
-    abscissae stay O(1) however large d gets.  At d = 0 the combined
-    endpoint exponent (beta - 3)/2 must exceed -1, i.e. beta > 1.
+    abscissae stay O(1) however large d gets.  For d < 1 that weighted
+    piece stops at w = d, and [d, 1] is taken in u = ln w, where the
+    near-singularity (d + w)^q, spread over every scale between d and 1,
+    is smooth.  At d = 0 the combined endpoint exponent (beta - 3)/2 must
+    exceed -1, i.e. beta > 1.
     """
     a = (n - 3) / 2.0
     q = (beta - n) / 2.0
@@ -307,10 +306,16 @@ def _kernel_quad(n: int, beta: float, d: float):
             val1, err1 = quad(lambda x: (1.0 - x) ** a * (c - x) ** q, -1.0, 0.0,
                               weight="alg", wvar=(a, 0.0), limit=200,
                               epsabs=0.0, epsrel=1e-12)
-            val2, err2 = quad(lambda w: (2.0 - w) ** a * (d + w) ** q, 0.0, 1.0,
+            lo = min(d, 1.0)
+            val2, err2 = quad(lambda w: (2.0 - w) ** a * (d + w) ** q, 0.0, lo,
                               weight="alg", wvar=(a, 0.0), limit=400,
                               epsabs=0.0, epsrel=1e-12)
             val, err = val1 + val2, err1 + err2
+            if lo < 1.0:
+                val3, err3 = quad(lambda u: math.exp((a + 1.0) * u) * (2.0 - math.exp(u)) ** a
+                                  * (d + math.exp(u)) ** q, math.log(lo), 0.0, limit=400,
+                                  epsabs=0.0, epsrel=1e-12)
+                val, err = val + val3, err + err3
     front = omega(n - 2)
     return front * val, front * err
 
@@ -348,47 +353,30 @@ def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
 
 
 # ============================================================
-# radial quadrature scaffolding
-# ============================================================
-
-
-def _gl_panels(breaks: np.ndarray, order_nodes):
-    """Gauss-Legendre nodes/weights on consecutive panels between breakpoints."""
-    xg, wg = order_nodes
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    half = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
-
-
-def _log_block(lo: float, hi: float, per_decade: float = 6.0):
-    """Log-uniform panel breakpoints for a smooth power-law-like stretch."""
-    m = max(int(math.ceil(math.log10(hi / lo) * per_decade)), 1)
-    return np.geomspace(lo, hi, m + 1)
-
-
-def _diagonal_nodes(lo: float, hi: float, depth: int):
-    """Nodes/weights in the ratio rho = s/r on [lo, hi], graded into rho = 1.
-
-    Log-uniform panels cover [lo, 1/2] and [2, hi]; between them the panels
-    halve toward the diagonal from both sides, ``depth`` times each.
-    """
-    step = 2.0 ** (-np.arange(depth + 1, dtype=float))
-    breaks = np.concatenate([_log_block(lo, 0.5)[:-1], 1.0 - step / 2.0, [1.0],
-                             (1.0 + step)[::-1], _log_block(2.0, hi)[1:]])
-    return _gl_panels(breaks, _GL12)
-
-
-# ============================================================
 # the radial Riesz convolution
 # ============================================================
 
-_EXTEND = 1e5       # quadrature extension factor beyond the declared grid
-_LADDER_DEPTH = 36  # dyadic grading depth toward the diagonal
-_BLOCK_POINTS = 1 << 14  # interpolant points per block of radii: 128 KB a float array
+_DIGITS = math.log(1e17)          # e-folds after which a contribution is dropped
+_MAX_REACH = math.log(1e100)      # farthest the source window reaches past the grid
+
+
+def _khat_fourier(n: int, beta: float, w):
+    """int Khat(t) e^{-i w t} dt for the log-radius kernel Khat(t) = (r s)^c k_beta(r, s).
+
+    Here t = ln(r/s) and c = (n-beta)/2.  Radial powers map to radial
+    powers, so the symbol is a Gamma ratio: with A = c/2, B = (n+beta)/4,
+    z = i w/2, it is pi^(n/2) Gamma(beta/2) / Gamma(c) Gamma(A+z) Gamma(A-z)
+    / (Gamma(B+z) Gamma(B-z)), analytic for |Im w| < c, where it transforms
+    e^{(Im w) t} Khat(t).  For real w it is real up to rounding, the L1 norm
+    of Khat at w = 0, and strictly decreasing in |w|, by |Gamma(x + i y)|^2 =
+    Gamma(x)^2 prod_k (1 + y^2/(x+k)^2)^-1.
+    """
+    z = 0.5j * np.asarray(w)
+    a, b = 0.25 * (n - beta), 0.25 * (n + beta)
+    log_c = (0.5 * n * math.log(math.pi) + loggamma(0.5 * beta).real
+             - loggamma(0.5 * (n - beta)).real)
+    return np.exp(log_c + loggamma(a + z) + loggamma(a - z)
+                  - loggamma(b + z) - loggamma(b - z))
 
 
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
@@ -396,30 +384,38 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
                    outer_exponent: Optional[float] = None) -> RadialProfile:
     """(R_beta * g)(r) = int_0^inf g(s) s^(n-1) k_beta(r, s) ds for radial g.
 
-    ``g`` is a RadialProfile (interpolated inside its grid, continued by its
-    declared exponents outside; it carries its own grid and exponents, so
+    ``g`` is a RadialProfile (its grid values, continued by its declared
+    exponents outside the grid; it carries its own grid and exponents, so
     passing any of the three keywords with it is a ValueError) or a plain
-    callable, in which case ``grid`` and both exponents must be supplied and
-    the callable is trusted on all of (0, inf).  No normalizing constant is
-    applied; callers own those.
+    callable, in which case ``grid`` and both exponents must be supplied; it
+    is evaluated on the whole source window below, where r^s g(r) must be
+    finite, else SamplingError.  No normalizing constant is applied.
 
-    Preconditions (checked): inner_exponent + n > 0 and
-    outer_exponent + beta < 0, otherwise the defining integral diverges.
+    Preconditions (checked): e_in + n > 0 and e_out + beta < 0, otherwise the
+    integral diverges (IntegrabilityError); a grid uniform in log r
+    (``default_grid``, ``RadialGrid.geometric`` without refinement bands, or
+    a ``[::k]`` subsample of one), else GridError; with c = (n-beta)/2 and
+    s = (n+beta)/2, a non-empty tilt interval (max(-c, s + e_out), min(c, s +
+    e_in)), i.e. e_out < e_in, and a source window reaching at most 100
+    decades past the grid, which holds when the interval is at least 4
+    ln(1e17)/ln(1e100) ~ 0.68 wide, else AccuracyError.
 
-    The kernel is homogeneous, k_beta(r, r rho) = r^(beta-n) k_beta(1, rho),
-    so one rule in the ratio rho = s/r serves every output radius:
-    (R_beta * g)(r) = r^beta int g(r rho) rho^(n-1) k_beta(1, rho) drho.
-    The rule grades dyadically into rho = 1, covers the far zones with
-    log-uniform Gauss panels reaching _EXTEND times beyond the grid from
-    every radius, and the kernel is evaluated on it once; the Newton kernel
-    beta = 2 is taken in closed form, omega(n-1) max(1, rho)^(2-n)
-    (Newton's theorem).  Both ends finish with the analytic power-law tail
-    under the kernel's leading asymptotics.  A callable source is sampled
-    at every node for every radius.  For a profile source the nodes that
-    fall beyond its grid see only its declared power law, so their share is
-    one prefix or suffix sum of the rule, and the in-grid nodes of a block
-    of radii go through the interpolant in one call.  Output lands on the
-    source grid, tail exponents set from the kernel's mapping properties.
+    The Mellin convolution theorem (Titchmarsh, Introduction to the Theory
+    of Fourier Integrals, 1937) gives (R_beta * g)(e^t) = e^{-c t}
+    (Khat * G)(t), G(tau) = e^{s tau} g(e^tau), with Khat's symbol
+    :func:`_khat_fourier`.  Tilted by e^{-gamma tau}, G's padded rfft is
+    multiplied by the symbol at w - i gamma; for a G analytic in a strip this
+    trapezoidal/FFT rule converges exponentially (Trefethen and Weideman,
+    SIAM Review 56, 2014).  The left half of the grid takes gamma a quarter
+    of the tilt interval below its top, the right half a quarter above its
+    bottom, which keeps the relative accuracy at both grid ends.  G is
+    sampled on the grid's nodes and extended (a profile by its declared power
+    laws) until each tilted G has fallen by 1e-17, so neither window end is a
+    jump for the FFT to ring on.  The periodic images of the kernel's tails
+    omega(n-1) e^{-c|t|} are summed in closed form and subtracted, so the
+    zero pad only has to outlast the remainder, O(e^{-(c+2)|t|}).  Output
+    lands on the source grid, tail exponents set from the kernel's mapping
+    properties.
     """
     n, beta = spec.n, spec.beta
     profile = None
@@ -446,74 +442,63 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             f"outer tail decays like s^({e_out}); need e_out + beta < 0 for the "
             "convolution to converge")
 
-    r = grid.r
-    r_lo, r_hi = grid.r_min, grid.r_max
-    # from every radius the rule reaches [r_lo / _EXTEND, r_hi * _EXTEND]
-    rho_lo = r_lo / _EXTEND / r_hi
-    rho_hi = r_hi * _EXTEND / r_lo
-    rho, w = _diagonal_nodes(rho_lo, rho_hi, _LADDER_DEPTH)
-    om = omega(n - 1)
-    if beta == 2.0:
-        # the sphere average of |x - y|^(2-n) (Lieb-Loss, Analysis, Thm 9.7)
-        k1 = om * np.maximum(rho, 1.0) ** (2.0 - n)
-    else:
-        k1 = _family(spec).evaluate(1.0, rho)
-    wk = w * rho ** (n - 1) * k1
-
-    # analytic tails beyond the rule, where g is a power law, per unit of
-    # g(r_lo) (r / r_lo)^e_in and g(r_hi) (r / r_hi)^e_out; the kernel at
-    # leading order: s << r, k ~ om r^(beta-n); s >> r, k ~ om s^(beta-n)
-    head = om * rho_lo ** (e_in + n) / (e_in + n)
-    tail = -om * rho_hi ** (e_out + beta) / (e_out + beta)
+    t = grid.log_r
+    m = t.size
+    h = (t[-1] - t[0]) / (m - 1)
+    if np.max(np.abs(t - (t[0] + h * np.arange(m)))) > 1e-14 * (1.0 + np.max(np.abs(t))):
+        raise GridError(
+            "riesz_convolve needs a grid uniform in log r, such as default_grid or "
+            "RadialGrid.geometric without refine bands (or a [::k] subsample of one)")
+    c, s = (n - beta) / 2.0, (n + beta) / 2.0
+    lo, hi = max(-c, s + e_out), min(c, s + e_in)
+    if not lo < hi:
+        raise AccuracyError(f"outer tail s^({e_out}) decays no faster than the inner "
+                            f"s^({e_in}): no tilt tames both", achieved=math.inf)
+    gammas = (hi - (hi - lo) / 4.0, lo + (hi - lo) / 4.0)
+    # the source window: each tilted source has fallen by 1e-17 at its ends,
+    # so neither end is a jump the FFT would ring on
+    reach_lo, reach_hi = _DIGITS / (s + e_in - gammas[0]), _DIGITS / (gammas[1] - s - e_out)
+    if max(reach_lo, reach_hi) > _MAX_REACH:
+        raise AccuracyError(
+            f"tails s^({e_in}), s^({e_out}) need a source window "
+            f"{max(reach_lo, reach_hi) / math.log(10.0):.0f} decades past the grid, "
+            "beyond the 100 the FFT rule allows", achieved=math.inf)
+    j_lo, j_hi = math.ceil(reach_lo / h), math.ceil(reach_hi / h)
+    tau = t[0] + h * np.arange(-j_lo, m + j_hi)
+    # G(tau) = e^{s tau} g(e^tau); a profile's tails in one exponent each
     if profile is None:
-        v_lo, v_hi = np.asarray(g(np.array([r_lo, r_hi])), dtype=float)
-        sums = np.array([np.dot(wk, np.asarray(g(ri * rho), dtype=float)) for ri in r])
-        sums += v_lo * (r / r_lo) ** e_in * head + v_hi * (r / r_hi) ** e_out * tail
+        G0 = np.exp(s * tau) * np.asarray(g(np.exp(tau)), dtype=float)
     else:
-        sums = _profile_sums(profile, rho, wk, head, tail)
-    out = r ** beta * sums
+        G0 = np.concatenate([
+            profile.values[0] * np.exp((s + e_in) * tau[:j_lo] - e_in * t[0]),
+            np.exp(s * tau[j_lo:j_lo + m]) * profile.values,
+            profile.values[-1] * np.exp((s + e_out) * tau[j_lo + m:] - e_out * t[-1])])
+    om = omega(n - 1)
+    out = np.empty(m)
+    for gamma, rows in zip(gammas, (slice(0, m // 2), slice(m // 2, m))):
+        k_right, k_left = c + gamma, c - gamma   # the tilted kernel's tail rates
+        pad = math.ceil(_DIGITS / (2.0 + min(k_right, k_left)) / h)
+        size = next_fast_len(tau.size + pad, real=True)
+        period = size * h
+        G = np.exp(-gamma * tau) * G0
+        if not np.all(np.isfinite(G)):
+            raise SamplingError(f"g(r) r^({s - gamma}) is not finite on the source window "
+                                f"[{math.exp(tau[0]):.1e}, {math.exp(tau[-1]):.1e}]")
+        w = (2.0 * math.pi / period) * np.arange(size // 2 + 1)
+        H = irfft(rfft(G, size) * _khat_fourier(n, beta, w - 1j * gamma), size)
+        tt = tau[j_lo:j_lo + m][rows]
+        # less the periodic images of the tails om e^{-k_right t}, om e^{k_left t}
+        right = h * np.dot(G, np.exp(k_right * (tau - tau[-1]))) / -math.expm1(-k_right * period)
+        left = h * np.dot(G, np.exp(k_left * (tau[0] - tau))) / -math.expm1(-k_left * period)
+        H = H[j_lo:j_lo + m][rows] - om * (right * np.exp(k_right * (tau[-1] - period - tt))
+                                           + left * np.exp(k_left * (tt - tau[0] - period)))
+        out[rows] = np.exp((gamma - c) * tt) * H
 
     # mapping of tails: finite limit at 0 when g s^(beta-1) is integrable there,
     # potential decay r^(beta-n) at infinity when g has finite mass
     v_e_in = 0.0 if e_in + beta > 0.0 else e_in + beta
     v_e_out = beta - n if e_out + n < 0.0 else e_out + beta
     return RadialProfile(grid, out, v_e_in, v_e_out)
-
-
-def _profile_sums(profile: RadialProfile, rho: np.ndarray, wk: np.ndarray,
-                  head: float, tail: float) -> np.ndarray:
-    """sum_j wk_j g(r rho_j) at every grid radius r, tails included, for a profile g.
-
-    Below r_min, g(r rho) = g(r_min) (r / r_min)^e_in rho^e_in, so the nodes
-    there, a prefix of the rule, contribute g(r_min) (r / r_min)^e_in times
-    a prefix sum of wk rho^e_in that starts from the analytic ``head``;
-    above r_max likewise a suffix sum of wk rho^e_out that starts from
-    ``tail``.  The in-grid nodes of a block of radii are interpolated in one
-    call and reduced per radius by bincount.
-    """
-    grid = profile.grid
-    r, r_lo, r_hi = grid.r, grid.r_min, grid.r_max
-    e_in, e_out = profile.inner_exponent, profile.outer_exponent
-    k_lo = np.searchsorted(rho, r_lo / r)                # below r_min: nodes [0, k_lo)
-    k_hi = np.searchsorted(rho, r_hi / r, side="right")  # above r_max: nodes [k_hi, end)
-    # k_lo peaks at r_lo and k_hi bottoms out at r_hi: the powers are taken on
-    # rho < 1 below and rho > 1 above only, where the tails decay
-    lo, hi = k_lo[0], k_hi[-1]
-    below = np.cumsum(np.concatenate([[head], wk[:lo] * rho[:lo] ** e_in]))
-    above = np.cumsum(np.concatenate([[tail], (wk[hi:] * rho[hi:] ** e_out)[::-1]]))[::-1]
-    sums = (profile.values[0] * (r / r_lo) ** e_in * below[k_lo]
-            + profile.values[-1] * (r / r_hi) ** e_out * above[k_hi - hi])
-
-    counts = k_hi - k_lo
-    step = max(_BLOCK_POINTS // int(counts.max()), 1)
-    for i in range(0, r.size, step):
-        c = counts[i:i + step]
-        owner = np.repeat(np.arange(c.size), c)
-        j = np.arange(owner.size) + np.repeat(k_lo[i:i + step] - (np.cumsum(c) - c), c)
-        # a node within rounding of the grid's ends stays on the interpolant
-        s = np.clip(r[i:i + step][owner] * rho[j], r_lo, r_hi)
-        sums[i:i + step] += np.bincount(owner, wk[j] * profile(s), minlength=c.size)
-    return sums
 
 
 # ============================================================
@@ -619,31 +604,25 @@ def nonlinearity_for(params: ProblemParams, c_f: Optional[float] = None) -> Nonl
     return NonlinearitySpec(p=params.p, c_f=c_f)
 
 
-def _as_gfun_of_F(u: RadialProfile, nl: NonlinearitySpec,
-                  u_exact: Optional[Callable]) -> tuple:
-    """F(u) as (callable-or-profile arguments) for riesz_convolve."""
-    if u.inner_exponent is None or u.outer_exponent is None:
-        raise IntegrabilityError("u needs declared tail exponents for the Hartree right side")
-    e_in = nl.p * u.inner_exponent
-    e_out = nl.p * u.outer_exponent
-    if u_exact is not None:
-        return (lambda s: nl.F(u_exact(s))), e_in, e_out
-    return (lambda s: nl.F(u(s, extrapolate=True))), e_in, e_out
-
-
 def hartree_potential(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,
                       u_exact: Optional[Callable] = None) -> RadialProfile:
     """v = R_alpha * F(u) on u's grid.
 
-    ``u_exact`` (a radial callable) routes quadrature through the closed
-    form instead of the interpolant when one exists.
+    F(u) enters as the profile of its grid values with u's tails to the
+    power p or, given ``u_exact`` (a radial callable), sampled from that
+    closed form, beyond the grid too.
     """
-    Fu, e_in, e_out = _as_gfun_of_F(u, nl, u_exact)
+    if u.inner_exponent is None or u.outer_exponent is None:
+        raise IntegrabilityError("u needs declared tail exponents for the Hartree right side")
+    e_in, e_out = nl.p * u.inner_exponent, nl.p * u.outer_exponent
     if e_out + params.n >= 0.0:
         raise IntegrabilityError(
             f"F(u) decays like s^({e_out}); finite Riesz mass needs e_out + n < 0")
-    return riesz_convolve(Fu, AngularKernelSpec(params.n, params.alpha),
-                          grid=u.grid, inner_exponent=e_in, outer_exponent=e_out)
+    spec = AngularKernelSpec(params.n, params.alpha)
+    if u_exact is None:
+        return riesz_convolve(RadialProfile(u.grid, nl.F(u.values), e_in, e_out), spec)
+    return riesz_convolve(lambda s: nl.F(u_exact(s)), spec, grid=u.grid,
+                          inner_exponent=e_in, outer_exponent=e_out)
 
 
 def hartree_rhs(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,
@@ -763,6 +742,24 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
 # ============================================================
 # integral checks: Riesz bilinear form at its extremal
 # ============================================================
+
+
+def _gl_panels(breaks: np.ndarray, order_nodes):
+    """Gauss-Legendre nodes/weights on consecutive panels between breakpoints."""
+    xg, wg = order_nodes
+    lo = breaks[:-1]
+    hi = breaks[1:]
+    half = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
+    return nodes, weights
+
+
+def _log_block(lo: float, hi: float, per_decade: float = 6.0):
+    """Log-uniform panel breakpoints for a smooth power-law-like stretch."""
+    m = max(int(math.ceil(math.log10(hi / lo) * per_decade)), 1)
+    return np.geomspace(lo, hi, m + 1)
 
 
 def _radial_integral(fn: Callable, n: int, e_in: float, e_out: float,

@@ -15,7 +15,9 @@ Both are taken at the exact binary values of s and t that the tests pass
 in, because near the diagonal the kernel moves faster than a double's
 last digit.  The tau-integral is done in v = 1 - tau with breakpoints
 graded geometrically from the near-singularity at v = -d, so mpmath's
-tanh-sinh rule resolves the s -> 1 cases; the script checks itself
+tanh-sinh rule resolves the s -> 1 cases; on the diagonal s = 1 (taken
+for beta > 1 only) the variable x = v^((beta-1)/2) removes the endpoint
+singularity v^((beta-3)/2).  The script checks itself
 against the closed forms that exist (n = 3 for every beta, beta = 2 for
 every n).  mpmath is needed only for this script, not by the package.
 """
@@ -30,9 +32,12 @@ import mpmath as mp
 
 mp.mp.dps = 40
 
-# (n, beta): four families with a bounded diagonal, three beta <= 1 families
-# whose diagonal diverges; all cases sit off the diagonal
-PAIRS = [(3, 2.0), (4, 2.0), (4, 2.5), (5, 3.0), (3, 1.0), (3, 0.5), (5, 0.7)]
+# (n, beta): seven families with a bounded diagonal, three of them just above
+# beta = 1, where the diagonal is barely integrable, and five beta <= 1
+# families whose diagonal diverges.  Every family is sampled off the
+# diagonal; those with beta > 1 also on it (s = 1, t = 0).
+PAIRS = [(3, 2.0), (4, 2.0), (4, 2.5), (5, 3.0), (3, 1.05), (4, 1.1), (5, 1.1),
+         (3, 1.0), (3, 0.5), (5, 0.7), (3, 0.1), (5, 0.3)]
 RADII = [1.0 + 1e-6, 1.001, 1.3, 5.0]   # s, with r = 1
 
 OUT = Path(__file__).parent / "fixtures" / "kernel_oracle.json"
@@ -44,9 +49,15 @@ def sphere_measure(k: int) -> mp.mpf:
 
 
 def core(n: int, beta: mp.mpf, d: mp.mpf) -> mp.mpf:
-    """omega(n-2) int_0^2 (v (2 - v))^((n-3)/2) (d + v)^((beta-n)/2) dv."""
+    """omega(n-2) int_0^2 (v (2 - v))^((n-3)/2) (d + v)^((beta-n)/2) dv, d >= 0."""
     a = mp.mpf(n - 3) / 2
     q = (beta - n) / 2
+    if d == 0:
+        # on the diagonal v^(a+q) is barely integrable for beta near 1 (tanh-sinh
+        # alone misses it by 8% at beta = 1.05); x = v^(a+q+1) takes it out
+        e = a + q + 1
+        return sphere_measure(n - 2) * mp.quad(lambda x: (2 - x ** (1 / e)) ** a,
+                                               [0, 2 ** e]) / e
     points = [mp.mpf(0)]
     step = d
     while step < 2:
@@ -100,7 +111,8 @@ def oracle_case(n: int, beta: float, s_float: float) -> dict:
 def main() -> None:
     payload = {
         "digits": mp.mp.dps,
-        "cases": [oracle_case(n, beta, s) for n, beta in PAIRS for s in RADII],
+        "cases": [oracle_case(n, beta, s) for n, beta in PAIRS
+                  for s in ([1.0] if beta > 1.0 else []) + RADII],
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

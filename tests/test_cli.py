@@ -6,6 +6,7 @@ of the semantic config (everything except `out` and `plot`).
 """
 
 import json
+import math
 
 import pytest
 
@@ -154,6 +155,19 @@ def test_bubble_check_command(capsys):
     assert doc["differential"]["rel_norm"] < 1e-3
     assert doc["integral"]["rel_norm"] < 1e-3
     assert doc["forms_gap"] < 1e-3
+
+
+def test_bubble_check_small_alpha_calibrates_exactly(capsys):
+    # alpha = 0.1, where the kernel's diagonal singularity |1 - rho|^(alpha - 1)
+    # is strongest; a wrong c_f must not pass with exit 0
+    rc, stdout, _ = run(capsys, "bubble-check", "--n", "3", "--alpha", "0.1",
+                        "--per-decade", "48")
+    assert rc == 0
+    P = ProblemParams(3, 0.1)
+    amp = sharp_constants(P).c_n
+    conformal = 4.0 * math.pi * math.gamma(0.05) * math.gamma(1.5) / (2.0 * math.gamma(1.55))
+    analytic = 3.0 / (amp ** (2.0 * P.p - 2.0) * conformal)
+    assert abs(json.loads(stdout)["c_f"] / analytic - 1.0) <= 1e-12
 
 
 def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
