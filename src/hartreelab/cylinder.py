@@ -23,10 +23,15 @@ evaluate it with the shared QUADPACK reference of the radial module; the
 Gauss-Jacobi rules there stay the independent discretization, so the two
 routes cross-check each other.  Khat's Fourier transform, and with it
 the L1 norm, is a closed-form Gamma ratio, the same symbol the radial
-module's Riesz convolution multiplies by.  This module owns the discrete
-convolution and ODE residual on uniform t-grids, the constant solution and
-its dispersion relation, and a pseudo-arclength finder that traces even
-periodic solutions from their bifurcation to a requested period.
+module's Riesz convolution multiplies by.
+
+On uniform t-grids this module owns the discrete convolution and the ODE
+residual: on the line by product integration against the table, on a
+period by the symbols w^2 + nu^2 and Khat^(w) at w = 2 pi k / L, which is
+spectrally accurate for analytic periodic profiles (Trefethen and
+Weideman, SIAM Review 56, 2014).  It also owns the constant solution, its
+dispersion relation, and a finder that traces the even periodic (Delaunay)
+branch on a coarse grid, then polishes the prolonged orbit on the fine one.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .params import CACHE_SIZE, ProblemParams
 from .riesz import NonlinearitySpec, _kernel_quad, _khat_fourier
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
+_COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
 
 # ============================================================
 # cylinder profiles
@@ -333,43 +339,18 @@ def _line_weights(kt: KernelTable, h: float, offsets: np.ndarray) -> np.ndarray:
     return c
 
 
-def periodized_weights(kt: KernelTable, h: float, n_nodes: int) -> np.ndarray:
-    """Weights of the L-periodized kernel, L = n_nodes h, offsets 0..n_nodes-1.
-
-    For offsets k = 0..N/2 the images k + j N with |j| <= J, J = floor(t_cut
-    / L) + 1, are sampled from the table; every image with |j| > J lies
-    beyond t_cut, on Khat's exact exponential tail, and is summed as a
-    geometric series.  Offsets past N/2 mirror that half, so the weights
-    are symmetric bit for bit (c[k] == c[N - k]) and the periodic
-    convolution of an even profile is even.
-    """
-    N = n_nodes
-    L = N * h
-    lam = (kt.n - kt.alpha) / 2.0
-    J = int(kt.t_cut // L) + 1
-    k = np.arange(N // 2 + 1)
-    half = _line_weights(kt, h, k + N * np.arange(-J, J + 1)[:, None]).sum(axis=0)
-    tail = np.exp(-lam * ((J + 1) * L + h * k)) + np.exp(-lam * ((J + 1) * L - h * k))
-    half += h * kt.decay_constant * tail / (1.0 - math.exp(-lam * L))
-    return np.concatenate([half, half[(N - 1) // 2:0:-1]])
+def _frequencies(L: float, n_nodes: int) -> np.ndarray:
+    """The rfft frequencies w_k = 2 pi k / L, k = 0..n_nodes // 2, of an L-periodic grid."""
+    return 2.0 * math.pi / L * np.arange(n_nodes // 2 + 1)
 
 
-def _second_difference(v: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
+    """Central second differences, one-sided second-order stencils at the ends."""
     d2 = np.empty_like(v)
     d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-    if periodic:
-        d2[0] = (v[1] - 2.0 * v[0] + v[-1]) / h ** 2
-        d2[-1] = (v[0] - 2.0 * v[-1] + v[-2]) / h ** 2
-    else:
-        # one-sided second-order stencils at the line ends
-        d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
-        d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
+    d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
+    d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
     return d2
-
-
-def _circular(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Circular convolution of g with the periodic weights c, by real FFT."""
-    return irfft(rfft(c) * rfft(g), g.size)
 
 
 def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
@@ -377,11 +358,13 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
     """(Khat * g) on the uniform grid carrying g.
 
     Line mode zero-extends beyond the grid (callers owe the decaying-end
-    contract); periodic mode convolves against the periodized kernel.
+    contract); periodic mode takes g as one period, L = g.size h, and
+    multiplies its rfft by Khat's symbol.
     """
     m = g.size
     if boundary == "periodic":
-        return _circular(periodized_weights(kt, h, m), g)
+        symbol = _khat_fourier(kt.n, kt.alpha, _frequencies(m * h, m)).real
+        return irfft(symbol * rfft(g), m)
     full = _line_weights(kt, h, np.arange(1 - m, m))
     # a linear convolution padded past 3m - 2, keeping its centred m samples
     size = next_fast_len(3 * m - 2, True)
@@ -391,17 +374,23 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
 def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     """Residual of -U'' + nu^2 U = (Khat * F(U)) f(U) and its relative L2 norm.
 
-    Both equation sides cancel exponentially where U decays, so the norm is
-    normalized by the pointwise term scale |U''| + nu^2 |U| + |rhs| rather
-    than by the residual's own operands; the return is
-    (residual CylinderProfile, relative L2 norm over the grid).
+    Periodic profiles are differentiated and convolved through the Fourier
+    symbols the Delaunay finder solves with, decaying and data profiles by
+    second differences and product integration.  Both equation sides
+    cancel exponentially where U decays, so the norm is normalized by the
+    pointwise term scale |U''| + nu^2 |U| + |rhs| rather than by the
+    residual's own operands; the return is (residual CylinderProfile,
+    relative L2 norm over the grid).
     """
     nu2 = ((kt.n - 2) / 2.0) ** 2
     h = U.spacing
     v = U.values
-    conv = cylinder_convolution(nl.F(v), kt, h, U.boundary)
-    rhs = conv * nl.f(v)
-    d2 = _second_difference(v, h, U.boundary == "periodic")
+    if U.boundary == "periodic":
+        # as in _HalfGridSystem.residual, the mean skips the FFT
+        d2 = irfft(-_frequencies(v.size * h, v.size) ** 2 * rfft(v - v.mean()), v.size)
+    else:
+        d2 = _second_difference(v, h)
+    rhs = cylinder_convolution(nl.F(v), kt, h, U.boundary) * nl.f(v)
     res = -d2 + nu2 * v - rhs
     scale = np.abs(d2) + nu2 * np.abs(v) + np.abs(rhs)
     rel = math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
@@ -505,14 +494,16 @@ class DelaunaySolution:
 
 
 class _HalfGridSystem:
-    """The even-about-0 discretization of one period L, on its half grid.
+    """The even-about-0 spectral discretization of one period L, on its half grid.
 
     The unknowns are U(j h), j = 0..m, with h = L/N and m = N/2; the full
-    period is their even reflection.  Folding the symmetric circulant of
-    ``periodized_weights`` gives C[i, j] = c[(i - j) % N] + c[(i + j) % N],
-    where columns 0 and m, which have no mirror node, keep only the first
-    term.  A is the folded second difference plus nu^2, kept as its three
-    diagonals.
+    period is their even reflection.  On the full period -d^2/dt^2 + nu^2
+    and Khat * are circulant with the symbols a^_k = w_k^2 + nu^2 and c^_k =
+    Khat^(w_k), w_k = 2 pi k / L, so the residual applies each by one
+    rfft/irfft pair.  The Jacobian needs them dense: the circulant with
+    first column c = irfft(c^) folds onto the half grid as C[i, j] =
+    c[(i - j) % N] + c[(i + j) % N], where columns 0 and m, which have no
+    mirror node, keep only the first term; A folds from irfft(a^) alike.
     """
 
     def __init__(self, params, nl, kt, L, n_nodes):
@@ -523,74 +514,60 @@ class _HalfGridSystem:
                                       "2048 nodes is the ceiling")
         self.nl = nl
         self.N = n_nodes
-        self.m = m = n_nodes // 2
-        self.h = h = L / n_nodes
-        self.weights = periodized_weights(kt, h, n_nodes)
-        self.a_diag = 2.0 / h ** 2 + params.nu ** 2
-        # the mirror nodes of 0 and m fold onto 1 and m - 1
-        self.a_upper = np.full(m, -1.0 / h ** 2)
-        self.a_upper[0] *= 2.0
-        self.a_lower = self.a_upper[::-1]
+        self.m = n_nodes // 2
+        self.h = L / n_nodes
+        w = _frequencies(L, n_nodes)
+        self.a_hat = w * w + params.nu ** 2
+        self.c_hat = _khat_fourier(kt.n, kt.alpha, w).real
 
-    @cached_property
-    def C(self) -> np.ndarray:
-        """The folded convolution matrix; only the Jacobian needs it dense."""
-        c, N, m = self.weights, self.N, self.m
+    def _fold(self, symbol) -> np.ndarray:
+        c, N, m = irfft(symbol, self.N), self.N, self.m
         # c[(i - j) % N] is a window of c[m:] ++ c[:m + 1] read backwards, and
         # c[i + j] (i + j < N) a window of c[1:]: no index arrays are built
         C = sliding_window_view(np.concatenate([c[m:], c[:m + 1]]), m + 1)[:, ::-1].copy()
         C[:, 1:m] += sliding_window_view(c[1:N], m - 1)
         return C
 
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The folded -d^2/dt^2 + nu^2; only the Jacobian needs it dense."""
+        return self._fold(self.a_hat)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The folded convolution matrix; only the Jacobian needs it dense."""
+        return self._fold(self.c_hat)
+
     def residual(self, x):
         """(A x - f(x) conv, conv), conv = Khat * F(U) by ode_residual's operator."""
-        conv = _circular(self.weights, self.full_values(self.nl.F(x)))[:self.m + 1]
-        res = self.a_diag * x - self.nl.f(x) * conv
-        res[:-1] += self.a_upper * x[1:]
-        res[1:] += self.a_lower * x[:-1]
-        return res, conv
+        head = slice(0, self.m + 1)
+        conv = irfft(self.c_hat * rfft(self.full_values(self.nl.F(x))), self.N)[head]
+        # the mean goes past the FFT, whose rounding then scales with the
+        # oscillation, not the level, before a^ amplifies it by up to (pi/h)^2
+        u = self.full_values(x)
+        ax = irfft(self.a_hat * rfft(u - u.mean()), self.N)[head] + self.a_hat[0] * u.mean()
+        return ax - self.nl.f(x) * conv, conv
 
     def jacobian(self, x, conv, out=None):
         """A - diag(f(x)) C diag(F'(x)) - diag(f'(x) conv), written into out."""
         J = np.multiply(self.C, -self.nl.f(x)[:, None], out=out)
         J *= self.nl.F_prime(x)
-        j = np.arange(self.m + 1)
-        J[j, j] += self.a_diag - self.nl.f_prime(x) * conv
-        J[j[:-1], j[1:]] += self.a_upper
-        J[j[1:], j[:-1]] += self.a_lower
+        J += self.A
+        J[np.diag_indices(self.m + 1)] -= self.nl.f_prime(x) * conv
         return J
 
     def full_values(self, x):
         return np.concatenate([x, x[-2:0:-1]])
 
 
-def _bifurcation_period(params, nl, kt, uc: float, n_nodes: int, L: float) -> float:
-    """L_c^h: where the discrete even branch leaves the constant U_c.
-
-    At the constant the folded operator is diagonal in cos(2 pi k t / L), and
-    its k = 1 eigenvalue
-
-        4/h^2 sin^2(pi/N) + nu^2 - f(U_c) F'(U_c) c^_1 - f'(U_c) F(U_c) c^_0,
-
-    with c^ = rfft(periodized_weights), falls through zero at L_c^h.  The
-    root is bracketed by doubling from L and polished by Brent.
-    """
-    a = float(nl.f(uc) * nl.F_prime(uc))
-    b = float(nl.f_prime(uc) * nl.F(uc))
-
-    def lam1(Lq):
-        h = Lq / n_nodes
-        chat = rfft(periodized_weights(kt, h, n_nodes))[:2].real
-        return (4.0 / h ** 2 * math.sin(math.pi / n_nodes) ** 2 + params.nu ** 2
-                - a * chat[1] - b * chat[0])
-
-    hi = L
-    while lam1(hi) >= 0.0:
-        hi *= 2.0
-    lo = hi / 2.0
-    while lam1(lo) < 0.0:
-        lo /= 2.0
-    return brentq(lam1, lo, hi, xtol=1e-13, rtol=1e-14)
+def _prolong(x: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The trigonometric interpolant of the even half-grid orbit x, on n_nodes nodes."""
+    coarse = np.concatenate([x, x[-2:0:-1]])
+    spectrum = rfft(coarse)
+    # the coarse Nyquist bin holds the modes +-M/2 together; on the finer
+    # grid they are two bins, each carrying half
+    spectrum[-1] *= 0.5
+    return irfft(spectrum, n_nodes)[:n_nodes // 2 + 1] * (n_nodes / coarse.size)
 
 
 def _newton(build, x, L, tol, border=None, max_iter=8):
@@ -647,17 +624,24 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
                   newton_tol_factor: float = 1e-12) -> DelaunaySolution:
     """Trace the even periodic branch from its bifurcation to period L.
 
-    The discrete branch leaves the constant U_c at L_c^h (see
-    ``_bifurcation_period``).  Its first point is pinned at cosine amplitude
-    -0.06 U_c with L free; later points are pseudo-arclength steps (Keller
-    1977) on the secant tangent in the scaled variables (x / U_c, L / L_c),
-    the step ds grown 1.5x after a corrector of at most 2 iterations and
-    halved after a failed one.  Correctors stop at max|R| <= 1e-4 max(1, U_c),
-    which keeps them on the branch; once L is crossed, the secant
-    interpolant at L is polished by Newton at fixed L to the full tolerance.
-    epsilon_target only sets partial_result (the neck stayed above it).  If
-    L is not crossed within continuation_steps correctors, the constant is
-    returned with converged=False.
+    The system is ``_HalfGridSystem``'s Fourier symbols, spectrally accurate
+    on these analytic orbits, so the branch is traced on M = min(n_nodes,
+    _COARSE_NODES) nodes and only the landing is repeated at n_nodes.  On
+    that grid the constant U_c loses stability exactly where the dispersion
+    function vanishes, so the branch leaves it at L_0 from
+    ``dispersion_root``.  Its first point is pinned at cosine amplitude
+    -0.06 U_c with L free, which fixes the side of L_0 the branch lies on.
+    Later points are pseudo-arclength steps (Keller 1977) on the secant
+    tangent in the scaled variables (x / U_c, L / L_0), the step ds grown
+    1.5x after a corrector of at most 2 iterations and halved after a
+    failed one.  Correctors stop at max|R| <= 1e-4 max(1, U_c), which keeps
+    them on the branch; once L is crossed, the secant interpolant at L is
+    polished by Newton at fixed L to the full tolerance.  The orbit is then
+    prolonged to n_nodes by zero-padding its rfft and polished there once
+    more.  epsilon_target only sets partial_result (the neck stayed above
+    it).  If L lies on the other side of L_0, or is not crossed within
+    continuation_steps correctors, the constant is returned with
+    converged=False and partial_result=True.
     """
     if L <= 0:
         raise ParameterRangeError("the period must be positive")
@@ -672,12 +656,8 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
 
     system = _HalfGridSystem(params, nl, kt, L, n_nodes)
 
-    def build(Lq):
-        return system if Lq == L else _HalfGridSystem(params, nl, kt, Lq, n_nodes)
-
-    m = system.m
-    tol = newton_tol_factor * (4.0 / system.h ** 2) * max(1.0, uc)
-    const = np.full(m + 1, uc)
+    def tol(s):
+        return newton_tol_factor * (4.0 / s.h ** 2) * max(1.0, uc)
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)
@@ -690,20 +670,36 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             epsilon=float(x[0]), u_c=uc, profile=prof, residual_norm=rel,
             residual_inf=norm_inf, amplitude=amp, converged=converged,
             nontrivial=bool(amp > 1e-5 * uc), partial_result=partial,
-            solver_tol=tol, steps=steps)
+            solver_tol=tol(system), steps=steps)
 
+    const = np.full(system.m + 1, uc)
     if epsilon_target >= uc * (1.0 - 1e-9):
         return make_solution(const, True, 0.0, [], False)
 
-    Lc = _bifurcation_period(params, nl, kt, uc, n_nodes, L)
+    M = min(n_nodes, _COARSE_NODES)
+    coarse = system if M == n_nodes else _HalfGridSystem(params, nl, kt, L, M)
+
+    def build(Lq):
+        return coarse if Lq == L else _HalfGridSystem(params, nl, kt, Lq, M)
+
+    steps: list = []
+
+    def polish(s, x):
+        """Newton at fixed L on the system s, logged."""
+        x, _, ok, norm, its = _newton(lambda Lq: s, x, L, tol(s))
+        steps.append({"period": L, "nodes": s.N, "neck": float(x[0]),
+                      "polish_iterations": its, "converged": ok})
+        return x, ok, norm
+
+    m = coarse.m
+    Lc = dispersion_root(params, nl, kt)[1]
     # the x part as an RMS, so that ds does not grow with the node count
     scale = np.append(np.full(m + 1, 1.0 / (uc * math.sqrt(m + 1))), 1.0 / Lc)
     cos1 = np.cos(np.pi * np.arange(m + 1) / m)
     pin = np.append(cos1 * (2.0 / m), 0.0)   # trapezoid cosine coefficient
     pin[[0, m]] /= 2.0
-    prev, cur = np.append(const, Lc), None
+    prev, cur = np.append(np.full(m + 1, uc), Lc), None
     ds = 0.0
-    steps: list = []
     for _ in range(continuation_steps):
         if cur is None:
             seed, border = np.append(uc - 0.06 * uc * cos1, Lc), (pin, -0.06 * uc)
@@ -714,14 +710,16 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             border = (tangent * scale, float(tangent @ (seed * scale)))
         x, Lx, ok, _, its = _newton(build, seed[:-1], seed[-1],
                                     1e-4 * max(1.0, uc), border)
-        if ok and cur is None:
+        pinned = ok and cur is None
+        if pinned:
             cur = np.append(x, Lx)
             ds = float(np.linalg.norm((cur - prev) * scale))
         elif ok:
             prev, cur = cur, np.append(x, Lx)
         steps.append({"period": float(Lx), "neck": float(x[0]), "ds": ds,
                       "pinned_iterations": its, "converged": ok})
-        if cur is None:
+        # no branch, or one that leaves L_0 away from L
+        if cur is None or (pinned and (Lx - Lc) * (L - Lc) < 0.0):
             break
         if not ok:
             ds /= 2.0
@@ -730,11 +728,10 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             ds *= 1.5
         if (prev[-1] - L) * (cur[-1] - L) <= 0.0:
             w = (L - prev[-1]) / (cur[-1] - prev[-1])
-            seed = prev[:-1] + w * (cur[:-1] - prev[:-1])
-            x, _, ok, norm, its = _newton(build, seed, L, tol)
-            steps.append({"period": L, "neck": float(x[0]),
-                          "polish_iterations": its, "converged": ok})
+            x, ok, norm = polish(coarse, prev[:-1] + w * (cur[:-1] - prev[:-1]))
+            if system is not coarse:
+                x, ok, norm = polish(system, _prolong(x, n_nodes))
             return make_solution(x, ok, norm, steps,
                                  bool(x[0] > epsilon_target * (1.0 + 1e-6)))
-    # the branch never reached L: report the constant, flag the shortfall
+    # no orbit at L: report the constant, flag the shortfall
     return make_solution(const, False, float("nan"), steps, True)

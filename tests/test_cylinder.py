@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lu_factor
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         GridError, IntegrabilityError, KernelTable, ParameterRangeError,
@@ -31,8 +32,7 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         to_cylinder)
 from hartreelab import cylinder
 from hartreelab.constants import omega
-from hartreelab.cylinder import (_bifurcation_period, _line_weights,
-                                 periodized_weights)
+from hartreelab.cylinder import _HalfGridSystem, _line_weights
 
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
@@ -271,32 +271,25 @@ def test_to_cylinder_rejects_off_center_fields():
 
 
 def test_periodized_weights_mass():
-    h = 6.6 / 512
-    c = periodized_weights(KT32, h, 512)
-    # the discrete mass tracks |Khat|_1 at the O(h^2) of the midpoint weights
-    assert abs(np.sum(c) / KT32.norm_l1 - 1.0) < 1e-5
-    conv = cylinder_convolution(np.ones(512), KT32, h, "periodic")
-    np.testing.assert_allclose(conv, np.sum(c), rtol=1e-13)
+    # the periodic rule's weights sum to the zero mode of Khat's symbol,
+    # which is |Khat|_1 itself
+    for N in (64, 65, 512):
+        conv = cylinder_convolution(np.ones(N), KT32, 6.6 / N, "periodic")
+        assert np.max(np.abs(conv / KT32.norm_l1 - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("N", [64, 65, 512])
 @pytest.mark.parametrize("L", [0.5, 6.6, 30.0])
 def test_periodized_weights_closed_form(N, L):
-    # away from the cusp cells the weights are h Khat summed over all images:
-    # 4 pi h (e^{-hk/2} + e^{-(L-hk)/2}) / (1 - e^{-L/2}) for Khat = 4 pi e^{-|t|/2}
-    h = L / N
-    c = periodized_weights(KT32, h, N)
-    k = np.arange(2, N - 1)
-    want = 4.0 * np.pi * h * (np.exp(-h * k / 2.0) + np.exp(-(L - h * k) / 2.0)) \
-        / (1.0 - np.exp(-L / 2.0))
-    assert np.max(np.abs(c[2:N - 1] / want - 1.0)) < 1e-12
-
-
-@pytest.mark.parametrize("N", [64, 65, 512, 1024])
-def test_periodized_weights_are_symmetric(N):
-    # offset N - 1 is offset -1: it carries the cusp moment M1 as offset 1 does
-    c = periodized_weights(KT32, 6.6 / N, N)
-    assert np.array_equal(c[1:], c[:0:-1])
+    # the periodic rule multiplies by the closed-form symbol of
+    # Khat = 4 pi e^{-|t|/2}: Khat * cos(w t) = 16 pi / (1 + 4 w^2) cos(w t)
+    # for every mode the grid carries, up to its Nyquist mode
+    t = 0.3 + L / N * np.arange(N)
+    for k in (1, 3, N // 2 - 1, N // 2):
+        w = 2.0 * np.pi * k / L
+        got = cylinder_convolution(np.cos(w * t), KT32, L / N, "periodic")
+        want = 16.0 * np.pi / (1.0 + 4.0 * w * w) * np.cos(w * t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * KT32.norm_l1
 
 
 def test_periodic_convolution_of_an_even_profile_is_even():
@@ -333,7 +326,7 @@ def test_ode_residual_on_constant_solution():
     t = L / N * np.arange(N)
     U = CylinderProfile(t, np.full(N, uc), boundary="periodic", period=L)
     _, rel = ode_residual(U, NL32, KT32)
-    assert rel < 1e-5
+    assert rel < 1e-13
 
 
 # ============================================================
@@ -395,14 +388,16 @@ def test_find_delaunay_nontrivial_orbit():
 
 
 @pytest.mark.parametrize("factor, nodes, neck", [
-    (1.05, 128, 0.805586787212),
-    (1.05, 256, 0.805720910856),
-    (1.05, 512, 0.805754338499),
-    (1.01, 512, 0.917835033463),
-    (1.3, 512, 0.494784005535),
+    (1.05, 128, 0.805765460742),
+    (1.05, 256, 0.805765460742),
+    (1.05, 512, 0.805765460742),
+    (1.01, 512, 0.917855431768),
+    (1.3, 512, 0.494791019020),
 ])
 def test_find_delaunay_necks(factor, nodes, neck):
-    # the necks of the pinned-neck ladder this continuation replaced
+    # each within 1e-9 of the Richardson extrapolation of the second-order
+    # product-integration scheme this solver replaced, from 1024 and 2048
+    # nodes: 0.8057654611, 0.9178554323 and 0.4947910192
     uc, l0 = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=nodes)
     assert sol.converged and sol.nontrivial
@@ -410,15 +405,44 @@ def test_find_delaunay_necks(factor, nodes, neck):
     assert sol.profile.values[0] == sol.profile.values.min()
 
 
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 1.5), (3, 1.05), (5, 3.0)])
+def test_find_delaunay_necks_do_not_depend_on_the_node_count(n, alpha):
+    # the symbols resolve these orbits to rounding on the 64-node trace grid
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    necks = [find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=N).epsilon
+             for N in (64, 512, 1024)]
+    assert max(necks) - min(necks) <= 1e-12 * uc
+
+
 def test_find_delaunay_orbit_solves_its_own_check():
-    # ode_residual convolves with the weights the solver folded
+    # ode_residual applies the symbols the solver inverted
     uc, l0 = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
-    assert sol.residual_norm <= 1e-10
-    # the log counts every Newton iteration: correctors, then the landing
-    assert all("pinned_iterations" in s for s in sol.steps[:-1])
+    assert sol.residual_norm <= 1e-11
+    # the log counts every Newton iteration: correctors, then the polishes,
+    # the last of them at the requested node count
+    polishes = [s for s in sol.steps if "polish_iterations" in s]
+    assert all("pinned_iterations" in s for s in sol.steps[:-len(polishes)])
+    assert [s["nodes"] for s in polishes] == [64, 512]
     assert sol.steps[-1]["period"] == sol.period
-    assert sol.steps[-1]["polish_iterations"] >= 2
+    assert 1 <= sol.steps[-1]["polish_iterations"] <= 2
+
+
+def test_find_delaunay_factors_at_most_two_fine_matrices(monkeypatch):
+    sizes = []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(cylinder, "lu_factor", counted)
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
+    assert sol.converged
+    assert sum(size > 65 for size in sizes) <= 2
+    assert max(sizes) == 513
 
 
 def test_find_delaunay_traces_far_from_the_bifurcation():
@@ -433,7 +457,8 @@ def test_find_delaunay_below_the_bifurcation_returns_the_constant():
     sol = find_delaunay(P32, NL32, 0.5 * uc, 5.0, 8, kt=KT32, n_nodes=64)
     assert not sol.converged and sol.partial_result and not sol.nontrivial
     assert sol.epsilon == uc
-    assert len(sol.steps) == 8
+    # the pinned first point shows the branch leaving L_0 = 2 pi upwards
+    assert len(sol.steps) == 1 and sol.steps[0]["period"] > 2.0 * math.pi
 
 
 def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch):
@@ -457,12 +482,18 @@ def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch):
             assert np.array_equal(got, x) and L == 1.05 * l0
 
 
-def test_discrete_bifurcation_converges_to_the_dispersion_root():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    err = [_bifurcation_period(P32, NL32, KT32, uc, N, 1.05 * l0) / l0 - 1.0
-           for N in (256, 512)]
-    assert abs(err[1]) < 1e-5
-    assert err[0] / err[1] == pytest.approx(4.0, rel=0.01)   # second order in h
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 1.5), (5, 3.0)])
+def test_discrete_bifurcation_is_the_dispersion_root(n, alpha):
+    # the folded operator at U_c acts on cos(2 pi t / L) by D(2 pi / L) on any
+    # grid, so 16 nodes, where the dense Jacobian rounds least, show it
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    system = _HalfGridSystem(P, nl, kt, l0, 16)
+    x = np.full(system.m + 1, uc)
+    _, conv = system.residual(x)
+    cos1 = np.cos(np.pi * np.arange(system.m + 1) / system.m)
+    assert np.max(np.abs(system.jacobian(x, conv) @ cos1)) <= 1e-13 * P.nu ** 2
 
 
 def test_delaunay_serialization(tmp_path):
