@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import artifacts, asymptotics, cylinder, riesz, spheres
+from . import artifacts, riesz
 from .constants import sharp_constants
 from .errors import AccuracyError, ConvergenceError, HartreelabError
 from .fields import Field, make_bubble, make_singular_power, sample_radial
@@ -285,6 +285,7 @@ def _cmd_bubble_check(cfg: dict) -> dict:
 
 
 def _cmd_kernel(cfg: dict) -> dict:
+    from . import cylinder
     params = _params(cfg)
     em = _Emitter("kernel", cfg)
     t = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["points"])
@@ -318,6 +319,7 @@ def _cmd_kernel(cfg: dict) -> dict:
 
 
 def _cmd_delaunay(cfg: dict) -> dict:
+    from . import cylinder
     params = _params(cfg)
     em = _Emitter("delaunay", cfg)
     kt = cylinder.kernel_table(params)
@@ -360,6 +362,7 @@ def _make_field(cfg: dict, params: ProblemParams) -> Field:
 
 
 def _cmd_moving_spheres(cfg: dict) -> dict:
+    from . import spheres
     params = _params(cfg)
     em = _Emitter("moving-spheres", cfg)
     u = _make_field(cfg, params)
@@ -406,6 +409,7 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
 
 
 def _cmd_asymptotics(cfg: dict) -> dict:
+    from . import asymptotics
     params = _params(cfg)
     em = _Emitter("asymptotics", cfg)
     u = _make_field(cfg, params)

@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_jacobi
 
 from . import artifacts
 from .constants import omega, sharp_constants
@@ -143,6 +141,7 @@ class RadialProfile:
 
     @cached_property
     def _interpolant(self):
+        from scipy.interpolate import PchipInterpolator
         if self.is_positive:
             return PchipInterpolator(self.grid.log_r, np.log(self.values), extrapolate=False)
         return None
@@ -384,7 +383,8 @@ def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Fi
     expo = (params.n + params.alpha) / 2.0
 
     def radial_fn(r):
-        return (mu / (mu ** 2 + np.asarray(r) ** 2)) ** expo
+        # mu / (mu^2 + r^2), with no mu^2 to overflow
+        return (1.0 / (mu * (1.0 + (np.asarray(r) / mu) ** 2))) ** expo
 
     return Field.radial(params.n, radial_fn, center=center, singular_center=False)
 
@@ -453,6 +453,7 @@ def sphere_quadrature(n: int, order: int = 14):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _sphere_rule(n: int, order: int):
+    from scipy.special import roots_jacobi
     if n == 2:
         m = max(order + 1, 4)
         phi = 2.0 * np.pi * np.arange(m) / m

@@ -50,8 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import loggamma, roots_jacobi, roots_legendre
+from scipy.special import loggamma
 
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
 from .errors import (AccuracyError, GridError, IntegrabilityError,
@@ -142,11 +141,8 @@ class _KernelRule:
         self.d_min = 2.0 ** (-depth)
 
 
-_GL12 = roots_legendre(12)
-_GL16 = roots_legendre(16)
-
-
 def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
+    from scipy.special import roots_jacobi, roots_legendre
     a = (n - 3) / 2.0
     q = (beta - n) / 2.0
 
@@ -162,7 +158,7 @@ def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
     # dyadic panels [1 - 2^-j, 1 - 2^-(j+1)] in omt coordinates: [2^-(j+1), 2^-j],
     # that is 2^-(j+1) unit with unit in [1, 2]; the panel's half-width and its
     # nodes' omt^(a+q) combine into one power of two
-    xg, wg = _GL16
+    xg, wg = roots_legendre(16)
     unit = 1.5 + 0.5 * xg
     scale = 2.0 ** -np.arange(1.0, depth + 1.0)[:, None]
     omt = scale * unit
@@ -291,6 +287,7 @@ def _kernel_quad(n: int, beta: float, d: float):
     is smooth.  At d = 0 the combined endpoint exponent (beta - 3)/2 must
     exceed -1, i.e. beta > 1.
     """
+    from scipy.integrate import IntegrationWarning, quad
     a = (n - 3) / 2.0
     q = (beta - n) / 2.0
     if d == 0.0 and beta <= 1.0:
@@ -744,36 +741,19 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
 # ============================================================
 
 
-def _gl_panels(breaks: np.ndarray, order_nodes):
-    """Gauss-Legendre nodes/weights on consecutive panels between breakpoints."""
-    xg, wg = order_nodes
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    half = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+def _radial_integral(vals: np.ndarray, x: np.ndarray, n: int) -> float:
+    """int_0^inf g(x) x^(n-1) dx from g's values on a grid x uniform in log x.
 
-
-def _log_block(lo: float, hi: float, per_decade: float = 6.0):
-    """Log-uniform panel breakpoints for a smooth power-law-like stretch."""
-    m = max(int(math.ceil(math.log10(hi / lo) * per_decade)), 1)
-    return np.geomspace(lo, hi, m + 1)
-
-
-def _radial_integral(fn: Callable, n: int, e_in: float, e_out: float,
-                     lo: float = 1e-6, hi: float = 1e6, per_decade: float = 8.0) -> float:
-    """int_0^inf fn(r) r^(n-1) dr with power-law ends (fn exact on (0, inf))."""
-    if e_in + n <= 0.0 or e_out + n >= 0.0:
-        raise IntegrabilityError(
-            f"radial integral with end exponents ({e_in}, {e_out}) diverges")
-    breaks = _log_block(lo, hi, per_decade)
-    s, w = _gl_panels(breaks, _GL12)
-    core = float(np.dot(w, fn(s) * s ** (n - 1)))
-    head = float(fn(np.array([lo]))[0]) * lo ** n / (e_in + n)
-    tail = -float(fn(np.array([hi]))[0]) * hi ** n / (e_out + n)
-    return core + head + tail
+    The trapezoid rule in t = ln x on the whole line, its grid continued by
+    g ~ x^0 below and g ~ x^(-2n) above: both continuations of g x^n fall
+    like e^(-n|t|), so each sums in closed form to w_end / (e^(nh) - 1).
+    For integrands analytic in a strip the rule converges exponentially
+    (Trefethen and Weideman, SIAM Review 56, 2014).
+    """
+    t = np.log(x)
+    h = (t[-1] - t[0]) / (t.size - 1)
+    w = vals * x ** n
+    return h * float(np.sum(w) + (w[0] + w[-1]) / math.expm1(n * h))
 
 
 @dataclass(frozen=True)
@@ -802,21 +782,26 @@ def hls_ratio(params: ProblemParams, mu: float = 1.0,
     radial convolution pipeline, the bound is h_n |f|_q^2 with
     q = 2n/(n+alpha), and the extremal f(r) = (mu/(mu^2+r^2))^((n+alpha)/2)
     attains equality, so the ratio doubles as an end-to-end quadrature
-    check.
+    check.  D and |f|_q^q are integrated on the potential's own grid
+    (:func:`_radial_integral`); a mu whose extremal leaves the double range
+    on that grid raises SamplingError.
     """
     n, a = params.n, params.alpha
-    consts = sharp_constants(params)
     f = make_hls_extremal(params, mu=mu).radial_fn
     grid = RadialGrid.geometric(1e-4 * mu, 1e4 * mu, per_decade)
-    v = riesz_convolve(f, AngularKernelSpec(n, a), grid=grid,
-                       inner_exponent=0.0, outer_exponent=-(n + a))
-    om = omega(n - 1)
-    # D via the potential: int f (R_a * f); the product decays like r^(-2n)
-    integrand = lambda r: f(r) * v(r, extrapolate=True)
-    D = om * _radial_integral(integrand, n, 0.0, -2.0 * n, lo=1e-4 * mu, hi=1e4 * mu)
     q = 2.0 * n / (n + a)
-    norm_q = om * _radial_integral(lambda r: f(r) ** q, n, 0.0, -2.0 * n,
-                                   lo=1e-4 * mu, hi=1e4 * mu)
-    bound = consts.h_n * norm_q ** (2.0 / q)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v = riesz_convolve(f, AngularKernelSpec(n, a), grid=grid,
+                               inner_exponent=0.0, outer_exponent=-(n + a))
+            # D = int f (R_a * f) and |f|_q^q in x = r/mu, so no power of r overflows
+            fr, x, scale = f(grid.r), grid.r / mu, omega(n - 1) * mu ** n
+            D = scale * _radial_integral(fr * v.values, x, n)
+            norm_q = scale * _radial_integral(fr ** q, x, n)
+    except (FloatingPointError, OverflowError) as exc:
+        raise SamplingError(f"the extremal at mu={mu:g} leaves the double range: {exc}")
+    if not (0.0 < D < math.inf and 0.0 < norm_q < math.inf):
+        raise SamplingError(f"the extremal at mu={mu:g} leaves the double range")
+    bound = sharp_constants(params).h_n * norm_q ** (2.0 / q)
     return BilinearCheck(n=n, alpha=a, double_integral=D, sharp_bound=bound,
                          ratio=D / bound)

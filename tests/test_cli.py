@@ -274,6 +274,19 @@ def test_bubble_check_window_without_two_nodes_exits_three(capsys, lo, hi):
     assert "fewer than 2 grid nodes" in err["message"]
 
 
+@pytest.mark.parametrize("mu", ["1e100", "1e160"])
+def test_hls_check_extreme_scale_saturates_or_exits_three(capsys, mu):
+    # mu^2 and the end radii to the n-th power leave the double range here:
+    # the check must still hold or refuse with a sampling error, not crash
+    rc, stdout, stderr = run(capsys, "hls-check", "--mu", mu)
+    if rc == 0:
+        doc = json.loads(stdout)
+        assert abs(doc["ratio"] - 1.0) <= doc["tolerance"]
+    else:
+        assert rc == 3 and stdout == ""
+        assert json.loads(stderr)["error"] == "SamplingError"
+
+
 def test_subcritical_period_exits_four(capsys):
     # below the bifurcation period no nontrivial orbit exists, and the
     # solver reports the shortfall instead of returning the constant

@@ -1,11 +1,11 @@
 """Source hygiene: every module uses what it imports, caches only through
-``functools.lru_cache``, and the CLI's import stays lean.
-
-``__init__.py`` is exempt from the unused-import check: its imports are the
-package's re-exports.
+``functools.lru_cache``, the CLI loads only what a command runs, and the
+lazy package resolves every exported name.
 """
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,8 +15,7 @@ import pytest
 
 import hartreelab
 
-MODULES = sorted(p for p in Path(hartreelab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(hartreelab.__file__).parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -62,15 +61,62 @@ def test_no_module_level_dict_caches(path):
     assert not caches, f"{path.name} caches in module-level dicts: {', '.join(caches)}"
 
 
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg",
+         "scipy.signal", "scipy.stats")
+
+_PROBE = """
+import contextlib, io, json, sys
+import hartreelab.cli
+heavy = %r
+at_import = [m for m in heavy if m in sys.modules]
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hartreelab.cli.main(argv) for argv in (
+        ["constants"],
+        ["bubble-check", "--per-decade", "16", "--tolerance", "1"],
+        ["hls-check", "--per-decade", "16"])]
+print(json.dumps({"at_import": at_import, "codes": codes,
+                  "by_main": sorted(set(sys.modules) - before)}))
+""" % (HEAVY,)
+
+
 def test_cli_import_skips_heavy_scipy_subpackages():
-    # the module set, not a time: scipy.signal (and the scipy.stats it pulls
-    # in) are heavy imports that no command uses
-    probe = ("import sys, hartreelab.cli; "
-             "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') "
-             "if m in sys.modules))")
+    # the module set, not a time: importing the CLI loads numpy, scipy.special
+    # and scipy.fft, and the paper's two checks and the constants then import
+    # nothing more, so no lazy import lands inside a timed run
     src = str(Path(hartreelab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == ""
+    doc = json.loads(out.stdout)
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["at_import"] == []
+    assert doc["by_main"] == []
+
+
+# ============================================================
+# the lazy package
+# ============================================================
+
+
+def test_lazy_table_covers_exactly_all():
+    names = [name for names in hartreelab._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(hartreelab.__all__)
+
+
+def test_lazy_names_resolve_to_their_home_objects():
+    for module, names in hartreelab._EXPORTS.items():
+        home = importlib.import_module(f"hartreelab.{module}")
+        for name in names:
+            assert getattr(hartreelab, name) is getattr(home, name), name
+    assert set(hartreelab.__all__) <= set(dir(hartreelab))
+    with pytest.raises(AttributeError):
+        hartreelab.no_such_name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from hartreelab import *", namespace)
+    assert set(hartreelab.__all__) <= set(namespace)

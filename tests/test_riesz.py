@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         RadialGrid, RadialProfile, angular_kernel, calibrate_cf,
-                        fields, hls_ratio, make_bubble, nonlinearity_for,
+                        hls_ratio, make_bubble, nonlinearity_for,
                         newton_constant, riesz, sample_radial, sharp_constants)
 from hartreelab.constants import omega
 from hartreelab.errors import (AccuracyError, GridError, IntegrabilityError,
@@ -314,19 +314,12 @@ def test_newton_profile_convolution_memory():
     assert peak < 4e6
 
 
-def test_profile_convolution_builds_no_interpolant(monkeypatch):
-    builds = []
-    pchip = fields.PchipInterpolator
-
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return pchip(*args, **kwargs)
-
-    monkeypatch.setattr(fields, "PchipInterpolator", counted)
+def test_profile_convolution_builds_no_interpolant():
     grid = default_grid(16)
     h = (1.0 + grid.r ** 2) ** -2.5
-    riesz_convolve(RadialProfile(grid, h, 0.0, -5.0), AngularKernelSpec(3, 2.0))
-    assert builds == []
+    prof = RadialProfile(grid, h, 0.0, -5.0)
+    riesz_convolve(prof, AngularKernelSpec(3, 2.0))
+    assert "_interpolant" not in prof.__dict__
 
 
 # ============================================================
@@ -455,6 +448,8 @@ def test_potential_requires_integrable_tail():
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0)])
 def test_hls_ratio_saturates(n, a):
-    check = hls_ratio(ProblemParams(n, a))
-    assert abs(check.ratio - 1.0) < 1e-6
-    assert check.double_integral > 0.0 and check.sharp_bound > 0.0
+    for mu in (0.5, 1.0, 2.0):
+        for per_decade in (16, 48, 96):
+            check = hls_ratio(ProblemParams(n, a), mu=mu, per_decade=per_decade)
+            assert abs(check.ratio - 1.0) < 1e-13, (mu, per_decade)
+            assert check.double_integral > 0.0 and check.sharp_bound > 0.0
