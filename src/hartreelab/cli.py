@@ -468,7 +468,8 @@ COMMANDS = {
 # ============================================================
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser, every command listed; flags only for ``command`` if given."""
     parser = argparse.ArgumentParser(
         prog="hartreelab",
         description="Numerical toolkit for a critical nonlocal elliptic equation: "
@@ -476,8 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Delaunay orbits, moving-spheres comparisons, and "
                     "singularity asymptotics.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, schema in SCHEMAS.items():
-        sp = sub.add_parser(command, help=f"run the {command} pipeline")
+    for name, schema in SCHEMAS.items():
+        sp = sub.add_parser(name, help=f"run the {name} pipeline")
+        if command is not None and name != command:
+            continue
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config; flags override its values")
         for key, opt in schema.items():
@@ -492,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no value-carrying flag, so the first word that
+    # is not a flag names the command: only its flags are built
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -56,7 +56,7 @@ from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
 from .params import CACHE_SIZE, ProblemParams
-from .riesz import NonlinearitySpec, _kernel_quad, _khat_fourier
+from .riesz import NonlinearitySpec, _kernel_quad, _khat_fourier, _next_fast_len
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
@@ -301,13 +301,14 @@ class KernelTable:
     def decay_constant(self) -> float:
         return omega(self.n - 1)
 
-    @property
+    @cached_property
     def norm_l1(self) -> float:
+        # read by every dispersion_function evaluation of a Brent solve
         return self.fourier(0.0)
 
     def fourier(self, w: float) -> float:
         """The closed-form Fourier transform 2 int_0^inf Khat(t) cos(w t) dt."""
-        return float(_khat_fourier(self.n, self.alpha, w).real)
+        return float(_khat_fourier(self.n, self.alpha, w))
 
 
 def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
@@ -363,11 +364,11 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
     """
     m = g.size
     if boundary == "periodic":
-        symbol = _khat_fourier(kt.n, kt.alpha, _frequencies(m * h, m)).real
+        symbol = _khat_fourier(kt.n, kt.alpha, _frequencies(m * h, m))
         return irfft(symbol * rfft(g), m)
     full = _line_weights(kt, h, np.arange(1 - m, m))
     # a linear convolution padded past 3m - 2, keeping its centred m samples
-    size = next_fast_len(3 * m - 2, True)
+    size = _next_fast_len(3 * m - 2)
     return irfft(rfft(g, size) * rfft(full, size), size)[m - 1:2 * m - 1]
 
 
@@ -518,7 +519,7 @@ class _HalfGridSystem:
         self.h = L / n_nodes
         w = _frequencies(L, n_nodes)
         self.a_hat = w * w + params.nu ** 2
-        self.c_hat = _khat_fourier(kt.n, kt.alpha, w).real
+        self.c_hat = _khat_fourier(kt.n, kt.alpha, w)
 
     def _fold(self, symbol) -> np.ndarray:
         c, N, m = irfft(symbol, self.N), self.N, self.m

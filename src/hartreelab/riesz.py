@@ -49,8 +49,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import loggamma
+from numpy.fft import irfft, rfft
 
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
 from .errors import (AccuracyError, GridError, IntegrabilityError,
@@ -200,9 +199,9 @@ class _KernelFamily:
         self.q = (beta - n) / 2.0
         self.front = omega(n - 2)
         if beta > 1.0:
-            # capped where the panels' omt stay normal floats: distinct doubles
-            # r, s have d >= 2^-107, so only d = 0 ever uses the diagonal tip
-            full_depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 1000)
+            # distinct doubles r, s have d >= 2^-107, so with panels down to
+            # 2^-110 only d = 0, where it is exact, ever uses the diagonal tip
+            full_depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 110)
         else:
             # the diagonal integral diverges; grade deep enough that callers
             # who stay a relative 2^-40 away from it are still served
@@ -355,6 +354,51 @@ def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
 
 _DIGITS = math.log(1e17)          # e-folds after which a contribution is dropped
 _MAX_REACH = math.log(1e100)      # farthest the source window reaches past the grid
+_TINY = np.finfo(float).tiny      # the least normal double
+
+
+_SHIFT = 8   # the symbol's Gamma arguments are raised past this by recurrence
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series for log Gamma (DLMF 5.11.1),
+# whose first omitted term is below 1e-15 for |x| >= _SHIFT
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _log_gamma_ratio(p, q, d: float):
+    """(Re, Im) of log Gamma(x) - log Gamma(x + d) at x = p + i q, p >= _SHIFT, d > 0.
+
+    Stirling's series with its leading terms paired as (x - 1/2) log x -
+    (x + d - 1/2) log(x + d) = -d log x - (x + d - 1/2) log1p(d/x), so the
+    large x log x never cancel; log1p(d/x) is taken in real arithmetic, where
+    its real part keeps its digits however small d/x is.
+    """
+    r2 = p * p + q * q
+    re_l = 0.5 * np.log1p(d * (2.0 * p + d) / r2)
+    im_l = -np.arctan(d * q / (r2 + d * p))
+    x = p + 1j * q
+    xs = np.stack([x, x + d])
+    u = 1.0 / (xs * xs)
+    acc = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        acc = acc * u + c
+    tail = acc[0] / xs[0] - acc[1] / xs[1]
+    e = p + (d - 0.5)
+    re = d - 0.5 * d * np.log(r2) - (e * re_l - q * im_l) + tail.real
+    im = -d * np.arctan2(q, p) - (e * im_l + q * re_l) + tail.imag
+    return re, im
 
 
 def _khat_fourier(n: int, beta: float, w):
@@ -364,16 +408,33 @@ def _khat_fourier(n: int, beta: float, w):
     powers, so the symbol is a Gamma ratio: with A = c/2, B = (n+beta)/4,
     z = i w/2, it is pi^(n/2) Gamma(beta/2) / Gamma(c) Gamma(A+z) Gamma(A-z)
     / (Gamma(B+z) Gamma(B-z)), analytic for |Im w| < c, where it transforms
-    e^{(Im w) t} Khat(t).  For real w it is real up to rounding, the L1 norm
-    of Khat at w = 0, and strictly decreasing in |w|, by |Gamma(x + i y)|^2 =
+    e^{(Im w) t} Khat(t).  For real w it is real, the L1 norm of Khat at
+    w = 0, and strictly decreasing in |w|, by |Gamma(x + i y)|^2 =
     Gamma(x)^2 prod_k (1 + y^2/(x+k)^2)^-1.
+
+    Each Gamma is raised by _SHIFT through Gamma(x) = Gamma(x + N) /
+    prod_j (x + j) (DLMF 5.5.1), which folds each pair into prod_j ((B+j)^2 -
+    z^2) / ((A+j)^2 - z^2), then taken by :func:`_log_gamma_ratio` with d =
+    B - A = beta/2.  Gamma(A - z) is the conjugate of Gamma at A + N -
+    conj(z), so real w needs one evaluation and twice its real part.
     """
-    z = 0.5j * np.asarray(w)
-    a, b = 0.25 * (n - beta), 0.25 * (n + beta)
-    log_c = (0.5 * n * math.log(math.pi) + loggamma(0.5 * beta).real
-             - loggamma(0.5 * (n - beta)).real)
-    return np.exp(log_c + loggamma(a + z) + loggamma(a - z)
-                  - loggamma(b + z) - loggamma(b - z))
+    q = 0.5 * np.asarray(w)
+    s = q * q   # -z^2
+    a, b, d = 0.25 * (n - beta), 0.25 * (n + beta), 0.5 * beta
+    shift = 1.0
+    # one factor at a time: (_SHIFT, len(w)) complex temporaries at a thousand
+    # bins are fresh pages from the allocator on every call
+    for j in range(_SHIFT):
+        shift = shift * (((b + j) ** 2 + s) / ((a + j) ** 2 + s))
+    front = math.exp(0.5 * n * math.log(math.pi) + math.lgamma(0.5 * beta)
+                     - math.lgamma(0.5 * (n - beta)))
+    p = a + _SHIFT
+    if np.isrealobj(q):
+        re, _ = _log_gamma_ratio(p, q, d)
+        return front * shift * np.exp(2.0 * re)
+    # A + N + z and A + N - conj(z) in one call
+    re, im = _log_gamma_ratio(p + np.stack([-q.imag, q.imag]), q.real, d)
+    return front * shift * np.exp((re[0] + re[1]) + 1j * (im[0] - im[1]))
 
 
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
@@ -475,7 +536,7 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
     for gamma, rows in zip(gammas, (slice(0, m // 2), slice(m // 2, m))):
         k_right, k_left = c + gamma, c - gamma   # the tilted kernel's tail rates
         pad = math.ceil(_DIGITS / (2.0 + min(k_right, k_left)) / h)
-        size = next_fast_len(tau.size + pad, real=True)
+        size = _next_fast_len(tau.size + pad)
         period = size * h
         G = np.exp(-gamma * tau) * G0
         if not np.all(np.isfinite(G)):
@@ -741,18 +802,15 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
 # ============================================================
 
 
-def _radial_integral(vals: np.ndarray, x: np.ndarray, n: int) -> float:
-    """int_0^inf g(x) x^(n-1) dx from g's values on a grid x uniform in log x.
+def _radial_integral(w: np.ndarray, h: float, n: int) -> float:
+    """int_0^inf g(x) x^(n-1) dx from w = g x^n on a grid uniform in t = ln x, step h.
 
-    The trapezoid rule in t = ln x on the whole line, its grid continued by
+    The trapezoid rule in t on the whole line, its grid continued by
     g ~ x^0 below and g ~ x^(-2n) above: both continuations of g x^n fall
     like e^(-n|t|), so each sums in closed form to w_end / (e^(nh) - 1).
     For integrands analytic in a strip the rule converges exponentially
     (Trefethen and Weideman, SIAM Review 56, 2014).
     """
-    t = np.log(x)
-    h = (t[-1] - t[0]) / (t.size - 1)
-    w = vals * x ** n
     return h * float(np.sum(w) + (w[0] + w[-1]) / math.expm1(n * h))
 
 
@@ -783,8 +841,10 @@ def hls_ratio(params: ProblemParams, mu: float = 1.0,
     q = 2n/(n+alpha), and the extremal f(r) = (mu/(mu^2+r^2))^((n+alpha)/2)
     attains equality, so the ratio doubles as an end-to-end quadrature
     check.  D and |f|_q^q are integrated on the potential's own grid
-    (:func:`_radial_integral`); a mu whose extremal leaves the double range
-    on that grid raises SamplingError.
+    (:func:`_radial_integral`).  A mu whose extremal leaves the double range
+    on that grid raises SamplingError, and so does one where a sample of f,
+    v or either integrand is zero or subnormal, since those carry fewer
+    digits than the check certifies.
     """
     n, a = params.n, params.alpha
     f = make_hls_extremal(params, mu=mu).radial_fn
@@ -795,9 +855,15 @@ def hls_ratio(params: ProblemParams, mu: float = 1.0,
             v = riesz_convolve(f, AngularKernelSpec(n, a), grid=grid,
                                inner_exponent=0.0, outer_exponent=-(n + a))
             # D = int f (R_a * f) and |f|_q^q in x = r/mu, so no power of r overflows
-            fr, x, scale = f(grid.r), grid.r / mu, omega(n - 1) * mu ** n
-            D = scale * _radial_integral(fr * v.values, x, n)
-            norm_q = scale * _radial_integral(fr ** q, x, n)
+            fr, xn = f(grid.r), (grid.r / mu) ** n
+            samples = (fr, v.values, fr * v.values * xn, fr ** q * xn)
+            if not all(np.all(np.abs(y) >= _TINY) for y in samples):
+                raise SamplingError(f"the extremal at mu={mu:g} leaves the normal "
+                                    "double range on its grid")
+            t, scale = grid.log_r, omega(n - 1) * mu ** n
+            h = (t[-1] - t[0]) / (t.size - 1)
+            D = scale * _radial_integral(samples[2], h, n)
+            norm_q = scale * _radial_integral(samples[3], h, n)
     except (FloatingPointError, OverflowError) as exc:
         raise SamplingError(f"the extremal at mu={mu:g} leaves the double range: {exc}")
     if not (0.0 < D < math.inf and 0.0 < norm_q < math.inf):

@@ -249,6 +249,24 @@ def test_no_command_prints_usage(capsys):
     assert "usage" in cap.err.lower()
 
 
+def test_help_lists_every_command_and_a_run_builds_only_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out
+    assert all(command in listing for command in cli.SCHEMAS)
+    with pytest.raises(SystemExit):
+        cli.main(["hls-check", "--help"])
+    assert "--per-decade" in capsys.readouterr().out
+    # the parser of one command carries no other command's flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hls-check", "--window-lo", "0.1"])
+    assert exc.value.code == 2
+    assert "--window-lo" in capsys.readouterr().err
+    parser = cli.build_parser("constants")
+    assert parser.parse_args(["constants", "--n", "4"]).n == 4
+
+
 # ============================================================
 # numerical failures (exit 3 and 4)
 # ============================================================

@@ -61,14 +61,13 @@ def test_no_module_level_dict_caches(path):
     assert not caches, f"{path.name} caches in module-level dicts: {', '.join(caches)}"
 
 
-HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.linalg",
-         "scipy.signal", "scipy.stats")
+# argparse's first gettext call imports locale; nothing else may load in a run
+_GETTEXT = ["_locale", "locale"]
 
 _PROBE = """
 import contextlib, io, json, sys
 import hartreelab.cli
-heavy = %r
-at_import = [m for m in heavy if m in sys.modules]
+at_import = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [hartreelab.cli.main(argv) for argv in (
@@ -77,13 +76,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["hls-check", "--per-decade", "16"])]
 print(json.dumps({"at_import": at_import, "codes": codes,
                   "by_main": sorted(set(sys.modules) - before)}))
-""" % (HEAVY,)
+"""
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():
-    # the module set, not a time: importing the CLI loads numpy, scipy.special
-    # and scipy.fft, and the paper's two checks and the constants then import
-    # nothing more, so no lazy import lands inside a timed run
+    # the module set, not a time: importing the CLI loads numpy and no scipy,
+    # and the paper's two checks and the constants then import nothing more
+    # than the locale module argparse asks for, so no lazy import of the
+    # package lands inside a timed run
     src = str(Path(hartreelab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -92,7 +92,7 @@ def test_cli_import_skips_heavy_scipy_subpackages():
     doc = json.loads(out.stdout)
     assert doc["codes"] == [0, 0, 0]
     assert doc["at_import"] == []
-    assert doc["by_main"] == []
+    assert set(doc["by_main"]) <= set(_GETTEXT)
 
 
 # ============================================================

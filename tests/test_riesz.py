@@ -12,6 +12,7 @@ which pins both the kernel normalization and the quadrature at once.
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -133,11 +134,24 @@ def test_kernel_diagonal_integrability():
 
 @pytest.mark.parametrize("beta", [1.01, 1.05, 1.1])
 def test_kernel_diagonal_just_above_beta_one(beta):
-    # the deepest panels of the full-depth rule reach omt = 2^-1000, where a
-    # bare omt^q overflows; the n = 3 closed form on the diagonal (n = 4, 5
-    # are in the multiprecision fixture of test_cylinder)
+    # the deepest panels of the full-depth rule reach omt = 2^-110 and the
+    # diagonal tip covers the rest; the n = 3 closed form on the diagonal
+    # (n = 4, 5 are in the multiprecision fixture of test_cylinder)
     got = angular_kernel(AngularKernelSpec(3, beta), 1.0, 1.0)
     assert abs(got / (2.0 * math.pi * 2.0 ** (beta - 1.0) / (beta - 1.0)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.05, 1.1])
+def test_kernel_near_diagonal_matches_quadpack(beta):
+    # from the double just below r = 1 (d = 2^-107, the least d of distinct
+    # doubles) out to s = 40: the depth-110 rule against the QUADPACK reference
+    spec = AngularKernelSpec(3, beta)
+    q = (beta - 3.0) / 2.0
+    for s in [1.0 - 2.0 ** -53] + [1.0 + k * 2.0 ** -52 for k in (
+            1, 2, 16, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 50)] + [1.5, 2.0, 5.0, 40.0]:
+        d = (s - 1.0) ** 2 / (2.0 * s)
+        want = (2.0 * s) ** q * riesz._kernel_quad(3, beta, d)[0]
+        assert abs(angular_kernel(spec, 1.0, s) / want - 1.0) <= 1e-13, s
 
 
 def test_kernel_self_check_fails_on_nan(monkeypatch):
@@ -150,6 +164,40 @@ def test_kernel_self_check_fails_on_nan(monkeypatch):
 # ============================================================
 # radial convolution
 # ============================================================
+
+
+@pytest.mark.parametrize("n,beta", [(3, 0.1), (3, 1.05), (3, 2.0), (4, 0.5), (5, 0.7),
+                                    (5, 3.0), (5, 4.5)])
+def test_symbol_matches_multiprecision_gamma(n, beta):
+    # the Gamma ratio at 40 digits, up to the Nyquist frequency pi/h of the
+    # 96-per-decade grid, on the real axis and at tilts up to 0.9 of the strip
+    c = (n - beta) / 2.0
+    w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
+    with mp.workdps(40):
+        a, b = mp.mpf(n - beta) / 4, mp.mpf(n + beta) / 4
+        front = mp.pi ** (mp.mpf(n) / 2) * mp.gamma(mp.mpf(beta) / 2) / mp.gamma(2 * a)
+        for gamma in (0.0, 0.5 * c, -0.5 * c, 0.9 * c, -0.9 * c):
+            ws = w if gamma == 0.0 else w - 1j * gamma
+            got = riesz._khat_fourier(n, beta, ws)
+            for wk, gk in zip(ws, got):
+                z = mp.mpc(0, 0.5) * mp.mpc(wk.real, wk.imag)
+                want = front * mp.gamma(a + z) * mp.gamma(a - z) \
+                    / (mp.gamma(b + z) * mp.gamma(b - z))
+                assert abs(gk / complex(want) - 1.0) <= 5e-14, (gamma, wk)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(n=st.integers(1, 2 ** 20))
+def test_next_fast_len_is_the_least_5_smooth_length(n):
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    got = riesz._next_fast_len(n)
+    assert got >= n and smooth(got)
+    assert not any(smooth(k) for k in range(n, got))
 
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0), (3, 1.0), (3, 1.05),
@@ -453,3 +501,19 @@ def test_hls_ratio_saturates(n, a):
             check = hls_ratio(ProblemParams(n, a), mu=mu, per_decade=per_decade)
             assert abs(check.ratio - 1.0) < 1e-13, (mu, per_decade)
             assert check.double_integral > 0.0 and check.sharp_bound > 0.0
+
+
+@pytest.mark.parametrize("n,a", [(3, 2.0), (5, 3.0)])
+def test_hls_ratio_keeps_its_digits_or_refuses_the_scale(n, a):
+    # mu from 1e-170 to 1e170: a scale whose samples leave the normal doubles
+    # is refused, every accepted one saturates to rounding
+    accepted = []
+    for k in range(-567, 568):
+        mu = 10.0 ** (0.3 * k)
+        try:
+            check = hls_ratio(ProblemParams(n, a), mu=mu, per_decade=16)
+        except SamplingError:
+            continue
+        accepted.append(mu)
+        assert abs(check.ratio - 1.0) <= 1e-12, mu
+    assert min(accepted) < 1e-50 and max(accepted) > 1e50
