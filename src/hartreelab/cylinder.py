@@ -26,12 +26,13 @@ the L1 norm, is a closed-form Gamma ratio, the same symbol the radial
 module's Riesz convolution multiplies by.
 
 On uniform t-grids this module owns the discrete convolution and the ODE
-residual: on the line by product integration against the table, on a
-period by the symbols w^2 + nu^2 and Khat^(w) at w = 2 pi k / L, which is
-spectrally accurate for analytic periodic profiles (Trefethen and
-Weideman, SIAM Review 56, 2014).  It also owns the constant solution, its
-dispersion relation, and a finder that traces the even periodic (Delaunay)
-branch on a coarse grid, then polishes the prolonged orbit on the fine one.
+residual, both through that symbol: on the line by the radial module's
+padded FFT convolution, untilted; on a period by the symbols w^2 + nu^2
+and Khat^(w) at w = 2 pi k / L.  Both are spectrally accurate for
+analytic profiles (Trefethen and Weideman, SIAM Review 56, 2014).  It
+also owns the constant solution, its dispersion relation, and a finder
+that traces the even periodic (Delaunay) branch on a coarse grid, then
+polishes the prolonged orbit on the fine one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Optional
 import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
@@ -56,7 +56,7 @@ from .errors import (AccuracyError, GridError, IntegrabilityError,
                      ParameterRangeError, SamplingError)
 from .fields import Field, RadialGrid, RadialProfile
 from .params import CACHE_SIZE, ProblemParams
-from .riesz import NonlinearitySpec, _kernel_quad, _khat_fourier, _next_fast_len
+from .riesz import NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
@@ -129,8 +129,9 @@ class CylinderProfile:
         """Cubic-spline evaluation (periodic-aware for periodic profiles)."""
         tq = np.asarray(tq, dtype=float)
         if self.boundary == "periodic":
-            return self._spline((tq - self.t[0]) % self.period + self.t[0])
-        out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), self._spline(tq), 0.0)
+            out = self._spline((tq - self.t[0]) % self.period + self.t[0])
+        else:
+            out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), self._spline(tq), 0.0)
         return out if out.ndim else float(out)
 
 
@@ -225,13 +226,13 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Khat sampled on [0, t_cut] (even continuation implied) plus metadata.
+    """Khat's certified QUADPACK samples on [0, 25] (even continuation implied).
 
-    The table stores its samples and a cubic spline of log Khat behind
-    them, with Khat's exact exponential asymptotics beyond t_cut.  The L1
-    norm, the Fourier transform and the decay constant omega(n-1) = lim
-    Khat(t) e^{(n-alpha)|t|/2} come in closed form, not from the samples.
-    Built once per (n, alpha, tol) and cached in process by ``kernel_table``.
+    The build checks that they are positive, nonincreasing and settle on
+    the exponential tail; no convolution reads them.  The L1 norm, the
+    Fourier transform and the decay constant omega(n-1) = lim Khat(t)
+    e^{(n-alpha)|t|/2} come in closed form, not from the samples.  Built
+    once per (n, alpha, tol) and cached in process by ``kernel_table``.
     """
 
     n: int
@@ -266,36 +267,7 @@ class KernelTable:
         return cls(n=params.n, alpha=params.alpha, tol=tol, t_samples=t,
                    values=kernel_hat(params, t, tol))
 
-    # ---------- evaluation ----------
-
-    @property
-    def t_cut(self) -> float:
-        return float(self.t_samples[-1])
-
-    def values_at(self, t) -> np.ndarray:
-        t = np.abs(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        near = t <= self.t_cut
-        if np.any(near):
-            out[near] = np.exp(self._spline(t[near]))
-        if np.any(~near):
-            out[~near] = _khat_asymptotic(self.n, self.alpha, t[~near])
-        return out
-
-    def central_moments(self, h: float):
-        """(M0, M1): exact integrals of Khat over [-h/2, h/2] and [h/2, 3h/2].
-
-        The kernel's cusp at t = 0 makes plain trapezoid weights lose an
-        order there; these two cells are integrated through the spline so
-        the discrete convolution stays second-order.
-        """
-        m0_half, _ = quad(lambda s: np.exp(self._spline(s)), 0.0, h / 2.0, limit=100)
-        m1, _ = quad(lambda s: np.exp(self._spline(s)), h / 2.0, 1.5 * h, limit=100)
-        return 2.0 * m0_half, m1
-
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.t_samples, np.log(self.values))
+    # ---------- closed forms ----------
 
     @property
     def decay_constant(self) -> float:
@@ -326,20 +298,6 @@ def _kernel_table(params: ProblemParams, tol: float) -> KernelTable:
 # ============================================================
 
 
-def _line_weights(kt: KernelTable, h: float, offsets: np.ndarray) -> np.ndarray:
-    """Product-integration weights h Khat(h|s|) at integer offsets s.
-
-    The kernel's cusp makes plain samples lose an order next to 0, so the
-    offsets |s| = 0 and 1 carry the cell moments M0 and M1 instead.
-    """
-    s = np.abs(offsets)
-    c = h * kt.values_at(h * s)
-    m0, m1 = kt.central_moments(h)
-    c[s == 0] = m0
-    c[s == 1] = m1
-    return c
-
-
 def _frequencies(L: float, n_nodes: int) -> np.ndarray:
     """The rfft frequencies w_k = 2 pi k / L, k = 0..n_nodes // 2, of an L-periodic grid."""
     return 2.0 * math.pi / L * np.arange(n_nodes // 2 + 1)
@@ -356,20 +314,21 @@ def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
 
 def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
                          boundary: str) -> np.ndarray:
-    """(Khat * g) on the uniform grid carrying g.
+    """(Khat * g) on the uniform grid carrying g, boundary "line" or "periodic".
 
-    Line mode zero-extends beyond the grid (callers owe the decaying-end
-    contract); periodic mode takes g as one period, L = g.size h, and
-    multiplies its rfft by Khat's symbol.
+    Both multiply an rfft of g by Khat's closed-form symbol.  Line mode
+    zero-extends g beyond the grid (callers owe the decaying-end contract):
+    it is the padded FFT convolution ``riesz_convolve`` runs per tilt, here
+    untilted.  Periodic mode takes g as one period, L = g.size h, and the
+    symbol at w = 2 pi k / L.
     """
     m = g.size
     if boundary == "periodic":
         symbol = _khat_fourier(kt.n, kt.alpha, _frequencies(m * h, m))
         return irfft(symbol * rfft(g), m)
-    full = _line_weights(kt, h, np.arange(1 - m, m))
-    # a linear convolution padded past 3m - 2, keeping its centred m samples
-    size = _next_fast_len(3 * m - 2)
-    return irfft(rfft(g, size) * rfft(full, size), size)[m - 1:2 * m - 1]
+    if boundary != "line":
+        raise GridError(f"unknown boundary {boundary!r}; use 'line' or 'periodic'")
+    return _khat_convolve(g, h * np.arange(m), h, kt.n, kt.alpha)
 
 
 def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
@@ -377,7 +336,7 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
 
     Periodic profiles are differentiated and convolved through the Fourier
     symbols the Delaunay finder solves with, decaying and data profiles by
-    second differences and product integration.  Both equation sides
+    second differences and the line convolution.  Both equation sides
     cancel exponentially where U decays, so the norm is normalized by the
     pointwise term scale |U''| + nu^2 |U| + |rhs| rather than by the
     residual's own operands; the return is (residual CylinderProfile,
@@ -389,9 +348,10 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     if U.boundary == "periodic":
         # as in _HalfGridSystem.residual, the mean skips the FFT
         d2 = irfft(-_frequencies(v.size * h, v.size) ** 2 * rfft(v - v.mean()), v.size)
+        mode = "periodic"
     else:
-        d2 = _second_difference(v, h)
-    rhs = cylinder_convolution(nl.F(v), kt, h, U.boundary) * nl.f(v)
+        d2, mode = _second_difference(v, h), "line"
+    rhs = cylinder_convolution(nl.F(v), kt, h, mode) * nl.f(v)
     res = -d2 + nu2 * v - rhs
     scale = np.abs(d2) + nu2 * np.abs(v) + np.abs(rhs)
     rel = math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
@@ -510,6 +470,8 @@ class _HalfGridSystem:
     def __init__(self, params, nl, kt, L, n_nodes):
         if n_nodes % 2:
             raise GridError("find_delaunay wants an even node count")
+        if n_nodes < 8:
+            raise GridError("find_delaunay needs at least 8 nodes per period")
         if n_nodes > 2048:
             raise ParameterRangeError("collocation is dense linear algebra; "
                                       "2048 nodes is the ceiling")

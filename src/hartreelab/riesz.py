@@ -437,6 +437,37 @@ def _khat_fourier(n: int, beta: float, w):
     return front * shift * np.exp((re[0] + re[1]) + 1j * (im[0] - im[1]))
 
 
+def _khat_convolve(G: np.ndarray, tau: np.ndarray, h: float, n: int, beta: float,
+                   gamma: float = 0.0, keep=slice(None)) -> np.ndarray:
+    """(Khat_gamma * G)(tau[keep]) for G sampled at the uniform nodes tau, zero beyond.
+
+    Khat_gamma(t) = e^{-gamma t} Khat(t) is the log-radius kernel Khat(t) =
+    (r s)^c k_beta(r, s), t = ln(r/s), c = (n-beta)/2, tilted by |gamma| < c;
+    h is the node spacing.  G's padded rfft is multiplied by the symbol
+    :func:`_khat_fourier` at w - i gamma, a trapezoidal/FFT rule that
+    converges exponentially for G analytic in a strip (Trefethen and
+    Weideman, SIAM Review 56, 2014), the kernel's cusp at t = 0
+    notwithstanding: the symbol is exact.  The periodic images of the tilted
+    kernel's tails omega(n-1) e^{-(c+gamma) t} and omega(n-1) e^{(c-gamma) t}
+    are summed in closed form and subtracted, so the zero pad only has to
+    outlast the remainder, O(e^{-(c+2)|t|}).
+    """
+    c = (n - beta) / 2.0
+    k_right, k_left = c + gamma, c - gamma   # the tilted kernel's tail rates
+    pad = math.ceil(_DIGITS / (2.0 + min(k_right, k_left)) / h)
+    size = _next_fast_len(G.size + pad)
+    period = size * h
+    w = (2.0 * math.pi / period) * np.arange(size // 2 + 1)
+    H = irfft(rfft(G, size) * _khat_fourier(n, beta, w - 1j * gamma if gamma else w), size)
+    tt = tau[keep]
+    # less the periodic images of the tails om e^{-k_right t}, om e^{k_left t}
+    right = h * np.dot(G, np.exp(k_right * (tau - tau[-1]))) / -math.expm1(-k_right * period)
+    left = h * np.dot(G, np.exp(k_left * (tau[0] - tau))) / -math.expm1(-k_left * period)
+    images = (right * np.exp(k_right * (tau[-1] - period - tt))
+              + left * np.exp(k_left * (tt - tau[0] - period)))
+    return H[:G.size][keep] - omega(n - 1) * images
+
+
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
                    inner_exponent: Optional[float] = None,
                    outer_exponent: Optional[float] = None) -> RadialProfile:
@@ -460,20 +491,15 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
 
     The Mellin convolution theorem (Titchmarsh, Introduction to the Theory
     of Fourier Integrals, 1937) gives (R_beta * g)(e^t) = e^{-c t}
-    (Khat * G)(t), G(tau) = e^{s tau} g(e^tau), with Khat's symbol
-    :func:`_khat_fourier`.  Tilted by e^{-gamma tau}, G's padded rfft is
-    multiplied by the symbol at w - i gamma; for a G analytic in a strip this
-    trapezoidal/FFT rule converges exponentially (Trefethen and Weideman,
-    SIAM Review 56, 2014).  The left half of the grid takes gamma a quarter
-    of the tilt interval below its top, the right half a quarter above its
-    bottom, which keeps the relative accuracy at both grid ends.  G is
-    sampled on the grid's nodes and extended (a profile by its declared power
-    laws) until each tilted G has fallen by 1e-17, so neither window end is a
-    jump for the FFT to ring on.  The periodic images of the kernel's tails
-    omega(n-1) e^{-c|t|} are summed in closed form and subtracted, so the
-    zero pad only has to outlast the remainder, O(e^{-(c+2)|t|}).  Output
-    lands on the source grid, tail exponents set from the kernel's mapping
-    properties.
+    (Khat * G)(t), G(tau) = e^{s tau} g(e^tau), and Khat * G = e^{gamma t}
+    (Khat_gamma * e^{-gamma tau} G) for every tilt gamma, one
+    :func:`_khat_convolve` each.  The left half of the grid takes gamma a
+    quarter of the tilt interval below its top, the right half a quarter
+    above its bottom, which keeps the relative accuracy at both grid ends.
+    G is sampled on the grid's nodes and extended (a profile by its declared
+    power laws) until each tilted G has fallen by 1e-17, so neither window
+    end is a jump for the FFT to ring on.  Output lands on the source grid,
+    tail exponents set from the kernel's mapping properties.
     """
     n, beta = spec.n, spec.beta
     profile = None
@@ -531,26 +557,15 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             profile.values[0] * np.exp((s + e_in) * tau[:j_lo] - e_in * t[0]),
             np.exp(s * tau[j_lo:j_lo + m]) * profile.values,
             profile.values[-1] * np.exp((s + e_out) * tau[j_lo + m:] - e_out * t[-1])])
-    om = omega(n - 1)
     out = np.empty(m)
-    for gamma, rows in zip(gammas, (slice(0, m // 2), slice(m // 2, m))):
-        k_right, k_left = c + gamma, c - gamma   # the tilted kernel's tail rates
-        pad = math.ceil(_DIGITS / (2.0 + min(k_right, k_left)) / h)
-        size = _next_fast_len(tau.size + pad)
-        period = size * h
+    for gamma, start, stop in zip(gammas, (0, m // 2), (m // 2, m)):
         G = np.exp(-gamma * tau) * G0
         if not np.all(np.isfinite(G)):
             raise SamplingError(f"g(r) r^({s - gamma}) is not finite on the source window "
                                 f"[{math.exp(tau[0]):.1e}, {math.exp(tau[-1]):.1e}]")
-        w = (2.0 * math.pi / period) * np.arange(size // 2 + 1)
-        H = irfft(rfft(G, size) * _khat_fourier(n, beta, w - 1j * gamma), size)
-        tt = tau[j_lo:j_lo + m][rows]
-        # less the periodic images of the tails om e^{-k_right t}, om e^{k_left t}
-        right = h * np.dot(G, np.exp(k_right * (tau - tau[-1]))) / -math.expm1(-k_right * period)
-        left = h * np.dot(G, np.exp(k_left * (tau[0] - tau))) / -math.expm1(-k_left * period)
-        H = H[j_lo:j_lo + m][rows] - om * (right * np.exp(k_right * (tau[-1] - period - tt))
-                                           + left * np.exp(k_left * (tt - tau[0] - period)))
-        out[rows] = np.exp((gamma - c) * tt) * H
+        rows = slice(j_lo + start, j_lo + stop)
+        H = _khat_convolve(G, tau, h, n, beta, gamma, rows)
+        out[start:stop] = np.exp((gamma - c) * tau[rows]) * H
 
     # mapping of tails: finite limit at 0 when g s^(beta-1) is integrable there,
     # potential decay r^(beta-n) at infinity when g has finite mass

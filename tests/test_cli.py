@@ -305,6 +305,12 @@ def test_hls_check_extreme_scale_saturates_or_exits_three(capsys, mu):
         assert json.loads(stderr)["error"] == "SamplingError"
 
 
+def test_delaunay_too_few_nodes_exits_three(capsys):
+    rc, stdout, stderr = run(capsys, "delaunay", "--nodes", "0")
+    assert rc == 3 and stdout == ""
+    assert json.loads(stderr)["error"] == "GridError"
+
+
 def test_subcritical_period_exits_four(capsys):
     # below the bifurcation period no nontrivial orbit exists, and the
     # solver reports the shortfall instead of returning the constant

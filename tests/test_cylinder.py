@@ -32,7 +32,7 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         to_cylinder)
 from hartreelab import cylinder
 from hartreelab.constants import omega
-from hartreelab.cylinder import _HalfGridSystem, _line_weights
+from hartreelab.cylinder import _HalfGridSystem
 
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
@@ -120,14 +120,6 @@ def test_kernels_match_multiprecision_oracle(case):
 def test_kernel_table_invariants():
     assert KT32.norm_l1 == pytest.approx(16.0 * math.pi, rel=1e-12)
     assert KT32.decay_constant == pytest.approx(4.0 * math.pi, rel=1e-15)
-    ts = np.array([0.0, 0.003, 0.37, 5.0, 24.9, 26.0, 40.0])
-    np.testing.assert_allclose(KT32.values_at(ts), kernel_hat(P32, ts),
-                               rtol=1e-10)
-    h = 0.01
-    m0, m1 = KT32.central_moments(h)
-    assert m0 == pytest.approx(16.0 * math.pi * (1.0 - math.exp(-h / 4.0)), rel=1e-10)
-    assert m1 == pytest.approx(8.0 * math.pi * (math.exp(-h / 4.0)
-                                                - math.exp(-3.0 * h / 4.0)), rel=1e-10)
     for w in (0.0, 0.5, 1.0, 2.0):
         assert KT32.fourier(w) == pytest.approx(16.0 * math.pi / (1.0 + 4.0 * w * w),
                                                 rel=1e-10)
@@ -204,6 +196,10 @@ def test_cylinder_profile_contracts():
                           boundary="periodic", period=64 * span)
     # periodic evaluation wraps around
     assert per(t[0] + 64 * span + 0.1) == pytest.approx(per(t[0] + 0.1), rel=1e-9)
+    # a scalar query returns a float on every kind of profile, an array an array
+    for prof in (per, CylinderProfile(t, smooth)):
+        assert type(prof(0.1)) is float
+        assert prof(np.array([0.1, 0.2])).shape == (2,)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "decaying"])
@@ -301,14 +297,29 @@ def test_periodic_convolution_of_an_even_profile_is_even():
     assert np.max(np.abs(conv[1:] - conv[:0:-1])) <= 1e-15 * np.max(np.abs(conv))
 
 
-@pytest.mark.parametrize("m", [8, 257, 1000])
-def test_line_convolution_matches_the_direct_sum(m):
-    h = 0.05
-    g = np.random.default_rng(m).standard_normal(m)
-    full = _line_weights(KT32, h, np.arange(1 - m, m))
-    want = np.convolve(g, full)[m - 1:2 * m - 1]
-    got = cylinder_convolution(g, KT32, h, "line")
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 1.05), (3, 1.5), (4, 1.5),
+                                     (5, 3.0), (5, 4.5)])
+def test_line_convolution_closed_form(n, alpha, h):
+    # the conformal identity R_alpha * (1 + r^2)^(-(n+alpha)/2) = const
+    # (1 + r^2)^(-(n-alpha)/2), mapped by t = ln r:
+    # Khat * (2 cosh t)^(-s) = omega(n-1) Gamma(alpha/2) Gamma(n/2) / (2 Gamma(s))
+    # (2 cosh t)^(-(n-alpha)/2), s = (n+alpha)/2; the source is below 1e-17
+    # at the grid ends
+    s = (n + alpha) / 2.0
+    m = math.ceil((40.0 / s + 5.0) / h)
+    t = h * np.arange(-m, m + 1)
+    const = (omega(n - 1) * math.gamma(alpha / 2.0) * math.gamma(n / 2.0)
+             / (2.0 * math.gamma(s)))
+    want = const * (2.0 * np.cosh(t)) ** (-(n - alpha) / 2.0)
+    got = cylinder_convolution((2.0 * np.cosh(t)) ** -s, kernel_table(ProblemParams(n, alpha)),
+                               h, "line")
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+def test_cylinder_convolution_rejects_an_unknown_boundary():
+    with pytest.raises(GridError):
+        cylinder_convolution(np.ones(64), KT32, 0.1, "periodc")
 
 
 def test_ode_residual_on_cylinder_bubble():
@@ -357,8 +368,9 @@ def test_find_delaunay_guards():
         find_delaunay(P32, NL32, 2.0 * uc, 6.6, kt=KT32)
     with pytest.raises(ParameterRangeError):
         find_delaunay(P32, NL32, 0.5 * uc, 6.6, 0, kt=KT32)
-    with pytest.raises(GridError):
-        find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=255)
+    for nodes in (255, 4, 0, -2):
+        with pytest.raises(GridError):
+            find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=nodes)
     with pytest.raises(ParameterRangeError):
         find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=4096)
 
