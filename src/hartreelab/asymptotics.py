@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import artifacts
 from .constants import sharp_constants
@@ -237,14 +236,38 @@ def _candidate_profile(candidate, params: ProblemParams):
     raise ParameterDomainError(f"unknown profile-fit candidate {candidate!r}")
 
 
+def _golden_minimize(cost, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Golden-section search on every window [lo_i, hi_i] at once.
+
+    One ``cost`` call per round, one new point per window, every window
+    shrinking by 0.618 until all are narrower than tol; returns (costs,
+    points) at the best point of each.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = np.split(cost(np.concatenate([c, d])), 2)
+    while np.max(b - a) > tol:
+        left = fc < fd   # the minimum lies in [a, d], and c becomes its d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - g * (b - a), a + g * (b - a))
+        f_new = cost(new)
+        c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
+                        np.where(left, c, new), np.where(left, fc, f_new))
+    left = fc < fd
+    return np.where(left, fc, fd), np.where(left, c, d)
+
+
 def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit:
     """Fit one t-translation and report per-radius errors against the candidate.
 
     The translation (a radial dilation of the candidate) is optimized by
     RMS log-error over the smallest probed decade, where the asymptotics
     live; the errors at every radius are then reported at that single tau.
-    Periodic candidates get six starts across the period and the spread of
-    the resulting minima doubles as a uniqueness check.
+    Seven windows of width 8 about tau = -3..3 (periodic candidates: six
+    starts across the period, windows half a period wide) are searched
+    together by golden section to 1e-10; for periodic candidates the spread
+    of the minima doubles as a uniqueness check.
     """
     r = _check_radii(radii)
     name, w_fun, period = _candidate_profile(candidate, params)
@@ -258,11 +281,13 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit
     target = np.log(uvals) + nu * np.log(r)   # log of r^nu u = log W(t + tau) wanted
     small = _smallest_decade(r)
 
-    def cost(tau):
-        w = np.asarray(w_fun(t[small] + tau), dtype=float)
-        if np.any(w <= 0.0):
-            return 1e6
-        return float(np.mean((np.log(w) - target[small]) ** 2))
+    t_small, want = t[small], target[small]
+
+    def cost(taus):
+        w = np.asarray(w_fun(t_small + taus[:, None]), dtype=float)
+        ok = np.all(w > 0.0, axis=1)
+        mse = np.mean((np.log(np.where(ok[:, None], w, 1.0)) - want) ** 2, axis=1)
+        return np.where(ok, mse, 1e6)
 
     if period is None:
         starts = np.linspace(-3.0, 3.0, 7)
@@ -270,17 +295,13 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit
     else:
         starts = period * np.arange(6) / 6.0
         span = period / 4.0
-    minima = []
-    for s0 in starts:
-        res = minimize_scalar(cost, bracket=None, bounds=(s0 - span, s0 + span),
-                              method="bounded", options={"xatol": 1e-10})
-        minima.append((float(res.fun), float(res.x)))
-    minima.sort()
-    best_cost, tau = minima[0]
+    minima, taus = _golden_minimize(cost, starts - span, starts + span, 1e-10)
+    best = int(np.argmin(minima))
+    best_cost, tau = float(minima[best]), float(taus[best])
     spread = None
     if period is not None:
-        good = [m for m in minima if m[0] <= best_cost * (1.0 + 1e-6) + 1e-14]
-        spread = float(max(m[0] for m in good) - best_cost)
+        good = minima[minima <= best_cost * (1.0 + 1e-6) + 1e-14]
+        spread = float(good.max() - best_cost)
 
     w_all = np.asarray(w_fun(t + tau), dtype=float)
     errors = np.abs(uvals / (r ** (-nu) * w_all) - 1.0)

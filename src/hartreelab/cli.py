@@ -304,8 +304,7 @@ def _cmd_kernel(cfg: dict) -> dict:
         "t_max": cfg["t_max"],
         "identity_pairs": cfg["pairs"],
         "identity_max_error": identity_err,
-        "decay_constant": cylinder.kernel_table(params).decay_constant
-        if params.alpha > 1.0 else None,
+        "decay_constant": cylinder.kernel_table(params).decay_constant,
         "tolerance": cfg["tolerance"],
     }
     em.json("kernel_check.json", doc)

@@ -18,12 +18,13 @@ cylinder (Delaunay-type) correspond to singular solutions of the PDE.
 
 Khat is the radial angular kernel in log coordinates: cosh t - 1 =
 (r - s)^2 / (2 r s) for t = ln(r/s), so Khat(t) = (r s)^((n-alpha)/2)
-k_alpha(r, s).  ``kernel_hat`` and the ``KernelTable`` sampled from it
-evaluate it with the shared QUADPACK reference of the radial module; the
-Gauss-Jacobi rules there stay the independent discretization, so the two
-routes cross-check each other.  Khat's Fourier transform, and with it
-the L1 norm, is a closed-form Gamma ratio, the same symbol the radial
-module's Riesz convolution multiplies by.
+k_alpha(r, s).  ``kernel_hat`` evaluates it pointwise with the shared
+QUADPACK reference of the radial module; the Gauss-Jacobi rules there stay
+the independent discretization, so the two routes cross-check each other.
+No solver samples it: Khat's Fourier transform, and with it the L1 norm, is
+a closed-form Gamma ratio, the same symbol the radial module's Riesz
+convolution multiplies by, and the ``KernelTable`` carries only these
+closed forms.
 
 On uniform t-grids this module owns the discrete convolution and the ODE
 residual, both through that symbol: on the line by the radial module's
@@ -32,28 +33,25 @@ and Khat^(w) at w = 2 pi k / L.  Both are spectrally accurate for
 analytic profiles (Trefethen and Weideman, SIAM Review 56, 2014).  It
 also owns the constant solution, its dispersion relation, and a finder
 that traces the even periodic (Delaunay) branch on a coarse grid, then
-polishes the prolonged orbit on the fine one.
+polishes the prolonged orbit on the fine one.  The solvers run on numpy
+alone; only spline evaluation of a profile and ``kernel_hat`` load scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.linalg import LinAlgError, solve
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import brentq
 
 from . import artifacts
 from .constants import omega
-from .errors import (AccuracyError, GridError, IntegrabilityError,
-                     ParameterRangeError, SamplingError)
+from .errors import AccuracyError, GridError, ParameterRangeError, SamplingError
 from .fields import Field, RadialGrid, RadialProfile
 from .params import CACHE_SIZE, ProblemParams
 from .riesz import NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier
@@ -118,7 +116,8 @@ class CylinderProfile:
         return float(self.t[1] - self.t[0])
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
         if self.boundary == "periodic":
             return CubicSpline(np.append(self.t, self.t[0] + self.period),
                                np.append(self.values, self.values[0]),
@@ -226,48 +225,21 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Khat's certified QUADPACK samples on [0, 25] (even continuation implied).
+    """Khat's closed forms at (n, alpha), for any 0 < alpha < n.
 
-    The build checks that they are positive, nonincreasing and settle on
-    the exponential tail; no convolution reads them.  The L1 norm, the
-    Fourier transform and the decay constant omega(n-1) = lim Khat(t)
-    e^{(n-alpha)|t|/2} come in closed form, not from the samples.  Built
-    once per (n, alpha, tol) and cached in process by ``kernel_table``.
+    The L1 norm, the Fourier transform and the decay constant omega(n-1) =
+    lim Khat(t) e^{(n-alpha)|t|/2}; no samples, so building one costs
+    nothing and alpha <= 1, where Khat(0) is infinite but Khat is still
+    integrable, is served too.  Pointwise values come from ``kernel_hat``.
+    Cached in process by ``kernel_table``.
     """
 
     n: int
     alpha: float
-    tol: float
-    t_samples: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if np.any(v <= 0.0):
-            raise AccuracyError("kernel table values must be strictly positive")
-        if np.any(np.diff(v) > 0.0):
-            raise AccuracyError("kernel table must be nonincreasing in |t|")
-        # decay-constant convergence over the last decade of the sampled range
-        lam = (self.n - self.alpha) / 2.0
-        tail = self.t_samples >= 0.9 * self.t_samples[-1]
-        ratio = v[tail] * np.exp(lam * self.t_samples[tail]) / self.decay_constant
-        if np.max(np.abs(ratio - 1.0)) > 1e-6:
-            raise AccuracyError("kernel tail does not settle on its decay constant")
-
-    # ---------- construction ----------
 
     @classmethod
-    def build(cls, params: ProblemParams, tol: float = 1e-10) -> "KernelTable":
-        if params.alpha <= 1.0:
-            raise IntegrabilityError(
-                "the cylinder pipeline needs a bounded kernel, i.e. alpha > 1")
-        t = np.concatenate([[0.0],
-                            np.geomspace(1e-4, 0.1, 72),
-                            np.arange(0.11, _ASYMPTOTIC_T + 1e-9, 0.01)])
-        return cls(n=params.n, alpha=params.alpha, tol=tol, t_samples=t,
-                   values=kernel_hat(params, t, tol))
-
-    # ---------- closed forms ----------
+    def build(cls, params: ProblemParams) -> "KernelTable":
+        return cls(n=params.n, alpha=params.alpha)
 
     @property
     def decay_constant(self) -> float:
@@ -275,7 +247,6 @@ class KernelTable:
 
     @cached_property
     def norm_l1(self) -> float:
-        # read by every dispersion_function evaluation of a Brent solve
         return self.fourier(0.0)
 
     def fourier(self, w: float) -> float:
@@ -283,14 +254,14 @@ class KernelTable:
         return float(_khat_fourier(self.n, self.alpha, w))
 
 
-def kernel_table(params: ProblemParams, tol: float = 1e-10) -> KernelTable:
+def kernel_table(params: ProblemParams) -> KernelTable:
     """Process-cached KernelTable.build."""
-    return _kernel_table(params, tol)
+    return _kernel_table(params)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _kernel_table(params: ProblemParams, tol: float) -> KernelTable:
-    return KernelTable.build(params, tol)
+def _kernel_table(params: ProblemParams) -> KernelTable:
+    return KernelTable.build(params)
 
 
 # ============================================================
@@ -391,16 +362,29 @@ def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
 
 
 def dispersion_root(params: ProblemParams, nl: NonlinearitySpec, kt: KernelTable):
-    """(U_c, L_0): the constant solution and its bifurcation period.
+    """(U_c, L_0): the constant solution and its bifurcation period 2 pi / w_0."""
+    return (constant_solution(params, nl, kt),
+            2.0 * math.pi / _bifurcation_frequency(kt.n, kt.alpha, nl.p))
 
-    L_0 = 2 pi / w_0 with w_0 the one positive zero of the dispersion
-    function, which changes sign on [0, nu sqrt(2 (p - 1))]: one Brent
-    solve, no scan.
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _bifurcation_frequency(n: int, alpha: float, p: float) -> float:
+    """w_0, the one positive zero of ``dispersion_function``.
+
+    D changes sign on [0, nu sqrt(2 (p - 1))] and strictly increases, so
+    each round evaluates it at 33 points of the bracket with one symbol
+    call and keeps the cell where it turns positive, until the cell is a
+    few ulp wide.
     """
-    w_hi = params.nu * math.sqrt(2.0 * nl.p - 2.0)
-    w0 = brentq(lambda w: dispersion_function(params, nl, kt, w), 0.0, w_hi,
-                xtol=1e-13, rtol=1e-14)
-    return constant_solution(params, nl, kt), 2.0 * math.pi / w0
+    nu2 = ((n - 2) / 2.0) ** 2
+    norm = float(_khat_fourier(n, alpha, 0.0))
+    lo, hi = 0.0, math.sqrt(nu2 * (2.0 * p - 2.0))
+    while hi - lo > 1e-15 * hi:
+        w = np.linspace(lo, hi, 33)
+        d = w * w + nu2 * (2.0 - p - p * _khat_fourier(n, alpha, w) / norm)
+        k = min(max(int(np.count_nonzero(d <= 0.0)), 1), 32)
+        lo, hi = float(w[k - 1]), float(w[k])
+    return 0.5 * (lo + hi)
 
 
 # ============================================================
@@ -562,15 +546,10 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
             J[:m1, m1] = (build(L + dL).residual(x)[0] - g) / dL
             J[m1] = row
             g = np.append(g, row[:m1] @ x + row[m1] * L - target)
-        # J is C-ordered, so its transpose factors in place; a zero pivot,
-        # which LAPACK reports as a warning, leaves the step undefined
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(J.T, overwrite_a=True, check_finite=False)
-            except LinAlgWarning:
-                return x, L, False, norm, it
-        step = lu_solve(lu, g, trans=1, check_finite=False)
+        try:
+            step = solve(J, g)
+        except LinAlgError:   # a zero pivot leaves the step undefined
+            return x, L, False, norm, it
         x = x - step[:m1]
         if border is not None:
             L = L - step[m1]

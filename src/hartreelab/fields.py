@@ -451,9 +451,23 @@ def sphere_quadrature(n: int, order: int = 14):
     return _sphere_rule(n, order)
 
 
+def _gauss_jacobi(m: int, a: float):
+    """The m-point Gauss rule for the weight (1 - t^2)^a on [-1, 1], symmetrized.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix, off-diagonal sqrt(k (k + 2a) / ((2k + 2a)^2 - 1)),
+    each weight mu_0 times the squared first component of its eigenvector.
+    """
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a) ** 2 - 1.0))
+    t, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (2.0 * a + 1.0) * math.gamma(a + 1.0) ** 2 / math.gamma(2.0 * a + 2.0)
+    w = mu0 * vec[0] ** 2
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _sphere_rule(n: int, order: int):
-    from scipy.special import roots_jacobi
     if n == 2:
         m = max(order + 1, 4)
         phi = 2.0 * np.pi * np.arange(m) / m
@@ -462,7 +476,7 @@ def _sphere_rule(n: int, order: int):
         return nodes, weights
     m_t = max((order + 2) // 2, 2)
     a = (n - 3) / 2.0
-    t, w_t = roots_jacobi(m_t, a, a)
+    t, w_t = _gauss_jacobi(m_t, a)
     sub_nodes, sub_w = _sphere_rule(n - 1, order)
     s = np.sqrt(1.0 - t ** 2)
     nodes = np.empty((m_t * len(sub_nodes), n))

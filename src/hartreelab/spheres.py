@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (ConvergenceError, ParameterDomainError,
                      ParameterRangeError, SamplingError)
 from .fields import Field
-from .params import ProblemParams
+from .params import CACHE_SIZE, ProblemParams
 
 # ============================================================
 # inversions and Kelvin transforms
@@ -209,10 +209,8 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
     to the origin are dropped to honor the y != 0 contract.
     """
     x = np.asarray(x, dtype=float)
-    rng = np.random.Generator(np.random.Philox(spec.seed))
     offsets = mu * np.geomspace(1e-6, spec.shell_span - 1.0, spec.n_shells)
-    dirs = rng.normal(size=(spec.n_shells, spec.per_shell, n))
-    dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
+    dirs = _shell_directions(spec.seed, spec.n_shells, spec.per_shell, n)
     shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
     pts = [shells.reshape(-1, n)]
     axis = np.zeros(n)
@@ -225,6 +223,16 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
     pts.append(x[None, :] + (mu + ray)[:, None] * axis[None, :])
     out = np.vstack(pts)
     return out[np.linalg.norm(out, axis=1) > 1e-9]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _shell_directions(seed: int, n_shells: int, per_shell: int, n: int) -> np.ndarray:
+    """Unit directions of the test-set shells, drawn once per stream; read-only."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    dirs = rng.normal(size=(n_shells, per_shell, n))
+    dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
+    dirs.flags.writeable = False
+    return dirs
 
 
 @dataclass(frozen=True)
@@ -362,13 +370,17 @@ class EqualityFit:
     converged: bool
 
 
-def equality_fit(u: Field, sample_points, *, max_nfev: int = 4000) -> EqualityFit:
+def equality_fit(u: Field, sample_points) -> EqualityFit:
     """Fit the bubble ansatz to u over the sampled points, in log space.
 
     The dichotomy behind the fit: a positive field either matches a bubble
     (fit_error at round-off) or it does not; a relative spread below 1e-9
-    short-circuits to the constant-field branch with mu_bar = 0.  Raises
-    on nonpositive samples and when no start converges.
+    short-circuits to the constant-field branch with mu_bar = 0.  A
+    bubble's u^(-1/nu) is the paraboloid c |y|^2 + b.y + d, so one linear
+    least-squares solve starts the fit at x0 = -b/(2c), A^(-1/nu) = d -
+    |b|^2/(4c) (the apex), m^2 = c A^(1/nu); without a positive c and apex,
+    at the largest sample.  Damped Gauss-Newton (Levenberg-Marquardt) steps
+    then reach the log-space optimum, or raise ConvergenceError.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     vals = u(pts)
@@ -382,36 +394,51 @@ def equality_fit(u: Field, sample_points, *, max_nfev: int = 4000) -> EqualityFi
                            note="constant field", converged=True)
 
     logv = np.log(vals)
-    x0_seed = pts[int(np.argmax(vals))]
-    r_scale = float(np.median(np.linalg.norm(pts - x0_seed[None, :], axis=1)))
+    design = np.column_stack([np.sum(pts * pts, axis=1), pts, np.ones(len(pts))])
+    coef = np.linalg.lstsq(design, vals ** (-1.0 / nu), rcond=None)[0]
+    c, b = coef[0], coef[1:-1]
+    apex = coef[-1] - b @ b / (4.0 * c) if c > 0.0 else 0.0
+    if apex > 0.0:
+        theta = np.concatenate([[-nu * math.log(apex), 0.5 * math.log(c / apex)],
+                                -b / (2.0 * c)])
+    else:
+        x0 = pts[int(np.argmax(vals))]
+        r_scale = float(np.median(np.linalg.norm(pts - x0[None, :], axis=1)))
+        theta = np.concatenate([[float(logv.max()), -math.log(max(r_scale, 1e-12))], x0])
 
     def resid(theta):
-        log_a, log_m = theta[0], theta[1]
-        x0 = theta[2:]
-        rho2 = np.sum((pts - x0[None, :]) ** 2, axis=1)
-        return log_a - nu * np.log1p(np.exp(2.0 * log_m) * rho2) - logv
+        """Log residual and its Jacobian in (log A, log m, x0)."""
+        d = pts - theta[None, 2:]
+        m2 = math.exp(2.0 * theta[1])
+        q = m2 * np.sum(d * d, axis=1)
+        jac = np.empty((len(pts), theta.size))
+        jac[:, 0] = 1.0
+        jac[:, 1] = -2.0 * nu * q / (1.0 + q)
+        jac[:, 2:] = (2.0 * nu * m2 / (1.0 + q))[:, None] * d
+        return theta[0] - nu * np.log1p(q) - logv, jac
 
-    best = None
-    last = None
-    for m0 in (0.25, 1.0, 4.0, 16.0):
-        theta0 = np.concatenate([[float(logv.max()), math.log(m0 / max(r_scale, 1e-12))],
-                                 x0_seed])
-        res = least_squares(resid, theta0, method="lm", max_nfev=max_nfev)
-        last = res
-        if not res.success:
-            continue
-        err = float(np.sqrt(np.mean(np.expm1(res.fun) ** 2)))
-        if best is None or err < best[0]:
-            best = (err, res)
-        if err < 1e-8:
+    r, jac = resid(theta)
+    cost, lam = float(r @ r), 1e-3
+    for _ in range(100):
+        hess = jac.T @ jac
+        step = -np.linalg.lstsq(hess + lam * np.diag(np.diag(hess)), jac.T @ r,
+                                rcond=None)[0]
+        r_new, jac_new = resid(theta + step)
+        cost_new = float(r_new @ r_new)
+        done = np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(theta))
+        if cost_new < cost:
+            done = done or cost - cost_new <= 1e-14 * cost
+            theta, r, jac, cost, lam = theta + step, r_new, jac_new, cost_new, 0.1 * lam
+        else:
+            lam *= 10.0
+        if done:
             break
-    if best is None:
-        raise ConvergenceError(
-            f"bubble fit did not converge from any start; last iterate {last.x}")
-    err, res = best
+    else:
+        raise ConvergenceError(f"bubble fit did not converge; last iterate {theta}")
+    err = float(np.sqrt(np.mean(np.expm1(r) ** 2)))
     note = "bubble" if err <= 1e-3 else "non-bubble"
-    return EqualityFit(x0=res.x[2:], mu_bar=float(np.exp(res.x[1])),
-                       amplitude=float(np.exp(res.x[0])), fit_error=err,
+    return EqualityFit(x0=theta[2:], mu_bar=float(np.exp(theta[1])),
+                       amplitude=float(np.exp(theta[0])), fit_error=err,
                        note=note, converged=True)
 
 

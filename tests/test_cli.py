@@ -100,6 +100,18 @@ def test_delaunay_command_finds_the_orbit(tmp_path, capsys):
     assert "delaunay_profile.csv" in doc["artifacts"]
 
 
+@pytest.mark.parametrize("alpha", ["0.3", "0.5", "1.0"])
+def test_delaunay_command_serves_unbounded_kernels(capsys, alpha):
+    # Khat(0) is infinite for alpha <= 1; the solver reads only its symbol
+    docs = []
+    for nodes in ("64", "512"):
+        rc, stdout, _ = run(capsys, "delaunay", "--alpha", alpha, "--nodes", nodes)
+        assert rc == 0
+        docs.append(json.loads(stdout))
+    assert all(d["converged"] and d["nontrivial"] for d in docs)
+    assert abs(docs[0]["epsilon"] - docs[1]["epsilon"]) <= 1e-12 * docs[0]["u_c"]
+
+
 def test_moving_spheres_command_defaults(capsys):
     rc, stdout, _ = run(capsys, "moving-spheres")
     assert rc == 0

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor
+import scipy.interpolate
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         GridError, IntegrabilityError, KernelTable, ParameterRangeError,
@@ -118,11 +117,23 @@ def test_kernels_match_multiprecision_oracle(case):
 
 
 def test_kernel_table_invariants():
+    # the closed forms the table carries, and on kernel_hat the shape they
+    # rest on: positive, nonincreasing in |t|, settling on omega(n-1)
     assert KT32.norm_l1 == pytest.approx(16.0 * math.pi, rel=1e-12)
     assert KT32.decay_constant == pytest.approx(4.0 * math.pi, rel=1e-15)
     for w in (0.0, 0.5, 1.0, 2.0):
         assert KT32.fourier(w) == pytest.approx(16.0 * math.pi / (1.0 + 4.0 * w * w),
                                                 rel=1e-10)
+    for n, alpha in [(3, 0.5), (3, 1.05), (3, 2.0), (4, 1.5), (5, 3.0), (5, 4.5)]:
+        P = ProblemParams(n, alpha)
+        t = np.concatenate([[0.0] if alpha > 1.0 else [], np.geomspace(1e-4, 0.1, 24),
+                            np.arange(0.15, 25.0 + 1e-9, 0.05)])
+        v = kernel_hat(P, t)
+        assert np.all(v > 0.0), P.label()
+        assert np.all(np.diff(v) <= 0.0), P.label()
+        tail = t >= 0.9 * t[-1]
+        ratio = v[tail] * np.exp((n - alpha) / 2.0 * t[tail]) / kernel_table(P).decay_constant
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-6, P.label()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -162,9 +173,16 @@ def test_symbol_strictly_decreases(n, frac, w, step):
     assert hi < lo
 
 
-def test_kernel_table_requires_bounded_kernel():
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+def test_kernel_table_serves_unbounded_kernels(alpha):
+    # Khat(0) is infinite for alpha <= 1, but Khat is integrable and its
+    # closed forms exist; only the pointwise value at t = 0 is refused
+    P = ProblemParams(3, alpha)
+    kt = KernelTable.build(P)
+    assert math.isfinite(kt.norm_l1) and kt.norm_l1 > kt.fourier(1.0) > 0.0
+    assert kt.decay_constant == omega(2)
     with pytest.raises(IntegrabilityError):
-        KernelTable.build(ProblemParams(3, 1.0))
+        kernel_hat(P, 0.0)
 
 
 # ============================================================
@@ -210,7 +228,9 @@ def test_cylinder_profile_builds_its_spline_once(boundary, monkeypatch):
         builds.append(1)
         return CubicSpline(*args, **kwargs)
 
-    monkeypatch.setattr(cylinder, "CubicSpline", counted)
+    # the profile imports the spline class on first evaluation
+    CubicSpline = scipy.interpolate.CubicSpline
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted)
     t = np.linspace(-10.0, 10.0, 64)
     if boundary == "periodic":
         L = 64 * (t[1] - t[0])
@@ -445,16 +465,29 @@ def test_find_delaunay_orbit_solves_its_own_check():
 def test_find_delaunay_factors_at_most_two_fine_matrices(monkeypatch):
     sizes = []
 
-    def counted(a, *args, **kwargs):
+    def counted(a, b):
         sizes.append(a.shape[0])
-        return lu_factor(a, *args, **kwargs)
+        return np.linalg.solve(a, b)
 
-    monkeypatch.setattr(cylinder, "lu_factor", counted)
+    monkeypatch.setattr(cylinder, "solve", counted)
     uc, l0 = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
     assert sol.converged
     assert sum(size > 65 for size in sizes) <= 2
     assert max(sizes) == 513
+
+
+def test_find_delaunay_reads_the_cached_bifurcation_frequency():
+    P = ProblemParams(4, 1.7)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    info = cylinder._bifurcation_frequency.cache_info
+    find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=64)
+    before = info()
+    find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=128)
+    after = info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
 
 
 def test_find_delaunay_traces_far_from_the_bifurcation():

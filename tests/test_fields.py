@@ -10,6 +10,7 @@ from hartreelab import (Field, ProblemParams, RadialGrid, RadialProfile,
                         artifacts, make_bubble, make_hls_extremal,
                         make_singular_power, sample_radial, sharp_constants,
                         spherical_average, sphere_quadrature)
+from hartreelab import fields
 from hartreelab.constants import omega
 from hartreelab.errors import (GridError, SamplingError,
                                UnsupportedDimensionError)
@@ -200,6 +201,20 @@ def test_sphere_rule_moments(n):
     assert np.dot(weights, nodes[:, 0] ** 2) == pytest.approx(om / n, rel=1e-12)
     assert np.dot(weights, nodes[:, 0] ** 2 * nodes[:, 1] ** 2) == pytest.approx(
         om / (n * (n + 2.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("order", [14, 20])   # spherical_average's default; the scans'
+def test_sphere_rule_matches_scipy_gauss_jacobi(n, order):
+    from scipy.special import roots_jacobi
+    m, a = (order + 2) // 2, (n - 3) / 2.0
+    t, w = fields._gauss_jacobi(m, a)
+    t_ref, w_ref = roots_jacobi(m, a, a)
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    assert np.max(np.abs(w - w_ref)) <= 1e-14
+    # the product rule's polar coordinate runs over exactly these nodes
+    nodes, _ = fields._sphere_rule(n, order)
+    np.testing.assert_array_equal(np.unique(nodes[:, 0]), np.unique(t))
 
 
 def test_sphere_rule_dimension_guard():

@@ -84,15 +84,74 @@ def test_cli_import_skips_heavy_scipy_subpackages():
     # and the paper's two checks and the constants then import nothing more
     # than the locale module argparse asks for, so no lazy import of the
     # package lands inside a timed run
-    src = str(Path(hartreelab.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
-                         text=True, check=True, env=env)
-    doc = json.loads(out.stdout)
+    doc = _probe(_PROBE)
     assert doc["codes"] == [0, 0, 0]
     assert doc["at_import"] == []
     assert set(doc["by_main"]) <= set(_GETTEXT)
+
+
+_SOLVER_PROBE = """
+import contextlib, io, json, sys
+import hartreelab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hartreelab.cli.main(argv) for argv in (
+        ["delaunay", "--nodes", "128"],
+        ["moving-spheres", "--field", "bubble", "--x-offset", "0.3"],
+        ["asymptotics"])]
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules
+                                             if m == "scipy" or m.startswith("scipy.")]}))
+"""
+
+# the set-up and one job of the benchmark's warm library process
+_BRANCH_PROBE = """
+import json, sys
+import numpy as np
+from hartreelab import (Field, ProblemParams, TestSetSpec, asymptotics_report,
+                        critical_radius, default_radii, dispersion_root,
+                        equality_fit, find_delaunay, kernel_table, make_bubble,
+                        make_singular_power, nonlinearity_for)
+P = ProblemParams(3, 2.0)
+nl, kt = nonlinearity_for(P), kernel_table(P)
+u_c, l_0 = dispersion_root(P, nl, kt)
+ok = [find_delaunay(P, nl, 0.5 * u_c, 1.05 * l_0, 30, kt=kt, n_nodes=N).converged
+      for N in (512, 1024)]
+mu = critical_radius(make_singular_power(P), np.array([0.5, 0.0, 0.0]),
+                     TestSetSpec(seed=3), alpha=P.alpha)
+ok.append(abs(mu - 0.5) <= 1e-3)
+center = np.array([0.3, -0.1, 0.2])
+cloud = center + np.random.Generator(np.random.Philox(4)).normal(size=(400, 3)) * 1.5
+ok.append(equality_fit(make_bubble(P, center=center, mu=2.2), cloud).note == "bubble")
+bub = make_bubble(P)
+u = Field(n=3, fn=lambda pts: (1.0 + np.linalg.norm(pts, axis=1)) * bub(pts))
+rep = asymptotics_report(u, default_radii(1e-3, 2.0), P, center=np.zeros(3))
+ok.append(not rep.fits[0].rejected)
+print(json.dumps({"ok": ok, "scipy": [m for m in sys.modules
+                                       if m == "scipy" or m.startswith("scipy.")]}))
+"""
+
+
+def _probe(script):
+    src = str(Path(hartreelab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    return json.loads(out.stdout)
+
+
+def test_solver_commands_load_no_scipy():
+    # the Delaunay solver, the moving spheres with their bubble fit, and the
+    # asymptotic scans run on numpy alone
+    doc = _probe(_SOLVER_PROBE)
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["scipy"] == []
+
+
+def test_library_solvers_load_no_scipy():
+    # not just the set-up: the first solves load nothing that set-up skipped
+    doc = _probe(_BRANCH_PROBE)
+    assert all(doc["ok"])
+    assert doc["scipy"] == []
 
 
 # ============================================================

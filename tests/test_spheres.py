@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartreelab import spheres
 from hartreelab import (Field, ParameterDomainError, ParameterRangeError,
                         ProblemParams, SamplingError, SphereInversion,
                         TestSetSpec, bubble_image, comparison_deficit,
@@ -165,6 +166,34 @@ def test_deficit_test_set_is_admissible_and_reproducible():
     assert not np.array_equal(pts, deficit_test_set(3, x, 0.5, TestSetSpec(seed=1)))
 
 
+def _fresh_test_set(n, x, mu, spec):
+    # the set drawn from scratch, as deficit_test_set did before it cached
+    # its shell directions
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    offsets = mu * np.geomspace(1e-6, spec.shell_span - 1.0, spec.n_shells)
+    dirs = rng.normal(size=(spec.n_shells, spec.per_shell, n))
+    dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
+    shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
+    axis = x / np.linalg.norm(x)
+    ray = mu * np.geomspace(1e-7, spec.ray_span - 1.0, spec.ray_points // 2)
+    out = np.vstack([shells.reshape(-1, n), x[None, :] - (mu + ray)[:, None] * axis,
+                     x[None, :] + (mu + ray)[:, None] * axis])
+    return out[np.linalg.norm(out, axis=1) > 1e-9]
+
+
+def test_deficit_test_set_draws_its_directions_once():
+    x, spec = np.array([0.5, 0.0, 0.0]), TestSetSpec(seed=77)
+    for mu in (0.1, 0.5, 3.3):
+        assert np.array_equal(deficit_test_set(3, x, mu, spec),
+                              _fresh_test_set(3, x, mu, spec))
+    info = spheres._shell_directions.cache_info()
+    deficit_test_set(3, x, 1.7, spec)
+    assert spheres._shell_directions.cache_info().hits == info.hits + 1
+    # the cached directions cannot be written through
+    with pytest.raises(ValueError):
+        spheres._shell_directions(77, spec.n_shells, spec.per_shell, 3)[0, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("mu", [0.3, 1.0, 2.7])
 def test_singular_power_is_inversion_invariant(mu):
     # (mu/|y|)^(n-2) |mu^2 y/|y|^2|^(-nu) = |y|^(-nu) for nu = (n-2)/2:
@@ -266,6 +295,10 @@ def test_equality_fit_constant_short_circuit(sample_cloud):
     assert fit.note == "constant field"
     assert fit.mu_bar == 0.0
     assert fit.amplitude == pytest.approx(0.37, rel=1e-12)
+    # flat to 5e-10 over the cloud: a bubble too wide to tell from a constant
+    fit = equality_fit(make_bubble(P32, mu=1e-6), cloud)
+    assert fit.note == "constant field" and fit.converged
+    assert fit.mu_bar == 0.0 and fit.fit_error < 1e-9
 
 
 def test_equality_fit_rejects_nonpositive_samples(sample_cloud):
