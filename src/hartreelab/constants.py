@@ -28,6 +28,9 @@ The stored quantities, for p = (n + alpha)/(n - 2):
     k_n : s_n * h_n^((2-n)/(n+alpha))      (definitional identity)
     c_n : bubble amplitude,
           s_n^((n-a)(2-n)/(4(n-a+2))) k_n^((2-n)/(2(n-a+2))) (n(n-2))^((n-2)/4)
+    c_f : the F = c_f |u|^p under which the bubble solves the equation,
+          n(n-2) / (c_n^(2p-2) C), C = pi^(n/2) Gamma(a/2) / Gamma((n+a)/2)
+          the conformal constant: R_a * (1+r^2)^(-(n+a)/2) = C (1+r^2)^(-(n-a)/2)
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class SharpConstants:
     h_n: float             # sharp Riesz/convolution constant
     k_n: float             # s_n * h_n^((2-n)/(n+alpha))
     c_n: float             # bubble amplitude
+    c_f: float             # F-normalization that makes the bubble an exact solution
     omega: float           # surface measure of S^(n-1), the sphere in R^n
     omega_n: float         # surface measure of S^n (enters s_n)
     omega_n_minus_2: float  # surface measure of S^(n-2) (enters angular kernels)
@@ -129,6 +133,9 @@ def sharp_constants(params: ProblemParams) -> SharpConstants:
              + (n - 2.0) / 4.0 * (math.log(n) + math.log(n - 2.0)))
     c_n = _exp_checked(log_c, "log c_n")
 
+    log_conformal = n / 2.0 * math.log(math.pi) + math.lgamma(a / 2.0) - math.lgamma((n + a) / 2.0)
+    log_cf = math.log(n * (n - 2.0)) - 2.0 * params.p_minus_1 * log_c - log_conformal
+
     return SharpConstants(
         p=params.p,
         p_minus_1=params.p_minus_1,
@@ -136,6 +143,7 @@ def sharp_constants(params: ProblemParams) -> SharpConstants:
         h_n=h_n,
         k_n=k_n,
         c_n=c_n,
+        c_f=_exp_checked(log_cf, "log c_f"),
         omega=omega(n - 1),
         omega_n=_exp_checked(log_omega_n, "log omega_n"),
         omega_n_minus_2=omega(n - 2),

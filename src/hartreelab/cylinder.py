@@ -27,10 +27,11 @@ convolution multiplies by, and the ``KernelTable`` carries only these
 closed forms.
 
 On uniform t-grids this module owns the discrete convolution and the ODE
-residual, both through that symbol: on the line by the radial module's
-padded FFT convolution, untilted; on a period by the symbols w^2 + nu^2
-and Khat^(w) at w = 2 pi k / L.  Both are spectrally accurate for
-analytic profiles (Trefethen and Weideman, SIAM Review 56, 2014).  It
+residual, both by Fourier symbols, Khat^(w) and -w^2: on a period at w =
+2 pi k / L; on the line by the radial module's padded FFT convolution,
+untilted, and a window continued by e^{-nu|t|}.  Both are spectrally
+accurate for analytic profiles (Trefethen and Weideman, SIAM Review 56,
+2014).  It
 also owns the constant solution, its dispersion relation, and a finder
 that traces the even periodic (Delaunay) branch on a coarse grid, then
 polishes the prolonged orbit on the fine one.  The solvers run on numpy
@@ -54,7 +55,8 @@ from .constants import omega
 from .errors import AccuracyError, GridError, ParameterRangeError, SamplingError
 from .fields import Field, RadialGrid, RadialProfile
 from .params import CACHE_SIZE, ProblemParams
-from .riesz import NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier
+from .riesz import (_DIGITS, NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier,
+                    _next_fast_len)
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
@@ -274,15 +276,6 @@ def _frequencies(L: float, n_nodes: int) -> np.ndarray:
     return 2.0 * math.pi / L * np.arange(n_nodes // 2 + 1)
 
 
-def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
-    """Central second differences, one-sided second-order stencils at the ends."""
-    d2 = np.empty_like(v)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-    d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h ** 2
-    d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h ** 2
-    return d2
-
-
 def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
                          boundary: str) -> np.ndarray:
     """(Khat * g) on the uniform grid carrying g, boundary "line" or "periodic".
@@ -305,28 +298,33 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
 def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     """Residual of -U'' + nu^2 U = (Khat * F(U)) f(U) and its relative L2 norm.
 
-    Periodic profiles are differentiated and convolved through the Fourier
-    symbols the Delaunay finder solves with, decaying and data profiles by
-    second differences and the line convolution.  Both equation sides
-    cancel exponentially where U decays, so the norm is normalized by the
-    pointwise term scale |U''| + nu^2 |U| + |rhs| rather than by the
-    residual's own operands; the return is (residual CylinderProfile,
-    relative L2 norm over the grid).
+    U'' is the symbol -w^2 by one rfft pair, on the period itself (the
+    operator the Delaunay finder solves with) or, for a decaying profile,
+    on a line window continuing U from its end values by e^{-nu|t|}, the
+    decay of the linear part, until it has fallen by another 1e-17.  Data
+    profiles declare no tail to continue by: GridError.  Both equation
+    sides cancel exponentially where U decays, so the norm is normalized by
+    the pointwise term scale |U''| + nu^2 |U| + |rhs|; the return is
+    (residual CylinderProfile, relative L2 norm over the grid).
     """
-    nu2 = ((kt.n - 2) / 2.0) ** 2
-    h = U.spacing
-    v = U.values
-    if U.boundary == "periodic":
-        # as in _HalfGridSystem.residual, the mean skips the FFT
-        d2 = irfft(-_frequencies(v.size * h, v.size) ** 2 * rfft(v - v.mean()), v.size)
-        mode = "periodic"
-    else:
-        d2, mode = _second_difference(v, h), "line"
-    rhs = cylinder_convolution(nl.F(v), kt, h, mode) * nl.f(v)
-    res = -d2 + nu2 * v - rhs
-    scale = np.abs(d2) + nu2 * np.abs(v) + np.abs(rhs)
+    if U.boundary == "data":
+        raise GridError("ode_residual continues a profile by its boundary; "
+                        "data profiles declare none")
+    nu = (kt.n - 2) / 2.0
+    h, v = U.spacing, U.values
+    periodic = U.boundary == "periodic"
+    size = v.size if periodic else _next_fast_len(v.size + 2 * math.ceil(_DIGITS / nu / h))
+    left = (size - v.size) // 2
+    decay = np.exp(-nu * h * np.arange(1, size - v.size - left + 1))
+    window = np.concatenate([v[0] * decay[:left][::-1], v, v[-1] * decay])
+    # as in _HalfGridSystem.residual, the mean skips the FFT
+    d2 = irfft(-_frequencies(size * h, size) ** 2 * rfft(window - window.mean()),
+               size)[left:left + v.size]
+    rhs = cylinder_convolution(nl.F(v), kt, h, "periodic" if periodic else "line") * nl.f(v)
+    res = -d2 + nu * nu * v - rhs
+    scale = np.abs(d2) + nu * nu * np.abs(v) + np.abs(rhs)
     rel = math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
-    if U.boundary == "periodic":
+    if periodic:
         return CylinderProfile(U.t, res, boundary="periodic", period=U.period), rel
     # the residual of a decaying profile need not be below 1e-8 at the ends
     return CylinderProfile(U.t, res, boundary="data"), rel

@@ -319,11 +319,6 @@ class Field:
         return cls(n=n, fn=fn, is_radial=True, center=c, radial_fn=radial_fn,
                    singular_points=sing)
 
-    @classmethod
-    def from_profile(cls, n: int, profile: RadialProfile, center=None,
-                     extrapolate: bool = True) -> "Field":
-        return cls.radial(n, lambda r: profile(r, extrapolate=extrapolate), center=center)
-
     def plus_constant(self, h: float) -> "Field":
         """The field u + h (harmonic offsets enter tests only this way)."""
         base = self

@@ -27,12 +27,11 @@ potential is a convolution on the line (the Mellin convolution theorem;
 Titchmarsh, Introduction to the Theory of Fourier Integrals, 1937) whose
 symbol is a closed-form Gamma ratio.  On a grid uniform in log r it is a
 padded real FFT of the tilted source against that symbol, one tilt per half
-of the grid, a trapezoidal
-rule that converges exponentially for sources analytic in a strip
-(Trefethen & Weideman, SIAM Review 56, 2014).
+of the grid, a trapezoidal rule that converges exponentially for sources
+analytic in a strip (Trefethen & Weideman, SIAM Review 56, 2014).
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
-the differential form via the log-radius finite-difference Laplacian and
+the differential form by the symbols of d/dt on the same tilted windows,
 the integral form via the Green convolution u = c2 R_2 * rhs.  Relative
 residuals are normalized by the pointwise *term* scale (|u''| and
 |(n-2)u'|/r^2 separately, not their nearly-cancelling sum) because at
@@ -468,6 +467,55 @@ def _khat_convolve(G: np.ndarray, tau: np.ndarray, h: float, n: int, beta: float
     return H[:G.size][keep] - omega(n - 1) * images
 
 
+def _tilted_windows(g, grid: RadialGrid, e_in: float, e_out: float, s: float,
+                    bound: float):
+    """(tau, h, windows): G(tau) = e^{s tau} g(e^tau) on a log-uniform grid and past it.
+
+    ``g`` is a callable or a profile's grid values, continued as r^e_in and
+    r^e_out.  A window is (gamma, a half's grid nodes, their window nodes,
+    e^{-gamma tau} G), gamma a quarter of the tilt interval (max(-bound, s +
+    e_out), min(bound, s + e_in)) in from its top for the left half and from
+    its bottom for the right, which keeps the relative accuracy at both grid
+    ends.  Each tilted G falls by 1e-17 before the window ends, so neither
+    end is a jump for an FFT to ring on.
+    """
+    t = grid.log_r
+    m = t.size
+    h = (t[-1] - t[0]) / (m - 1)
+    if np.max(np.abs(t - (t[0] + h * np.arange(m)))) > 1e-14 * (1.0 + np.max(np.abs(t))):
+        raise GridError(
+            "transforms need a grid uniform in log r, such as default_grid or "
+            "RadialGrid.geometric without refine bands (or a [::k] subsample of one)")
+    lo, hi = max(-bound, s + e_out), min(bound, s + e_in)
+    if not lo < hi:
+        raise AccuracyError(f"outer tail s^({e_out}) decays no faster than the inner "
+                            f"s^({e_in}): no tilt tames both", achieved=math.inf)
+    gammas = (hi - (hi - lo) / 4.0, lo + (hi - lo) / 4.0)
+    reach_lo, reach_hi = _DIGITS / (s + e_in - gammas[0]), _DIGITS / (gammas[1] - s - e_out)
+    if max(reach_lo, reach_hi) > _MAX_REACH:
+        raise AccuracyError(
+            f"tails s^({e_in}), s^({e_out}) need a source window "
+            f"{max(reach_lo, reach_hi) / math.log(10.0):.0f} decades past the grid, "
+            "beyond the 100 the FFT rule allows", achieved=math.inf)
+    j_lo, j_hi = math.ceil(reach_lo / h), math.ceil(reach_hi / h)
+    tau = t[0] + h * np.arange(-j_lo, m + j_hi)
+    if callable(g):
+        G0 = np.exp(s * tau) * np.asarray(g(np.exp(tau)), dtype=float)
+    else:
+        G0 = np.concatenate([
+            g[0] * np.exp((s + e_in) * tau[:j_lo] - e_in * t[0]),
+            np.exp(s * tau[j_lo:j_lo + m]) * g,
+            g[-1] * np.exp((s + e_out) * tau[j_lo + m:] - e_out * t[-1])])
+    windows = []
+    for gamma, start, stop in zip(gammas, (0, m // 2), (m // 2, m)):
+        G = np.exp(-gamma * tau) * G0
+        if not np.all(np.isfinite(G)):
+            raise SamplingError(f"g(r) r^({s - gamma}) is not finite on the source window "
+                                f"[{math.exp(tau[0]):.1e}, {math.exp(tau[-1]):.1e}]")
+        windows.append((gamma, slice(start, stop), slice(j_lo + start, j_lo + stop), G))
+    return tau, h, windows
+
+
 def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = None,
                    inner_exponent: Optional[float] = None,
                    outer_exponent: Optional[float] = None) -> RadialProfile:
@@ -493,16 +541,10 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
     of Fourier Integrals, 1937) gives (R_beta * g)(e^t) = e^{-c t}
     (Khat * G)(t), G(tau) = e^{s tau} g(e^tau), and Khat * G = e^{gamma t}
     (Khat_gamma * e^{-gamma tau} G) for every tilt gamma, one
-    :func:`_khat_convolve` each.  The left half of the grid takes gamma a
-    quarter of the tilt interval below its top, the right half a quarter
-    above its bottom, which keeps the relative accuracy at both grid ends.
-    G is sampled on the grid's nodes and extended (a profile by its declared
-    power laws) until each tilted G has fallen by 1e-17, so neither window
-    end is a jump for the FFT to ring on.  Output lands on the source grid,
-    tail exponents set from the kernel's mapping properties.
+    :func:`_khat_convolve` per window of :func:`_tilted_windows`.  Output
+    lands on the source grid, tails set by the kernel's mapping properties.
     """
     n, beta = spec.n, spec.beta
-    profile = None
     if isinstance(g, RadialProfile):
         if grid is not None or inner_exponent is not None or outer_exponent is not None:
             raise ValueError("a RadialProfile source carries its own grid and exponents; "
@@ -511,8 +553,7 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             raise IntegrabilityError(
                 "riesz_convolve needs declared tail exponents; estimate_exponents "
                 "or declare them explicitly")
-        profile = g
-        grid, e_in, e_out = profile.grid, profile.inner_exponent, profile.outer_exponent
+        grid, e_in, e_out, g = g.grid, g.inner_exponent, g.outer_exponent, g.values
     else:
         if grid is None or inner_exponent is None or outer_exponent is None:
             raise ValueError("callable g needs grid=, inner_exponent=, outer_exponent=")
@@ -526,46 +567,12 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
             f"outer tail decays like s^({e_out}); need e_out + beta < 0 for the "
             "convolution to converge")
 
-    t = grid.log_r
-    m = t.size
-    h = (t[-1] - t[0]) / (m - 1)
-    if np.max(np.abs(t - (t[0] + h * np.arange(m)))) > 1e-14 * (1.0 + np.max(np.abs(t))):
-        raise GridError(
-            "riesz_convolve needs a grid uniform in log r, such as default_grid or "
-            "RadialGrid.geometric without refine bands (or a [::k] subsample of one)")
     c, s = (n - beta) / 2.0, (n + beta) / 2.0
-    lo, hi = max(-c, s + e_out), min(c, s + e_in)
-    if not lo < hi:
-        raise AccuracyError(f"outer tail s^({e_out}) decays no faster than the inner "
-                            f"s^({e_in}): no tilt tames both", achieved=math.inf)
-    gammas = (hi - (hi - lo) / 4.0, lo + (hi - lo) / 4.0)
-    # the source window: each tilted source has fallen by 1e-17 at its ends,
-    # so neither end is a jump the FFT would ring on
-    reach_lo, reach_hi = _DIGITS / (s + e_in - gammas[0]), _DIGITS / (gammas[1] - s - e_out)
-    if max(reach_lo, reach_hi) > _MAX_REACH:
-        raise AccuracyError(
-            f"tails s^({e_in}), s^({e_out}) need a source window "
-            f"{max(reach_lo, reach_hi) / math.log(10.0):.0f} decades past the grid, "
-            "beyond the 100 the FFT rule allows", achieved=math.inf)
-    j_lo, j_hi = math.ceil(reach_lo / h), math.ceil(reach_hi / h)
-    tau = t[0] + h * np.arange(-j_lo, m + j_hi)
-    # G(tau) = e^{s tau} g(e^tau); a profile's tails in one exponent each
-    if profile is None:
-        G0 = np.exp(s * tau) * np.asarray(g(np.exp(tau)), dtype=float)
-    else:
-        G0 = np.concatenate([
-            profile.values[0] * np.exp((s + e_in) * tau[:j_lo] - e_in * t[0]),
-            np.exp(s * tau[j_lo:j_lo + m]) * profile.values,
-            profile.values[-1] * np.exp((s + e_out) * tau[j_lo + m:] - e_out * t[-1])])
-    out = np.empty(m)
-    for gamma, start, stop in zip(gammas, (0, m // 2), (m // 2, m)):
-        G = np.exp(-gamma * tau) * G0
-        if not np.all(np.isfinite(G)):
-            raise SamplingError(f"g(r) r^({s - gamma}) is not finite on the source window "
-                                f"[{math.exp(tau[0]):.1e}, {math.exp(tau[-1]):.1e}]")
-        rows = slice(j_lo + start, j_lo + stop)
+    tau, h, windows = _tilted_windows(g, grid, e_in, e_out, s, c)
+    out = np.empty(grid.r.size)
+    for gamma, part, rows, G in windows:
         H = _khat_convolve(G, tau, h, n, beta, gamma, rows)
-        out[start:stop] = np.exp((gamma - c) * tau[rows]) * H
+        out[part] = np.exp((gamma - c) * tau[rows]) * H
 
     # mapping of tails: finite limit at 0 when g s^(beta-1) is integrable there,
     # potential decay r^(beta-n) at infinity when g has finite mass
@@ -577,40 +584,6 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
 # ============================================================
 # laplacian, rhs, calibration
 # ============================================================
-
-
-def _log_derivatives(t: np.ndarray, u: np.ndarray):
-    """(u_t, u_tt) by 3-point stencils on a (possibly uneven) log grid.
-
-    Interior stencils are the standard nonuniform second-order ones;
-    endpoints use one-sided cubic fits through four nodes.
-    """
-    m = t.size
-    ut = np.empty(m)
-    utt = np.empty(m)
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    um, uc, up = u[:-2], u[1:-1], u[2:]
-    ut[1:-1] = (-hp / (hm * (hm + hp)) * um
-                + (hp - hm) / (hm * hp) * uc
-                + hm / (hp * (hm + hp)) * up)
-    utt[1:-1] = 2.0 * (um / (hm * (hm + hp)) - uc / (hm * hp) + up / (hp * (hm + hp)))
-    for idx, sl in ((0, slice(0, 4)), (m - 1, slice(m - 4, m))):
-        tt = t[sl] - t[idx]
-        coef = np.polyfit(tt, u[sl], 3)
-        ut[idx] = coef[2]
-        utt[idx] = 2.0 * coef[1]
-    return ut, utt
-
-
-def _laplacian_parts(prof: RadialProfile, params: ProblemParams):
-    """(-Lap u, pointwise term scale) on the profile's grid."""
-    t = prof.grid.log_r
-    r2 = prof.grid.r ** 2
-    ut, utt = _log_derivatives(t, prof.values)
-    lap = (utt + (params.n - 2.0) * ut) / r2
-    scale = (np.abs(utt) + (params.n - 2.0) * np.abs(ut)) / r2
-    return -lap, scale
 
 
 def default_grid(per_decade: int = 96) -> RadialGrid:
@@ -769,18 +742,22 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
              window=(0.05, 20.0), *, c_f: float) -> tuple:
     """(differential, integral, forms_gap) of -Lap u = rhs for the given rhs.
 
-    differential: -Lap u - rhs, term-scale |u''| + (n-1)/r|u'| parts + |rhs|.
+    differential: -Lap u - rhs = -(u_tt + (n-2) u_t) / r^2 - rhs in t = ln r;
+                  scale (|u_tt| + (n-2) |u_t|) / r^2 + |rhs|.
     integral:     u - c2 R_2 * rhs with c2 the Green normalization of
                   :func:`newton_constant`; scale |u| + |c2 R_2 * rhs|.
 
     ``rhs`` is (R_alpha * F(u)) f(u) on u's grid, e.g. ``calibrate_cf(...).rhs``
     with ``c_f`` the normalization it was built at.  Relative norms are
-    weighted L2 over the window with the volume measure r^n dlog r.
+    weighted L2 over the window with the volume measure r^n dlog r.  u_t
+    and u_tt come from u's :func:`_tilted_windows` (s = 0, u's declared
+    tails): one rfft of each e^{-gamma t} u, times the symbols (i w + gamma)
+    and (i w + gamma)^2; a derivative is local, so no image is subtracted.
 
     For decaying u the Green convolution intertwines the two forms exactly:
     u - c2 R_2 * rhs = c2 R_2 * (-Lap u - rhs).  The forms gap is the
     weighted relative L2 distance of the two sides, normalized by |u|, over
-    the window; quadrature and stencil error are all that should remain.
+    the window; rounding and the tails' fit to u are all that should remain.
     """
     if not np.array_equal(rhs.grid.r, u.grid.r):
         raise GridError("the rhs must live on u's grid")
@@ -796,8 +773,19 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
                               residual=RadialProfile(u.grid, res),
                               scale=RadialProfile(u.grid, scale), **green_consts)
 
-    neglap, term_scale = _laplacian_parts(u, params)
-    res_d = neglap - rhs.values
+    if u.inner_exponent is None or u.outer_exponent is None:
+        raise IntegrabilityError("the residual continues u by its declared tail exponents")
+    tau, h, windows = _tilted_windows(u.values, u.grid, u.inner_exponent,
+                                      u.outer_exponent, 0.0, math.inf)
+    du = np.empty((2, u.values.size))   # u_t, u_tt
+    for gamma, part, rows, V in windows:
+        size = _next_fast_len(V.size)
+        d = 1j * (2.0 * math.pi / (size * h)) * np.arange(size // 2 + 1) + gamma
+        du[:, part] = np.exp(gamma * tau[rows]) * irfft(np.stack([d, d * d]) * rfft(V, size),
+                                                        size)[:, rows]
+    (ut, utt), r2 = du, u.grid.r ** 2
+    res_d = -(utt + (n - 2.0) * ut) / r2 - rhs.values
+    term_scale = (np.abs(utt) + (n - 2.0) * np.abs(ut)) / r2
     differential = report("differential", res_d, term_scale + np.abs(rhs.values))
 
     conv = c2 * riesz_convolve(rhs, green).values

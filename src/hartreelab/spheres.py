@@ -28,6 +28,8 @@ from .errors import (ConvergenceError, ParameterDomainError,
 from .fields import Field
 from .params import CACHE_SIZE, ProblemParams
 
+_DEFICIT_TOL = 1e-8   # a deficit below -_DEFICIT_TOL (|u| + |u_{x,mu}|) is a violation
+
 # ============================================================
 # inversions and Kelvin transforms
 # ============================================================
@@ -267,7 +269,7 @@ class ComparisonReport:
 
 def comparison_deficit(u: Field, inv: SphereInversion, test_points,
                        *, alpha: Optional[float] = None,
-                       deficit_tol: float = 1e-8) -> ComparisonReport:
+                       deficit_tol: float = _DEFICIT_TOL) -> ComparisonReport:
     """Evaluate u - u_{x,mu} pointwise over the test set.
 
     Deficits come from direct field evaluation, never from the kernel
@@ -275,8 +277,20 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
     A test point inside the sphere or at the origin is a caller error.
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
-    x = inv.center
-    mu = inv.radius
+    deficits, scales = _deficits(u, inv, pts)
+    bad = deficits < -deficit_tol * scales
+    rng = np.random.Generator(np.random.Philox(987654321))
+    return ComparisonReport(
+        inversion=inv, test_points=pts, deficits=deficits, scales=scales,
+        min_deficit=float(np.min(deficits)),
+        min_normalized=float(np.min(deficits / np.maximum(scales, 1e-300))),
+        violations=pts[bad], violation_deficits=deficits[bad],
+        kernel_checks=_kernel_positivity_check(u.n, inv, alpha, rng))
+
+
+def _deficits(u: Field, inv: SphereInversion, pts: np.ndarray):
+    """(u - u_{x,mu}, |u| + |u_{x,mu}|) at the rows of pts, checked admissible."""
+    x, mu = inv.center, inv.radius
     dist = np.linalg.norm(pts - x[None, :], axis=1)
     bad = dist < mu * (1.0 - 1e-12)
     if np.any(bad):
@@ -286,20 +300,9 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
             f"(|y-x| = {dist[k]:.6g} < mu = {mu:.6g})")
     if np.any(np.linalg.norm(pts, axis=1) == 0.0):
         raise SamplingError("the origin is never an admissible test point")
-
-    n = u.n
     u_at = u(pts)
-    u_mirror = (mu / dist) ** (n - 2.0) * u(invert_point(inv, pts))
-    deficits = u_at - u_mirror
-    scales = np.abs(u_at) + np.abs(u_mirror)
-    bad = deficits < -deficit_tol * scales
-    rng = np.random.Generator(np.random.Philox(987654321))
-    return ComparisonReport(
-        inversion=inv, test_points=pts, deficits=deficits, scales=scales,
-        min_deficit=float(np.min(deficits)),
-        min_normalized=float(np.min(deficits / np.maximum(scales, 1e-300))),
-        violations=pts[bad], violation_deficits=deficits[bad],
-        kernel_checks=_kernel_positivity_check(n, inv, alpha, rng))
+    u_mirror = (mu / dist) ** (u.n - 2.0) * u(invert_point(inv, pts))
+    return u_at - u_mirror, np.abs(u_at) + np.abs(u_mirror)
 
 
 # ============================================================
@@ -326,7 +329,9 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
     Bisection between mu_lo and mu_hi on the predicate "no deficit
     violations".  A predicate that already fails at mu_lo returns 0 with a
     note; one that still holds at mu_hi returns the ceiling flagged
-    unbounded (the constant-field branch of the dichotomy).
+    unbounded (the constant-field branch of the dichotomy).  A probe
+    evaluates the deficits only; ``alpha``, which only the kernel spot-checks
+    of ``comparison_deficit`` read, does not change the radius.
     """
     x = np.asarray(x, dtype=float)
     probes = 0
@@ -335,7 +340,8 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
         nonlocal probes
         probes += 1
         pts = deficit_test_set(u.n, x, mu, spec)
-        return comparison_deficit(u, SphereInversion(x, mu), pts, alpha=alpha).ok
+        deficits, scales = _deficits(u, SphereInversion(x, mu), pts)
+        return not np.any(deficits < -_DEFICIT_TOL * scales)
 
     if not holds(mu_lo):
         return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={mu_lo}",

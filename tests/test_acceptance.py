@@ -84,16 +84,15 @@ def test_sharp_constants_match_multiprecision_oracle():
 def test_bubble_residuals_small_in_both_equation_forms(params):
     t0 = time.perf_counter()
     window = (0.05, 20.0)
-    # 128 nodes per decade: the forms gap carries the second-difference
-    # stencil error through the Green convolution, and the (5, 3) pair
-    # needs h below log(10)/100 to push that under the 1e-3 contract
-    cal = riesz.calibrate_cf(params, window=window, per_decade=128)
-    prof = sample_radial(make_bubble(params), riesz.default_grid(128))
+    cal = riesz.calibrate_cf(params, window=window, per_decade=96)
+    # the bubble with its exact tails: bounded at 0, r^(2-n) at infinity
+    prof = sample_radial(make_bubble(params), riesz.default_grid(96),
+                         estimate_tails=False).with_exponents(0.0, 2.0 - params.n)
     *reports, gap = riesz.residual(prof, cal.rhs, params, window, c_f=cal.c_f)
     norms = {rep.form: rep.rel_norm for rep in reports}
     for form, rel_norm in norms.items():
-        assert rel_norm <= 1e-3, (form, rel_norm)
-    assert gap <= 1e-3, (norms, gap)
+        assert rel_norm <= 1e-9, (form, rel_norm)
+    assert gap <= 1e-9, (norms, gap)
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -153,7 +152,7 @@ def test_bubble_maps_to_the_cosh_profile_and_solves_the_ode(params):
     nl = nonlinearity_for(params)
     kt = kernel_table(params)
     _, rel = ode_residual(prof, nl, kt)
-    assert rel <= 1e-3, rel
+    assert rel <= 1e-10, rel
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -82,6 +82,13 @@ def test_kernel_command_stamps_artifacts(tmp_path, capsys):
         == doc["config_hash"]
 
 
+def test_kernel_command_serves_unbounded_kernels(capsys):
+    # Khat(0) is infinite for alpha <= 1, so the table skips t = 0
+    rc, stdout, stderr = run(capsys, "kernel", "--alpha", "0.5")
+    assert rc == 0, stderr
+    assert json.loads(stdout)["identity_max_error"] < 1e-8
+
+
 def test_delaunay_command_finds_the_orbit(tmp_path, capsys):
     out = tmp_path / "d"
     rc, stdout, _ = run(capsys, "delaunay", "--nodes", "128", "--steps", "12",
@@ -164,9 +171,21 @@ def test_bubble_check_command(capsys):
     rc, stdout, _ = run(capsys, "bubble-check", "--per-decade", "48")
     assert rc == 0
     doc = json.loads(stdout)
-    assert doc["differential"]["rel_norm"] < 1e-3
-    assert doc["integral"]["rel_norm"] < 1e-3
-    assert doc["forms_gap"] < 1e-3
+    assert doc["differential"]["rel_norm"] < 1e-10
+    assert doc["integral"]["rel_norm"] < 1e-13
+    assert doc["forms_gap"] < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("at", ["0.1", "0.99", "n - 0.1"])
+def test_bubble_check_passes_at_its_defaults(capsys, n, at):
+    # the exact bubble must pass the default 1e-8 certificate, c_f included
+    alpha = n - 0.1 if at == "n - 0.1" else float(at)
+    rc, stdout, stderr = run(capsys, "bubble-check", "--n", str(n), "--alpha", str(alpha))
+    assert rc == 0, stderr
+    doc = json.loads(stdout)
+    assert doc["tolerance"] == 1e-8
+    assert doc["c_f_analytic_error"] <= 1e-12
 
 
 def test_bubble_check_small_alpha_calibrates_exactly(capsys):

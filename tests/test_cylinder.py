@@ -350,6 +350,25 @@ def test_ode_residual_on_cylinder_bubble():
     assert res.boundary == "data" and res.period is None
 
 
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (4, 1.5), (5, 3.0)])
+def test_ode_residual_of_the_cylinder_bubble_is_rounding(n, alpha, h):
+    # U'' is the symbol -w^2 on the line window, as the convolution beside it
+    # is Khat's symbol: both are exact for the analytic (2 cosh t)^(-nu)
+    params = ProblemParams(n, alpha)
+    U = to_cylinder(make_bubble(params), params, spacing=h)
+    _, rel = ode_residual(U, nonlinearity_for(params), kernel_table(params))
+    assert rel <= 1e-10, rel
+
+
+def test_ode_residual_refuses_data_profiles():
+    # a data profile declares no tail to continue its window by
+    t = 0.1 * np.arange(-100, 101)
+    data = CylinderProfile(t, np.exp(-np.abs(t)), boundary="data")
+    with pytest.raises(GridError, match="data profiles"):
+        ode_residual(data, NL32, KT32)
+
+
 def test_ode_residual_on_constant_solution():
     uc = constant_solution(P32, NL32, KT32)
     L = 2.0 * math.pi

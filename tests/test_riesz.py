@@ -399,6 +399,7 @@ def test_calibration_matches_analytic_value(n, a):
     amp = sharp_constants(P).c_n
     analytic = n * (n - 2.0) / (amp ** (2.0 * P.p - 2.0) * conformal_constant(n, a))
     assert cal.c_f == pytest.approx(analytic, rel=1e-12)
+    assert sharp_constants(P).c_f == pytest.approx(analytic, rel=1e-13)
     if (n, a) in CF_FROZEN:
         assert cal.c_f == pytest.approx(CF_FROZEN[(n, a)], rel=1e-12)
     assert cal.residual_norm < 1e-12

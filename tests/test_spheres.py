@@ -235,6 +235,17 @@ def test_critical_radius_of_off_center_singular_power():
     assert cr.probes > 10
 
 
+def test_critical_radius_probes_evaluate_deficits_only(monkeypatch):
+    # the bisection reads only whether a deficit is violated; the kernel
+    # spot-checks are comparison_deficit's report, not the probes' work
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe ran the kernel spot-checks")
+
+    monkeypatch.setattr(spheres, "_kernel_positivity_check", refuse)
+    cr = critical_radius(make_singular_power(P32), [0.5, 0.0, 0.0], alpha=2.0)
+    assert abs(float(cr) - 0.5) < 2e-4
+
+
 def test_critical_radius_of_unit_bubble():
     cr = critical_radius(make_bubble(P32), np.zeros(3))
     assert abs(float(cr) - 1.0) < 2e-4
