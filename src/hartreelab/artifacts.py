@@ -31,7 +31,7 @@ def jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return jsonable(float(obj))   # through the non-finite guard below
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -114,14 +114,14 @@ def _ticks(lo: float, hi: float, log: bool):
 
 
 def svg_plot(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-             logx: bool = False, logy: bool = False,
-             width: float = 720.0, height: float = 480.0) -> None:
-    """Write a line plot to an SVG file.
+             logx: bool = False, logy: bool = False) -> None:
+    """Write a 720 x 480 line plot to an SVG file.
 
     ``series`` is a list of (label, x, y) triples.  Non-finite points (and,
     on log axes, non-positive ones) split a curve into separate segments
     rather than being silently dropped into a connecting stroke.
     """
+    width, height = 720.0, 480.0
     ml, mr, mt, mb = 64.0, 18.0, 34.0, 46.0
     pw, ph = width - ml - mr, height - mt - mb
 

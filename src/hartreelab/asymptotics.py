@@ -30,6 +30,7 @@ from .fields import Field, sphere_quadrature, spherical_average
 from .params import ProblemParams
 
 _SPHERE_ORDER = 20   # product-quadrature order backing averages and extrema
+_SLOPE_FLOOR = 0.8   # the least symmetry-ratio slope certified as the O(r) rate
 
 
 def default_radii(r_min: float, r_max: float) -> np.ndarray:
@@ -121,7 +122,7 @@ class SymmetryRatio:
         return {"r": self.radii, "ratio": self.ratios}
 
 
-def symmetry_ratio(u: Field, radii, center=None, slope_floor: float = 0.8) -> SymmetryRatio:
+def symmetry_ratio(u: Field, radii, center=None) -> SymmetryRatio:
     """Measure max u / min u − 1 on spheres and fit its decay toward r_min.
 
     A fitted slope of 1 is the O(|x|) symmetry rate; radial fields come out
@@ -148,7 +149,7 @@ def symmetry_ratio(u: Field, radii, center=None, slope_floor: float = 0.8) -> Sy
                              note="oscillation straddles round-off; no stable slope")
     slope = float(np.polyfit(np.log(r[last]), np.log(ratios[last]), 1)[0])
     return SymmetryRatio(radii=r, ratios=ratios, slope=slope,
-                         certified=bool(slope >= slope_floor),
+                         certified=bool(slope >= _SLOPE_FLOOR),
                          note="slope fitted over the smallest decade")
 
 
@@ -267,14 +268,18 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit
     Seven windows of width 8 about tau = -3..3 (periodic candidates: six
     starts across the period, windows half a period wide) are searched
     together by golden section to 1e-10; for periodic candidates the spread
-    of the minima doubles as a uniqueness check.
+    of the minima doubles as a uniqueness check.  Like the other scans it
+    probes u about the origin: along e_1, or by the exact profile for a
+    radial field centered there.
     """
     r = _check_radii(radii)
     name, w_fun, period = _candidate_profile(candidate, params)
     nu = params.nu
     t = -np.log(r)
-    uvals = u(np.concatenate([r[:, None], np.zeros((r.size, u.n - 1))], axis=1)) \
-        if not (u.is_radial and u.radial_fn is not None) else u.radial_fn(r)
+    if u.is_radial and u.radial_fn is not None and not np.any(u.center != 0.0):
+        uvals = u.radial_fn(r)   # the profile about the origin, exactly
+    else:
+        uvals = u(np.concatenate([r[:, None], np.zeros((r.size, u.n - 1))], axis=1))
     uvals = np.asarray(uvals, dtype=float)
     if np.any(uvals <= 0.0):
         raise ParameterDomainError("profile fit needs positive samples")

@@ -437,15 +437,8 @@ def _cmd_hls_check(cfg: dict) -> dict:
     params = _params(cfg)
     em = _Emitter("hls-check", cfg)
     check = riesz.hls_ratio(params, mu=cfg["mu"], per_decade=cfg["per_decade"])
-    doc = {
-        "n": params.n,
-        "alpha": params.alpha,
-        "mu": cfg["mu"],
-        "ratio": check.ratio,
-        "double_integral": check.double_integral,
-        "sharp_bound": check.sharp_bound,
-        "tolerance": cfg["tolerance"],
-    }
+    doc = check.summary()
+    doc.update(mu=cfg["mu"], tolerance=cfg["tolerance"])
     em.json("hls_check.json", doc)
     gap = abs(check.ratio - 1.0)
     if gap > cfg["tolerance"]:

@@ -136,14 +136,13 @@ class CylinderProfile:
         return out if out.ndim else float(out)
 
 
-def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01,
-                t_max: Optional[float] = None) -> CylinderProfile:
+def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01) -> CylinderProfile:
     """U(t) = r^((n-2)/2) u(r) at r = e^{-t}, resampled to a uniform t-grid.
 
     ``u`` may be a positive RadialProfile (interpolated, tails continued by
     its declared exponents) or a radial Field about the origin, in which
-    case the exact callable is used.  The default t-range is chosen so the
-    decaying-end contract (|U| <= 1e-8) holds; pass t_max to override.
+    case the exact callable is used.  The t-range is chosen so the
+    decaying-end contract (|U| <= 1e-8) holds.
     """
     nu = params.nu
     if isinstance(u, Field):
@@ -159,10 +158,9 @@ def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01,
     else:
         raise SamplingError(f"cannot map {type(u).__name__} to the cylinder")
 
-    if t_max is None:
-        # U ~ amp 2^nu e^{-nu|t|} for bubble-like decay: pad to reach 1e-9
-        t_max = (math.log(max(amp, 1e-3)) + 9.5 * math.log(10.0)) / nu + 2.0
-        t_max = min(max(t_max, 12.0), 300.0)
+    # U ~ amp 2^nu e^{-nu|t|} for bubble-like decay: pad to reach 1e-9
+    t_max = (math.log(max(amp, 1e-3)) + 9.5 * math.log(10.0)) / nu + 2.0
+    t_max = min(max(t_max, 12.0), 300.0)
     m = int(math.ceil(t_max / spacing))
     t = np.arange(-m, m + 1, dtype=float) * spacing
     r = np.exp(-t)
@@ -176,10 +174,7 @@ def from_cylinder(U: CylinderProfile, params: ProblemParams) -> RadialProfile:
     r = np.exp(-U.t[::-1])
     vals = r ** (-nu) * U.values[::-1]
     prof = RadialProfile(RadialGrid(r), vals)
-    est = prof.estimate_exponents()
-    if est is not None:
-        prof = prof.with_exponents(*est)
-    return prof
+    return prof.with_exponents(*prof.estimate_exponents())
 
 
 # ============================================================
@@ -195,16 +190,14 @@ def _khat_asymptotic(n: int, alpha: float, t: np.ndarray) -> np.ndarray:
     return omega(n - 1) * np.exp(q * log2c)
 
 
-def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
-    """The cylinder kernel Khat at t (scalar or array), to tolerance tol.
+def kernel_hat(params: ProblemParams, t):
+    """The cylinder kernel Khat at t (scalar or array), to relative 1e-10.
 
     The shared QUADPACK reference at d = cosh t - 1 for |t| < 25, the
     exact exponential tail beyond; independent of the Gauss-Jacobi rules
     in the radial module.  Raises an accuracy error if QUADPACK cannot
-    certify tol, and an integrability error at t = 0 when alpha <= 1.
+    certify 1e-10, and an integrability error at t = 0 when alpha <= 1.
     """
-    if tol <= 0:
-        raise ParameterRangeError("kernel_hat needs tol > 0")
     n, alpha = params.n, params.alpha
     arr = np.asarray(t, dtype=float)
     flat = np.abs(arr).ravel()
@@ -212,7 +205,7 @@ def kernel_hat(params: ProblemParams, t, tol: float = 1e-10):
     for i in np.flatnonzero(flat < _ASYMPTOTIC_T):
         # cosh t - 1, computed stably
         val, err = _kernel_quad(n, alpha, 2.0 * math.sinh(flat[i] / 2.0) ** 2)
-        if abs(err) > tol * val:
+        if abs(err) > 1e-10 * val:
             raise AccuracyError(
                 f"kernel_hat at t={flat[i]} certified only {abs(err) / val:.2e}",
                 achieved=abs(err) / val)
@@ -560,8 +553,8 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
 
 def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
                   epsilon_target: float, L: float, continuation_steps: int = 40,
-                  *, kt: Optional[KernelTable] = None, n_nodes: int = 512,
-                  newton_tol_factor: float = 1e-12) -> DelaunaySolution:
+                  *, kt: Optional[KernelTable] = None,
+                  n_nodes: int = 512) -> DelaunaySolution:
     """Trace the even periodic branch from its bifurcation to period L.
 
     The system is ``_HalfGridSystem``'s Fourier symbols, spectrally accurate
@@ -576,12 +569,12 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     1.5x after a corrector of at most 2 iterations and halved after a
     failed one.  Correctors stop at max|R| <= 1e-4 max(1, U_c), which keeps
     them on the branch; once L is crossed, the secant interpolant at L is
-    polished by Newton at fixed L to the full tolerance.  The orbit is then
-    prolonged to n_nodes by zero-padding its rfft and polished there once
-    more.  epsilon_target only sets partial_result (the neck stayed above
-    it).  If L lies on the other side of L_0, or is not crossed within
-    continuation_steps correctors, the constant is returned with
-    converged=False and partial_result=True.
+    polished by Newton at fixed L to max|R| <= 1e-12 (4 / h^2) max(1, U_c).
+    The orbit is then prolonged to n_nodes by zero-padding its rfft and
+    polished there once more.  epsilon_target only sets partial_result (the
+    neck stayed above it).  If L lies on the other side of L_0, or is not
+    crossed within continuation_steps correctors, the constant is returned
+    with converged=False and partial_result=True.
     """
     if L <= 0:
         raise ParameterRangeError("the period must be positive")
@@ -597,7 +590,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     system = _HalfGridSystem(params, nl, kt, L, n_nodes)
 
     def tol(s):
-        return newton_tol_factor * (4.0 / s.h ** 2) * max(1.0, uc)
+        return 1e-12 * (4.0 / s.h ** 2) * max(1.0, uc)
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)

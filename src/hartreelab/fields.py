@@ -3,10 +3,10 @@
 Positive radial quantities in this problem live across many decades and
 decay like powers at both ends, so the native representation is a
 geometric radial grid together with declared power-law exponents for the
-two tails.  Interpolation of positive profiles happens in (log r, log u)
-with a monotone cubic, which keeps interpolants positive and exact on
-pure power laws; non-positive profiles fall back to linear interpolation
-in the value.
+two tails; the transforms accept only grids uniform in log r.
+Interpolation of positive profiles happens in (log r, log u) with a
+monotone cubic, which keeps interpolants positive and exact on pure power
+laws; non-positive profiles fall back to linear interpolation in the value.
 
 Fields are lightweight wrappers around closed-form callables.  No global
 n-dimensional grid is ever built: pointwise evaluation, radial sampling
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +41,11 @@ _MAX_LOG_SPACING = _LOG10 / 16.0   # grid contract: at least 16 nodes per decade
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii, geometrically spaced up to refinement."""
+    """Strictly increasing positive radii, at least 16 per decade.
+
+    Transforms need the log-uniform grids of ``geometric`` (or a ``[::k]``
+    subsample of one); other radii serve sampling and interpolation only.
+    """
 
     r: np.ndarray
 
@@ -61,28 +65,15 @@ class RadialGrid:
                 "where at least 16 are required")
 
     @classmethod
-    def geometric(cls, r_min: float, r_max: float, per_decade: int = 96,
-                  refine: Optional[Sequence[tuple]] = None) -> "RadialGrid":
-        """Geometric grid with optional (lo, hi, factor) refinement bands."""
+    def geometric(cls, r_min: float, r_max: float, per_decade: int = 96) -> "RadialGrid":
+        """The log-uniform grid from r_min to r_max, per_decade nodes per decade."""
         if not (0.0 < r_min < r_max):
             raise GridError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
         if per_decade < 16:
             raise GridError(f"per_decade must be >= 16, got {per_decade}")
         decades = math.log10(r_max / r_min)
         num = int(math.ceil(decades * per_decade)) + 1
-        r = np.geomspace(r_min, r_max, num)
-        if refine:
-            pieces = [r]
-            for lo, hi, factor in refine:
-                if not (r_min <= lo < hi <= r_max):
-                    raise GridError(f"refinement band ({lo}, {hi}) outside grid range")
-                band_num = int(math.ceil(math.log10(hi / lo) * per_decade * factor)) + 1
-                pieces.append(np.geomspace(lo, hi, band_num))
-            r = np.unique(np.concatenate(pieces))
-            # collapse near-duplicates that would create degenerate spacings
-            keep = np.concatenate([[True], np.diff(np.log(r)) > 1e-12])
-            r = r[keep]
-        return cls(r)
+        return cls(np.geomspace(r_min, r_max, num))
 
     @property
     def r_min(self) -> float:
@@ -180,8 +171,8 @@ class RadialProfile:
 
     # ---------- exponents ----------
 
-    def estimate_exponents(self, decades: float = 1.0):
-        """Log-log regression slopes over the first and last `decades` of the grid.
+    def estimate_exponents(self):
+        """Log-log regression slopes over the first and last decade of the grid.
 
         Returns (inner, outer); an end containing non-positive values yields
         None there (the slope is undefined).
@@ -193,14 +184,14 @@ class RadialProfile:
                 return None
             return float(np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0])
 
-        lo = r <= r[0] * 10.0 ** decades
-        hi = r >= r[-1] * 10.0 ** (-decades)
+        lo = r <= r[0] * 10.0
+        hi = r >= r[-1] * 0.1
         return slope(lo), slope(hi)
 
-    def validate_exponents(self, tol: float = 0.1) -> bool:
+    def validate_exponents(self) -> bool:
         """Check declared exponents against measured end-decade slopes.
 
-        The comparison is |declared - measured| <= tol * max(1, |declared|);
+        The comparison is |declared - measured| <= 0.1 max(1, |declared|);
         an end with no declaration passes vacuously.
         """
         est_in, est_out = self.estimate_exponents()
@@ -211,7 +202,7 @@ class RadialProfile:
                 continue
             if measured is None:
                 ok = False
-            elif abs(declared - measured) > tol * max(1.0, abs(declared)):
+            elif abs(declared - measured) > 0.1 * max(1.0, abs(declared)):
                 ok = False
         return ok
 
@@ -346,29 +337,21 @@ class Field:
 # ============================================================
 
 
-def make_bubble(params: ProblemParams, center=None, mu: float = 1.0,
-                normalization: str = "hartree") -> Field:
-    """The explicit bubble amp * (1 + mu^2 |x - x0|^2)^(-(n-2)/2).
+def make_bubble(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
+    """The explicit bubble c_n (1 + mu^2 |x - x0|^2)^(-(n-2)/2).
 
-    normalization selects the amplitude: "hartree" uses the sharp-constant
-    amplitude c_n(alpha); "talenti" uses (n(n-2))^((n-2)/4), the amplitude
-    for which -Lap u = mu^2 u^((n+2)/(n-2)).
+    The amplitude is the sharp-constant c_n(alpha) of ``sharp_constants``;
+    ``scaled`` gives any other.
     """
     if mu <= 0.0:
         raise SamplingError(f"bubble scale mu must be positive, got {mu}")
-    n = params.n
     nu = params.nu
-    if normalization == "hartree":
-        amp = sharp_constants(params).c_n
-    elif normalization == "talenti":
-        amp = (n * (n - 2.0)) ** ((n - 2.0) / 4.0)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    amp = sharp_constants(params).c_n
 
     def radial_fn(r):
         return amp * (1.0 + (mu * np.asarray(r)) ** 2) ** (-nu)
 
-    return Field.radial(n, radial_fn, center=center, singular_center=False)
+    return Field.radial(params.n, radial_fn, center=center, singular_center=False)
 
 
 def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Field:

@@ -320,31 +320,14 @@ def _family(spec: AngularKernelSpec) -> _KernelFamily:
     return _KernelFamily(spec.n, spec.beta)
 
 
-def angular_kernel(spec: AngularKernelSpec, r, s, tol: Optional[float] = None):
+def angular_kernel(spec: AngularKernelSpec, r, s):
     """The angular kernel k_beta(r, s); vectorized over broadcast r, s.
 
-    With ``tol`` given, scalar inputs are re-evaluated against the adaptive
-    reference integrator and an AccuracyError carrying the achieved
-    agreement is raised if the two disagree beyond tol.  On the diagonal
-    r = s the kernel is finite only for beta > 1; beta <= 1 raises
-    IntegrabilityError there.
+    The rules are checked against the QUADPACK reference once per (n, beta),
+    when they are built.  On the diagonal r = s the kernel is finite only
+    for beta > 1; beta <= 1 raises IntegrabilityError there.
     """
-    fam = _family(spec)
-    val = fam.evaluate(r, s)
-    if tol is not None:
-        if np.ndim(val) != 0:
-            raise ValueError("tolerance-checked evaluation takes scalar r, s")
-        rr, ss = float(r), float(s)
-        d = (rr - ss) ** 2 / (2.0 * rr * ss) if rr * ss > 0 else math.inf
-        scale = (2.0 * rr * ss) ** fam.q if rr * ss > 0 else max(rr, ss) ** (2 * fam.q)
-        if math.isfinite(d):
-            ref, ref_err = _kernel_quad(spec.n, spec.beta, d)
-            err = abs(val - scale * ref) / abs(scale * ref)
-            if err > tol + 5.0 * abs(ref_err / ref):
-                raise AccuracyError(
-                    f"angular kernel at (r, s)=({rr}, {ss}) reached {err:.2e}, "
-                    f"requested {tol:.2e}", achieved=err)
-    return val
+    return _family(spec).evaluate(r, s)
 
 
 # ============================================================
@@ -485,7 +468,7 @@ def _tilted_windows(g, grid: RadialGrid, e_in: float, e_out: float, s: float,
     if np.max(np.abs(t - (t[0] + h * np.arange(m)))) > 1e-14 * (1.0 + np.max(np.abs(t))):
         raise GridError(
             "transforms need a grid uniform in log r, such as default_grid or "
-            "RadialGrid.geometric without refine bands (or a [::k] subsample of one)")
+            "RadialGrid.geometric (or a [::k] subsample of one)")
     lo, hi = max(-bound, s + e_out), min(bound, s + e_in)
     if not lo < hi:
         raise AccuracyError(f"outer tail s^({e_out}) decays no faster than the inner "
@@ -530,12 +513,12 @@ def riesz_convolve(g, spec: AngularKernelSpec, *, grid: Optional[RadialGrid] = N
 
     Preconditions (checked): e_in + n > 0 and e_out + beta < 0, otherwise the
     integral diverges (IntegrabilityError); a grid uniform in log r
-    (``default_grid``, ``RadialGrid.geometric`` without refinement bands, or
-    a ``[::k]`` subsample of one), else GridError; with c = (n-beta)/2 and
-    s = (n+beta)/2, a non-empty tilt interval (max(-c, s + e_out), min(c, s +
-    e_in)), i.e. e_out < e_in, and a source window reaching at most 100
-    decades past the grid, which holds when the interval is at least 4
-    ln(1e17)/ln(1e100) ~ 0.68 wide, else AccuracyError.
+    (``default_grid``, ``RadialGrid.geometric``, or a ``[::k]`` subsample of
+    one), else GridError; with c = (n-beta)/2 and s = (n+beta)/2, a
+    non-empty tilt interval (max(-c, s + e_out), min(c, s + e_in)), i.e.
+    e_out < e_in, and a source window reaching at most 100 decades past the
+    grid, which holds when the interval is at least 4 ln(1e17)/ln(1e100) ~
+    0.68 wide, else AccuracyError.
 
     The Mellin convolution theorem (Titchmarsh, Introduction to the Theory
     of Fourier Integrals, 1937) gives (R_beta * g)(e^t) = e^{-c t}
@@ -672,18 +655,14 @@ def hartree_potential(u: RadialProfile, params: ProblemParams, nl: NonlinearityS
 
 
 def hartree_rhs(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,
-                u_exact: Optional[Callable] = None, return_potential: bool = False):
-    """(R_alpha * F(u)) f(u) on u's grid; optionally also the potential v."""
+                u_exact: Optional[Callable] = None) -> RadialProfile:
+    """(R_alpha * F(u)) f(u) on u's grid, with v = :func:`hartree_potential`."""
     v = hartree_potential(u, params, nl, u_exact=u_exact)
     uu = u.values if u_exact is None else np.asarray(u_exact(u.grid.r), dtype=float)
-    rhs_vals = v.values * nl.f(uu)
-    rhs = RadialProfile(u.grid, rhs_vals,
-                        inner_exponent=(v.inner_exponent or 0.0)
-                        + (nl.p - 1.0) * u.inner_exponent,
-                        outer_exponent=v.outer_exponent + (nl.p - 1.0) * u.outer_exponent)
-    if return_potential:
-        return rhs, v
-    return rhs
+    return RadialProfile(u.grid, v.values * nl.f(uu),
+                         inner_exponent=(v.inner_exponent or 0.0)
+                         + (nl.p - 1.0) * u.inner_exponent,
+                         outer_exponent=v.outer_exponent + (nl.p - 1.0) * u.outer_exponent)
 
 
 # ============================================================

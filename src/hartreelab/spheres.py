@@ -29,6 +29,14 @@ from .fields import Field
 from .params import CACHE_SIZE, ProblemParams
 
 _DEFICIT_TOL = 1e-8   # a deficit below -_DEFICIT_TOL (|u| + |u_{x,mu}|) is a violation
+_MU_LO = 1e-3         # the critical radius's bisection floor
+
+# shape of the deficit test set, radii in units of mu
+_N_SHELLS = 20        # concentric shells just outside the sphere
+_PER_SHELL = 120      # random directions per shell
+_RAY_POINTS = 240     # points along the +/- ray, split evenly
+_SHELL_SPAN = 40.0    # outermost shell radius
+_RAY_SPAN = 60.0      # farthest ray offset from x
 
 # ============================================================
 # inversions and Kelvin transforms
@@ -190,16 +198,11 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
 
 @dataclass(frozen=True)
 class TestSetSpec:
-    """Shape of the deficit test set: shells around x plus the ray through 0 and x."""
+    """The deficit test set's Philox stream for its shell directions."""
 
     __test__ = False            # keeps pytest from collecting the Test* name
 
-    n_shells: int = 20          # concentric shells just outside the sphere
-    per_shell: int = 120        # random directions per shell
-    ray_points: int = 240       # points along the +/- ray, split evenly
-    shell_span: float = 40.0    # outermost shell radius, in units of mu
-    ray_span: float = 60.0      # farthest ray offset from x, in units of mu
-    seed: int = 20240817        # Philox stream for the shell directions
+    seed: int = 20240817
 
 
 def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) -> np.ndarray:
@@ -211,8 +214,8 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
     to the origin are dropped to honor the y != 0 contract.
     """
     x = np.asarray(x, dtype=float)
-    offsets = mu * np.geomspace(1e-6, spec.shell_span - 1.0, spec.n_shells)
-    dirs = _shell_directions(spec.seed, spec.n_shells, spec.per_shell, n)
+    offsets = mu * np.geomspace(1e-6, _SHELL_SPAN - 1.0, _N_SHELLS)
+    dirs = _shell_directions(spec.seed, n)
     shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
     pts = [shells.reshape(-1, n)]
     axis = np.zeros(n)
@@ -220,7 +223,7 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
         axis[:] = x / np.linalg.norm(x)
     else:
         axis[0] = 1.0
-    ray = mu * np.geomspace(1e-7, spec.ray_span - 1.0, spec.ray_points // 2)
+    ray = mu * np.geomspace(1e-7, _RAY_SPAN - 1.0, _RAY_POINTS // 2)
     pts.append(x[None, :] - (mu + ray)[:, None] * axis[None, :])
     pts.append(x[None, :] + (mu + ray)[:, None] * axis[None, :])
     out = np.vstack(pts)
@@ -228,10 +231,10 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _shell_directions(seed: int, n_shells: int, per_shell: int, n: int) -> np.ndarray:
+def _shell_directions(seed: int, n: int) -> np.ndarray:
     """Unit directions of the test-set shells, drawn once per stream; read-only."""
     rng = np.random.Generator(np.random.Philox(seed))
-    dirs = rng.normal(size=(n_shells, per_shell, n))
+    dirs = rng.normal(size=(_N_SHELLS, _PER_SHELL, n))
     dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
     dirs.flags.writeable = False
     return dirs
@@ -268,8 +271,7 @@ class ComparisonReport:
 
 
 def comparison_deficit(u: Field, inv: SphereInversion, test_points,
-                       *, alpha: Optional[float] = None,
-                       deficit_tol: float = _DEFICIT_TOL) -> ComparisonReport:
+                       *, alpha: Optional[float] = None) -> ComparisonReport:
     """Evaluate u - u_{x,mu} pointwise over the test set.
 
     Deficits come from direct field evaluation, never from the kernel
@@ -278,7 +280,7 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
     deficits, scales = _deficits(u, inv, pts)
-    bad = deficits < -deficit_tol * scales
+    bad = deficits < -_DEFICIT_TOL * scales
     rng = np.random.Generator(np.random.Philox(987654321))
     return ComparisonReport(
         inversion=inv, test_points=pts, deficits=deficits, scales=scales,
@@ -322,12 +324,12 @@ class CriticalRadiusValue(float):
 
 
 def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
-                    mu_lo: float = 1e-3, mu_hi: float = 8.0, xtol: float = 1e-4,
+                    mu_hi: float = 8.0, xtol: float = 1e-4,
                     alpha: Optional[float] = None) -> CriticalRadiusValue:
     """Largest verified mu with nonnegative deficit over the sampled test set.
 
-    Bisection between mu_lo and mu_hi on the predicate "no deficit
-    violations".  A predicate that already fails at mu_lo returns 0 with a
+    Bisection between 1e-3 and mu_hi on the predicate "no deficit
+    violations".  A predicate that already fails at 1e-3 returns 0 with a
     note; one that still holds at mu_hi returns the ceiling flagged
     unbounded (the constant-field branch of the dichotomy).  A probe
     evaluates the deficits only; ``alpha``, which only the kernel spot-checks
@@ -343,13 +345,13 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
         deficits, scales = _deficits(u, SphereInversion(x, mu), pts)
         return not np.any(deficits < -_DEFICIT_TOL * scales)
 
-    if not holds(mu_lo):
-        return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={mu_lo}",
+    if not holds(_MU_LO):
+        return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={_MU_LO}",
                                    probes=probes)
     if holds(mu_hi):
         return CriticalRadiusValue(mu_hi, note="deficit nonnegative up to the probe ceiling",
                                    unbounded=True, probes=probes)
-    lo, hi = mu_lo, mu_hi
+    lo, hi = _MU_LO, mu_hi
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if holds(mid):

@@ -167,6 +167,17 @@ def test_profile_fit_matches_the_bubble_limit():
     assert fit.multistart_spread is None
 
 
+def test_profile_fit_probes_an_off_center_radial_field_about_the_origin():
+    # the radial shortcut serves only a field centered at the origin; off
+    # center the fit must see what the pointwise field shows along e_1
+    u = make_bubble(P32, center=[0.5, 0.0, 0.0])
+    radii = default_radii(1e-3, 2.0)
+    fit = profile_fit(u, "cylinder_bubble", radii, P32)
+    want = profile_fit(Field(n=3, fn=u.fn), "cylinder_bubble", radii, P32)
+    assert fit.tau == want.tau and fit.error_smallest == want.error_smallest
+    assert fit.tau == pytest.approx(0.22, abs=0.01)
+
+
 def test_profile_fit_finds_the_dilation_translation():
     # mu^nu c_n (1 + mu^2 r^2)^(-nu) is the dilated solution; on the
     # cylinder that is the same profile translated by -ln mu

@@ -8,9 +8,10 @@ of the semantic config (everything except `out` and `plot`).
 import json
 import math
 
+import numpy as np
 import pytest
 
-from hartreelab import cli, riesz, sharp_constants, ProblemParams
+from hartreelab import artifacts, cli, riesz, sharp_constants, ProblemParams
 
 
 def run(capsys, *argv):
@@ -22,6 +23,13 @@ def run(capsys, *argv):
 # ============================================================
 # happy paths
 # ============================================================
+
+
+def test_json_writes_non_finite_numpy_scalars_as_strings():
+    doc = {"a": np.float64("nan"), "b": np.float32("inf"), "c": np.float64("-inf")}
+    text = artifacts.dumps_json(doc)
+    assert json.loads(text) == {"a": "nan", "b": "inf", "c": "-inf"}
+    assert text == artifacts.dumps_json({"a": math.nan, "b": math.inf, "c": -math.inf})
 
 
 def test_constants_summary_and_artifacts(tmp_path, capsys):

@@ -38,15 +38,6 @@ def test_grid_contracts():
     assert len(g) == 4 * 32 + 1
 
 
-def test_grid_refinement_bands():
-    g = RadialGrid.geometric(1e-2, 1e2, 32, refine=[(0.5, 2.0, 3.0)])
-    base = RadialGrid.geometric(1e-2, 1e2, 32)
-    assert len(g) > len(base)
-    assert np.all(np.diff(g.r) > 0.0)
-    with pytest.raises(GridError):
-        RadialGrid.geometric(1e-2, 1e2, 32, refine=[(1e-3, 1.0, 2.0)])
-
-
 def test_profile_interpolation_and_extrapolation():
     grid = RadialGrid.geometric(0.1, 10.0, 48)
     prof = RadialProfile(grid, grid.r ** -1.5, inner_exponent=-1.5,
@@ -62,6 +53,21 @@ def test_profile_interpolation_and_extrapolation():
     bare = RadialProfile(grid, grid.r ** -1.5)
     with pytest.raises(SamplingError):
         bare(30.0, extrapolate=True)    # no declared exponent to use
+
+
+def test_profile_with_a_sign_change_interpolates_linearly_in_r():
+    grid = RadialGrid.geometric(0.1, 10.0, 16)
+    prof = RadialProfile(grid, 1.0 - grid.r, inner_exponent=0.5, outer_exponent=-2.0)
+    assert not prof.is_positive
+    # linear in r is exact inside the grid, the log-log cubic is not defined
+    r = np.array([0.13, 1.0, 2.7, 9.9])
+    np.testing.assert_allclose(prof(r), 1.0 - r, rtol=0.0, atol=1e-15)
+    # outside it the declared tails take over from the end values
+    lo, hi = grid.r_min, grid.r_max
+    assert prof(0.02, extrapolate=True) == pytest.approx(
+        (1.0 - lo) * (0.02 / lo) ** 0.5, rel=1e-15)
+    assert prof(40.0, extrapolate=True) == pytest.approx(
+        (1.0 - hi) * (40.0 / hi) ** -2.0, rel=1e-15)
 
 
 def test_profile_exponent_estimation():
@@ -137,10 +143,11 @@ def test_bubble_values_and_scaling():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_talenti_bubble_solves_local_equation(n):
-    # -Lap u = mu^2 u^((n+2)/(n-2)) for the talenti normalization
+    # -Lap u = mu^2 u^((n+2)/(n-2)) at the amplitude (n(n-2))^((n-2)/4)
     P = ProblemParams(n, 2.0)
     mu = 1.7
-    u = make_bubble(P, mu=mu, normalization="talenti")
+    talenti = (n * (n - 2.0)) ** ((n - 2.0) / 4.0)
+    u = make_bubble(P, mu=mu).scaled(talenti / sharp_constants(P).c_n)
     pts = np.array([[0.3] + [0.1] * (n - 1), [1.0] + [0.0] * (n - 1)])
     lap = fd_laplacian(u, pts, h=1e-3)
     want = mu ** 2 * u(pts) ** ((n + 2.0) / (n - 2.0))

@@ -155,9 +155,8 @@ def test_comparison_kernel_sign_and_boundary():
 def test_deficit_test_set_is_admissible_and_reproducible():
     x = np.array([0.5, 0.0, 0.0])
     pts = deficit_test_set(3, x, 0.5)
-    spec = TestSetSpec()
     assert pts.shape[1] == 3
-    assert pts.shape[0] <= spec.n_shells * spec.per_shell + spec.ray_points
+    assert pts.shape[0] <= spheres._N_SHELLS * spheres._PER_SHELL + spheres._RAY_POINTS
     dist = np.linalg.norm(pts - x, axis=1)
     assert np.min(dist) >= 0.5
     assert np.min(np.linalg.norm(pts, axis=1)) > 1e-9
@@ -170,12 +169,12 @@ def _fresh_test_set(n, x, mu, spec):
     # the set drawn from scratch, as deficit_test_set did before it cached
     # its shell directions
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    offsets = mu * np.geomspace(1e-6, spec.shell_span - 1.0, spec.n_shells)
-    dirs = rng.normal(size=(spec.n_shells, spec.per_shell, n))
+    offsets = mu * np.geomspace(1e-6, spheres._SHELL_SPAN - 1.0, spheres._N_SHELLS)
+    dirs = rng.normal(size=(spheres._N_SHELLS, spheres._PER_SHELL, n))
     dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
     shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
     axis = x / np.linalg.norm(x)
-    ray = mu * np.geomspace(1e-7, spec.ray_span - 1.0, spec.ray_points // 2)
+    ray = mu * np.geomspace(1e-7, spheres._RAY_SPAN - 1.0, spheres._RAY_POINTS // 2)
     out = np.vstack([shells.reshape(-1, n), x[None, :] - (mu + ray)[:, None] * axis,
                      x[None, :] + (mu + ray)[:, None] * axis])
     return out[np.linalg.norm(out, axis=1) > 1e-9]
@@ -191,7 +190,7 @@ def test_deficit_test_set_draws_its_directions_once():
     assert spheres._shell_directions.cache_info().hits == info.hits + 1
     # the cached directions cannot be written through
     with pytest.raises(ValueError):
-        spheres._shell_directions(77, spec.n_shells, spec.per_shell, 3)[0, 0, 0] = 0.0
+        spheres._shell_directions(77, 3)[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("mu", [0.3, 1.0, 2.7])
