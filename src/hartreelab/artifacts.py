@@ -75,10 +75,10 @@ def write_csv(path, columns: dict, header_lines=()) -> None:
     arrays = [np.asarray(columns[k]) for k in names]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ValueError("CSV columns must share a length")
+    cells = [repr(a.astype(float).tolist())[1:-1].split(", ") for a in arrays if a.size]
     lines = [f"# {h}" for h in header_lines]
     lines.append(",".join(names))
-    for row in zip(*arrays):
-        lines.append(",".join(format_float(v) for v in row))
+    lines.extend(",".join(row) for row in zip(*cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -203,7 +203,7 @@ def svg_plot(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "
         color = _PALETTE[k % len(_PALETTE)]
         pts = []
         segs = []
-        for xi, yi, good in zip(x, y, ok):
+        for xi, yi, good in zip(x.tolist(), y.tolist(), ok.tolist()):
             if good:
                 pts.append(f"{px(xi):.2f},{py(yi):.2f}")
             elif pts:

@@ -259,7 +259,8 @@ def _golden_minimize(cost, lo: np.ndarray, hi: np.ndarray, tol: float):
     return np.where(left, fc, fd), np.where(left, c, d)
 
 
-def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit:
+def profile_fit(u: Field, candidate, radii, params: ProblemParams,
+                center=None) -> ProfileFit:
     """Fit one t-translation and report per-radius errors against the candidate.
 
     The translation (a radial dilation of the candidate) is optimized by
@@ -269,17 +270,18 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams) -> ProfileFit
     starts across the period, windows half a period wide) are searched
     together by golden section to 1e-10; for periodic candidates the spread
     of the minima doubles as a uniqueness check.  Like the other scans it
-    probes u about the origin: along e_1, or by the exact profile for a
-    radial field centered there.
+    probes u about ``center`` (the origin by default): along e_1, or by the
+    exact profile for a radial field centered there.
     """
     r = _check_radii(radii)
     name, w_fun, period = _candidate_profile(candidate, params)
     nu = params.nu
     t = -np.log(r)
-    if u.is_radial and u.radial_fn is not None and not np.any(u.center != 0.0):
-        uvals = u.radial_fn(r)   # the profile about the origin, exactly
+    c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
+    if u.is_radial and u.radial_fn is not None and np.array_equal(u.center, c):
+        uvals = u.radial_fn(r)   # the profile about the center, exactly
     else:
-        uvals = u(np.concatenate([r[:, None], np.zeros((r.size, u.n - 1))], axis=1))
+        uvals = u(c + r[:, None] * np.eye(u.n)[0])
     uvals = np.asarray(uvals, dtype=float)
     if np.any(uvals <= 0.0):
         raise ParameterDomainError("profile fit needs positive samples")
@@ -361,7 +363,7 @@ def asymptotics_report(u: Field, radii, params: ProblemParams,
                        candidates: Sequence = ("cylinder_bubble",),
                        center=None) -> AsymptoticsReport:
     """Run the three scans and the profile fits in one deterministic pass."""
-    fits = tuple(profile_fit(u, c, radii, params) for c in candidates)
+    fits = tuple(profile_fit(u, c, radii, params, center=center) for c in candidates)
     return AsymptoticsReport(
         n=params.n, alpha=params.alpha,
         upper=upper_bound_scan(u, radii, center=center),

@@ -3,19 +3,20 @@
 Seven subcommands (constants, bubble-check, kernel, delaunay,
 moving-spheres, asymptotics, hls-check), each driven by a flat config that
 resolves in three layers: schema defaults, then a JSON config file, then
-explicit flags, with flags winning.  A run with --out records its resolved
-config next to its artifacts, every artifact embeds the config hash, and
-re-running from a recorded config reproduces the artifacts byte for byte;
-all randomness flows from the single `seed` through counter-based Philox
-streams.
+explicit flags, with flags winning.  Flags are read straight from the schema
+table as ``--flag value`` or ``--flag=value``, bools bare, never abbreviated;
+``--help`` lists the commands, or one command's flags.  A run with --out
+records its resolved config next to its artifacts, every artifact embeds the
+config hash, and re-running from a recorded config reproduces the artifacts
+byte for byte; all randomness flows from the single `seed` through
+counter-based Philox streams.
 
-Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure,
-4 non-convergence.
+Exit codes: 0 success (and --help), 2 config or flag error, 3
+numerical-accuracy failure, 4 non-convergence.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
@@ -464,65 +465,71 @@ COMMANDS = {
 # ============================================================
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser, every command listed; flags only for ``command`` if given."""
-    parser = argparse.ArgumentParser(
-        prog="hartreelab",
-        description="Numerical toolkit for a critical nonlocal elliptic equation: "
-                    "sharp constants, bubble residuals, cylinder kernels, "
-                    "Delaunay orbits, moving-spheres comparisons, and "
-                    "singularity asymptotics.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, schema in SCHEMAS.items():
-        sp = sub.add_parser(name, help=f"run the {name} pipeline")
-        if command is not None and name != command:
-            continue
-        sp.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON config; flags override its values")
-        for key, opt in schema.items():
-            flag = "--" + key.replace("_", "-")
-            if opt.kind is bool:
-                sp.add_argument(flag, dest=key, action="store_true",
-                                default=argparse.SUPPRESS, help=opt.help)
-            else:
-                sp.add_argument(flag, dest=key, type=opt.kind,
-                                default=argparse.SUPPRESS, help=opt.help)
-    return parser
+_USAGE = "usage: hartreelab <command> [--config FILE] [--flag value | --flag=value ...]"
+
+
+def _help(command: Optional[str]) -> str:
+    """The command list, or one command's flags with their help and defaults."""
+    if command is None:
+        return f"{_USAGE}\n\ncommands: {', '.join(SCHEMAS)}\n"
+    lines = [_USAGE.replace("<command>", command), "",
+             f"  {'--config FILE':26s}JSON config; flags override its values"]
+    for key, opt in SCHEMAS[command].items():
+        flag = "--" + key.replace("_", "-")
+        flag += "" if opt.kind is bool else " " + opt.kind.__name__.upper()
+        lines.append(f"  {flag:26s}{opt.help} (default {opt.default!r})")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_flags(command: str, words: list) -> tuple:
+    """``--flag value`` and ``--flag=value`` words to (config file, overrides)."""
+    keys = {"--" + key.replace("_", "-"): key for key in ("config", *SCHEMAS[command])}
+    config, overrides, words = None, {}, list(words)
+    while words:
+        word = words.pop(0)
+        flag, eq, value = word.partition("=")
+        if flag not in keys:
+            raise ConfigError(f"{command}: unknown argument {word!r}")
+        key = keys[flag]
+        kind = str if key == "config" else SCHEMAS[command][key].kind
+        if kind is bool:
+            if eq:
+                raise ConfigError(f"{command}: {flag} takes no value, got {word!r}")
+            value = True
+        else:
+            if not eq:
+                if not words:
+                    raise ConfigError(f"{command}: {flag} needs a value")
+                value = words.pop(0)
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ConfigError(f"{command}: {flag} expects {kind.__name__}, got {value!r}")
+        if key == "config":
+            config = value
+        else:
+            overrides[key] = value
+    return config, overrides
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no value-carrying flag, so the first word that
-    # is not a flag names the command: only its flags are built
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config")}
-    try:
-        cfg = resolve_config(args.command, args.config, overrides)
-    except ConfigError as exc:
-        print(artifacts.dumps_json({"error": "ConfigError", "message": str(exc)}),
-              file=sys.stderr, end="")
+    command = argv[0] if argv and argv[0] in SCHEMAS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command), end="")
+        return 0
+    if not argv:
+        print(_USAGE, file=sys.stderr)
         return 2
     try:
-        summary = COMMANDS[args.command](cfg)
-    except ConvergenceError as exc:
-        print(artifacts.dumps_json({"error": type(exc).__name__,
-                                    "message": str(exc)}),
+        if command is None:
+            raise ConfigError(f"unknown command {argv[0]!r}; one of {', '.join(SCHEMAS)}")
+        summary = COMMANDS[command](resolve_config(command, *_parse_flags(command, argv[1:])))
+    except (ConfigError, HartreelabError) as exc:
+        print(artifacts.dumps_json({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr, end="")
-        return 4
-    except ConfigError as exc:
-        print(artifacts.dumps_json({"error": "ConfigError", "message": str(exc)}),
-              file=sys.stderr, end="")
-        return 2
-    except HartreelabError as exc:
-        print(artifacts.dumps_json({"error": type(exc).__name__,
-                                    "message": str(exc)}),
-              file=sys.stderr, end="")
-        return 3
+        return (2 if isinstance(exc, ConfigError) else
+                4 if isinstance(exc, ConvergenceError) else 3)
     print(artifacts.dumps_json(summary), end="")
     return 0
 

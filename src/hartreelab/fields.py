@@ -103,7 +103,7 @@ class RadialProfile:
     ``inner_exponent`` / ``outer_exponent`` describe u ~ c r^e below r_min
     and above r_max.  They are declarations (used for extrapolation and for
     analytic tail integrals), not measurements; ``estimate_exponents``
-    measures, ``validate_exponents`` compares the two.
+    measures.
     """
 
     grid: RadialGrid
@@ -187,24 +187,6 @@ class RadialProfile:
         lo = r <= r[0] * 10.0
         hi = r >= r[-1] * 0.1
         return slope(lo), slope(hi)
-
-    def validate_exponents(self) -> bool:
-        """Check declared exponents against measured end-decade slopes.
-
-        The comparison is |declared - measured| <= 0.1 max(1, |declared|);
-        an end with no declaration passes vacuously.
-        """
-        est_in, est_out = self.estimate_exponents()
-        ok = True
-        for declared, measured in ((self.inner_exponent, est_in),
-                                   (self.outer_exponent, est_out)):
-            if declared is None:
-                continue
-            if measured is None:
-                ok = False
-            elif abs(declared - measured) > 0.1 * max(1.0, abs(declared)):
-                ok = False
-        return ok
 
     # ---------- serialization ----------
 

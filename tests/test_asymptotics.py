@@ -266,3 +266,19 @@ def test_asymptotics_report_summary_and_files(tmp_path):
     rep.to_json(tmp_path / "report.json")
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded["symmetry_slope"] is None
+
+
+def test_asymptotics_report_fits_the_profile_about_its_center():
+    # every part of the report reads the field about the one center: a
+    # bubble centered there is exactly the cylinder bubble, untranslated
+    c = np.array([0.5, 0.0, 0.0])
+    u = make_bubble(P32, center=c)
+    rep = asymptotics_report(u, default_radii(1e-3, 2.0), P32, center=c)
+    fit = rep.fits[0]
+    assert abs(fit.tau) < 1e-6
+    assert fit.error_smallest <= 1e-10
+    assert not fit.rejected
+    # off the shortcut, the pointwise field probed about c agrees
+    pointwise = profile_fit(Field(n=3, fn=u.fn), "cylinder_bubble",
+                            default_radii(1e-3, 2.0), P32, center=c)
+    assert abs(pointwise.tau) < 1e-6 and pointwise.error_smallest <= 1e-10

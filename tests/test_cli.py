@@ -32,6 +32,19 @@ def test_json_writes_non_finite_numpy_scalars_as_strings():
     assert text == artifacts.dumps_json({"a": math.nan, "b": math.inf, "c": -math.inf})
 
 
+def test_csv_cells_are_format_float(tmp_path):
+    floats = [5e-324, -2.2e-308, 0.0, -0.0, 3.0, -7.0, 1e300, -1e-300, 0.1,
+              math.nan, math.inf, -math.inf]
+    ints = np.arange(-5, len(floats) - 5)
+    artifacts.write_csv(tmp_path / "t.csv", {"x": np.array(floats), "k": ints}, ["h"])
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[:2] == ["# h", "x,k"]
+    assert lines[2:] == [f"{artifacts.format_float(x)},{artifacts.format_float(k)}"
+                         for x, k in zip(floats, ints)]
+    artifacts.write_csv(tmp_path / "e.csv", {"x": [], "y": []})
+    assert (tmp_path / "e.csv").read_text() == "x,y\n"
+
+
 def test_constants_summary_and_artifacts(tmp_path, capsys):
     out = tmp_path / "run1"
     rc, stdout, _ = run(capsys, "constants", "--alpha", "2.0", "--out", str(out))
@@ -288,22 +301,55 @@ def test_no_command_prints_usage(capsys):
     assert "usage" in cap.err.lower()
 
 
-def test_help_lists_every_command_and_a_run_builds_only_its_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
+def test_help_lists_every_command_and_each_commands_flags(capsys):
+    assert cli.main(["--help"]) == 0
     listing = capsys.readouterr().out
     assert all(command in listing for command in cli.SCHEMAS)
-    with pytest.raises(SystemExit):
-        cli.main(["hls-check", "--help"])
-    assert "--per-decade" in capsys.readouterr().out
-    # the parser of one command carries no other command's flags
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["hls-check", "--window-lo", "0.1"])
-    assert exc.value.code == 2
-    assert "--window-lo" in capsys.readouterr().err
-    parser = cli.build_parser("constants")
-    assert parser.parse_args(["constants", "--n", "4"]).n == 4
+    for command, schema in cli.SCHEMAS.items():
+        assert cli.main([command, "-h"]) == 0
+        text = capsys.readouterr().out
+        assert "--config FILE" in text
+        assert all("--" + key.replace("_", "-") in text for key in schema)
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["hls-check", "--window-lo", "0.1"], "--window-lo"),   # another command's flag
+    (["hls-check", "--per", "48"], "--per"),                # no prefix abbreviations
+    (["hls-check", "--n", "x"], "'x'"),                     # not an int
+    (["hls-check", "--mu"], "--mu"),                        # missing value
+    (["bubble-check", "--plot=yes"], "--plot"),             # a bool takes no value
+    (["constants", "4"], "'4'"),                            # stray positional word
+    (["no-such-command"], "no-such-command"),
+])
+def test_flag_errors_exit_two_naming_the_word(capsys, argv, word):
+    rc, stdout, stderr = run(capsys, *argv)
+    assert rc == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ConfigError" and word in err["message"]
+
+
+def test_both_flag_forms_read_alike(capsys):
+    _, spaced, _ = run(capsys, "constants", "--n", "4", "--alpha", "2")
+    _, joined, _ = run(capsys, "constants", "--n=4", "--alpha=2")
+    assert spaced == joined and json.loads(joined)["n"] == 4
+
+
+@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+def test_flags_and_config_file_give_one_hash(tmp_path, command):
+    # every key set away from its default, once as flags, once as a file
+    values = {}
+    for key, opt in cli.SCHEMAS[command].items():
+        values[key] = {bool: True, int: 7, float: 0.375, str: "x"}[opt.kind]
+    words = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        words += [flag] if value is True else [flag, str(value)]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"command": command, **values}))
+    from_flags = cli.resolve_config(command, *cli._parse_flags(command, words))
+    from_file = cli.resolve_config(command, str(path), {})
+    assert from_flags == from_file
+    assert cli._hash(command, from_flags) == cli._hash(command, from_file)
 
 
 # ============================================================

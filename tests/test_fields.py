@@ -77,8 +77,6 @@ def test_profile_exponent_estimation():
     e_in, e_out = prof.estimate_exponents()
     assert e_in == pytest.approx(-0.5, abs=1e-3)
     assert e_out == pytest.approx(-2.5, abs=1e-3)
-    assert prof.with_exponents(-0.5, -2.5).validate_exponents()
-    assert not prof.with_exponents(-0.5, -4.0).validate_exponents()
 
 
 def test_profile_shape_mismatch():

@@ -1,6 +1,6 @@
 """Source hygiene: every module uses what it imports, caches only through
-``functools.lru_cache``, the CLI loads only what a command runs, and the
-lazy package resolves every exported name.
+``functools.lru_cache``, the CLI loads only what a command runs (and no
+argparse), and the lazy package resolves every exported name.
 """
 
 import ast
@@ -61,13 +61,11 @@ def test_no_module_level_dict_caches(path):
     assert not caches, f"{path.name} caches in module-level dicts: {', '.join(caches)}"
 
 
-# argparse's first gettext call imports locale; nothing else may load in a run
-_GETTEXT = ["_locale", "locale"]
-
 _PROBE = """
 import contextlib, io, json, sys
 import hartreelab.cli
-at_import = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+at_import = [m for m in sys.modules if m in ("argparse", "gettext")
+             or m == "scipy" or m.startswith("scipy.")]
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [hartreelab.cli.main(argv) for argv in (
@@ -80,14 +78,14 @@ print(json.dumps({"at_import": at_import, "codes": codes,
 
 
 def test_cli_import_skips_heavy_scipy_subpackages():
-    # the module set, not a time: importing the CLI loads numpy and no scipy,
-    # and the paper's two checks and the constants then import nothing more
-    # than the locale module argparse asks for, so no lazy import of the
+    # the module set, not a time: importing the CLI loads numpy, and neither
+    # scipy nor argparse and its gettext, and the paper's two checks and the
+    # constants then import nothing at all, so no lazy import of the
     # package lands inside a timed run
     doc = _probe(_PROBE)
     assert doc["codes"] == [0, 0, 0]
     assert doc["at_import"] == []
-    assert set(doc["by_main"]) <= set(_GETTEXT)
+    assert doc["by_main"] == []
 
 
 _SOLVER_PROBE = """

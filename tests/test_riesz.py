@@ -15,8 +15,6 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         RadialGrid, RadialProfile, angular_kernel, calibrate_cf,
@@ -75,41 +73,41 @@ def test_kernel_symmetry_and_homogeneity():
                          - 1.0)) < 1e-13
 
 
-# derandomized, a fixed example count and no deadline: the same draws on
-# every machine.  Radii are log-uniform; rho stays off the diagonal, where
-# beta <= 1 kernels are not finite.
-KERNEL_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
-                           database=None)
+def _kernel_points(count=150):
+    """A fixed table from one Philox stream: the same points on every machine
+    and under every test order.  Radii are log-uniform; rho stays off the
+    diagonal, where beta <= 1 kernels are not finite.  The first row is a
+    point that once failed the homogeneity bound."""
+    rng = np.random.Generator(np.random.Philox(20240817))
+    points = [(AngularKernelSpec(3, 0.375), 10.0, 1.00023)]
+    while len(points) <= count:
+        n = int(rng.choice([3, 4, 5]))
+        beta = rng.uniform(0.3, n - 0.1)
+        r = 10.0 ** rng.uniform(-6.0, 6.0)
+        rho = 10.0 ** rng.uniform(-4.0, 4.0)
+        if abs(rho - 1.0) >= 1e-6:
+            points.append((AngularKernelSpec(n, beta), r, rho))
+    return points
 
 
-@st.composite
-def kernel_points(draw):
-    n = draw(st.sampled_from([3, 4, 5]))
-    beta = draw(st.floats(0.3, n - 0.1))
-    r = 10.0 ** draw(st.floats(-6.0, 6.0))
-    rho = 10.0 ** draw(st.floats(-4.0, 4.0))
-    assume(abs(rho - 1.0) >= 1e-6)
-    return AngularKernelSpec(n, beta), r, rho
+KERNEL_POINTS = _kernel_points()
 
 
-@KERNEL_PROPERTY
-@given(kernel_points())
-def test_kernel_homogeneity_property(point):
+def test_kernel_homogeneity_property():
     # k(r, r rho) = r^(beta-n) k(1, rho): what makes the Riesz potential a
     # convolution in log r.  r is taken to the nearest power of two, so that
     # r rho is exact: near the diagonal a rounded r rho moves the true kernel
     # itself, by 1.2e-13 at (3, 0.375), r = 10, rho - 1 = 2.3e-4
-    spec, r, rho = point
-    r = 2.0 ** round(math.log2(r))
-    want = r ** (spec.beta - spec.n) * angular_kernel(spec, 1.0, rho)
-    assert abs(angular_kernel(spec, r, r * rho) / want - 1.0) <= 1e-13
+    for spec, r, rho in KERNEL_POINTS:
+        r = 2.0 ** round(math.log2(r))
+        want = r ** (spec.beta - spec.n) * angular_kernel(spec, 1.0, rho)
+        assert abs(angular_kernel(spec, r, r * rho) / want - 1.0) <= 1e-13, (spec, r, rho)
 
 
-@KERNEL_PROPERTY
-@given(kernel_points())
-def test_kernel_symmetry_property(point):
-    spec, r, rho = point
-    assert angular_kernel(spec, r, r * rho) == angular_kernel(spec, r * rho, r)
+def test_kernel_symmetry_property():
+    for spec, r, rho in KERNEL_POINTS:
+        assert angular_kernel(spec, r, r * rho) == angular_kernel(spec, r * rho, r), \
+            (spec, r, rho)
 
 
 def test_kernel_certified_evaluation():
@@ -187,18 +185,20 @@ def test_symbol_matches_multiprecision_gamma(n, beta):
                 assert abs(gk / complex(want) - 1.0) <= 5e-14, (gamma, wk)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(n=st.integers(1, 2 ** 20))
-def test_next_fast_len_is_the_least_5_smooth_length(n):
+def test_next_fast_len_is_the_least_5_smooth_length():
     def smooth(k):
         for p in (2, 3, 5):
             while k % p == 0:
                 k //= p
         return k == 1
 
-    got = riesz._next_fast_len(n)
-    assert got >= n and smooth(got)
-    assert not any(smooth(k) for k in range(n, got))
+    # 300 lengths from one Philox stream, and the two ends of the range
+    lengths = np.random.Generator(np.random.Philox(5)).integers(1, 2 ** 20, 300,
+                                                                endpoint=True)
+    for n in [1, 2 ** 20, *lengths.tolist()]:
+        got = riesz._next_fast_len(n)
+        assert got >= n and smooth(got), n
+        assert not any(smooth(k) for k in range(n, got)), n
 
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0), (3, 1.0), (3, 1.05),

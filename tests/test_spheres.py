@@ -8,8 +8,6 @@ computable image parameters.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hartreelab import spheres
 from hartreelab import (Field, ParameterDomainError, ParameterRangeError,
@@ -62,22 +60,29 @@ def test_kelvin_transform_is_self_inverse():
         kelvin_transform(u, inv, 0.0)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(center=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
-       log_mu=st.floats(-2.0, 2.0),
-       exponent=st.floats(0.1, 6.0),
-       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-           lambda d: np.linalg.norm(d) > 0.1),
-       log_dist=st.floats(-2.0, 2.0))
-def test_kelvin_transform_is_an_involution(center, log_mu, exponent, direction,
-                                           log_dist):
-    # the same inversion and exponent twice give u back, away from the center
-    inv = SphereInversion(np.array(center), 10.0 ** log_mu)
+def test_kelvin_transform_is_an_involution():
+    # the same inversion and exponent twice give u back, away from the
+    # center; 100 cases from one Philox stream, directions of norm > 0.1.
+    # The image I(y) is stored in absolute coordinates, so near the center
+    # it keeps only eps |I(y)| / |I(y) - x| of its offset: 1e-12, or 16 eps
+    # times that condition number where it is larger (6 eps at most seen)
+    rng = np.random.Generator(np.random.Philox(13))
     u = make_bubble(P32, center=[0.4, -0.3, 0.2], mu=0.8)
-    d = np.array(direction)
-    y = inv.center + 10.0 ** log_dist * inv.radius * d / np.linalg.norm(d)
-    twice = kelvin_transform(kelvin_transform(u, inv, exponent), inv, exponent)
-    assert abs(twice(y) / u(y) - 1.0) <= 1e-12
+    cases = 0
+    while cases < 100:
+        center, log_mu = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0)
+        exponent, d = rng.uniform(0.1, 6.0), rng.uniform(-1.0, 1.0, 3)
+        log_dist = rng.uniform(-2.0, 2.0)
+        if np.linalg.norm(d) <= 0.1:
+            continue
+        inv = SphereInversion(center, 10.0 ** log_mu)
+        y = inv.center + 10.0 ** log_dist * inv.radius * d / np.linalg.norm(d)
+        twice = kelvin_transform(kelvin_transform(u, inv, exponent), inv, exponent)
+        image = invert_point(inv, y)
+        cond = np.linalg.norm(image) / np.linalg.norm(image - center)
+        assert abs(twice(y) / u(y) - 1.0) <= max(1e-12, 16.0 * np.finfo(float).eps * cond), \
+            (center, log_mu, exponent, d, log_dist)
+        cases += 1
 
 
 def test_kelvin_image_singularities_are_tracked():
