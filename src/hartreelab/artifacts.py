@@ -75,7 +75,7 @@ def write_csv(path, columns: dict, header_lines=()) -> None:
     arrays = [np.asarray(columns[k]) for k in names]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ValueError("CSV columns must share a length")
-    cells = [repr(a.astype(float).tolist())[1:-1].split(", ") for a in arrays if a.size]
+    cells = [map(repr, a.astype(float).tolist()) for a in arrays]
     lines = [f"# {h}" for h in header_lines]
     lines.append(",".join(names))
     lines.extend(",".join(row) for row in zip(*cells))

@@ -265,6 +265,7 @@ class Field:
     center: Optional[np.ndarray] = None
     radial_fn: Optional[Callable] = None
     singular_points: tuple = field(default_factory=tuple)  # points where evaluation is refused
+    about: Optional[tuple] = None   # (x, g): g(d) = fn(x + d), without rounding x + d
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

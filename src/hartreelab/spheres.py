@@ -85,18 +85,22 @@ def kelvin_transform(u: Field, inv: SphereInversion, exponent: float) -> Field:
     x = inv.center
     mu = inv.radius
 
-    def fn(pts):
-        d = pts - x[None, :]
+    def at(d):
+        # the image is x + w; a field about x takes w itself, since near x
+        # the point x + w keeps only eps |x| / |w| of w
         dist2 = np.sum(d * d, axis=1)
-        w = x[None, :] + mu ** 2 * d / dist2[:, None]
-        return (mu ** 2 / dist2) ** (exponent / 2.0) * u(w)
+        w = mu ** 2 * d / dist2[:, None]
+        same = u.about is not None and np.array_equal(u.about[0], x)
+        vals = u.about[1](w) if same else u(x[None, :] + w)
+        return (mu ** 2 / dist2) ** (exponent / 2.0) * vals
 
     singular = [tuple(x)]
     for s in u.singular_points:
         s = np.asarray(s, dtype=float)
         if np.linalg.norm(s - x) > 0.0:
             singular.append(tuple(invert_point(inv, s)))
-    return Field(n=u.n, fn=fn, is_radial=False, singular_points=tuple(singular))
+    return Field(n=u.n, fn=lambda pts: at(pts - x[None, :]), is_radial=False,
+                 singular_points=tuple(singular), about=(x, at))
 
 
 @dataclass(frozen=True)

@@ -98,16 +98,18 @@ def test_kernel_homogeneity_property():
     # convolution in log r.  r is taken to the nearest power of two, so that
     # r rho is exact: near the diagonal a rounded r rho moves the true kernel
     # itself, by 1.2e-13 at (3, 0.375), r = 10, rho - 1 = 2.3e-4
+    failed = []
     for spec, r, rho in KERNEL_POINTS:
         r = 2.0 ** round(math.log2(r))
         want = r ** (spec.beta - spec.n) * angular_kernel(spec, 1.0, rho)
-        assert abs(angular_kernel(spec, r, r * rho) / want - 1.0) <= 1e-13, (spec, r, rho)
+        if not abs(angular_kernel(spec, r, r * rho) / want - 1.0) <= 1e-13:
+            failed.append((spec, r, rho))
+    assert not failed
 
 
 def test_kernel_symmetry_property():
-    for spec, r, rho in KERNEL_POINTS:
-        assert angular_kernel(spec, r, r * rho) == angular_kernel(spec, r * rho, r), \
-            (spec, r, rho)
+    assert not [(spec, r, rho) for spec, r, rho in KERNEL_POINTS
+                if angular_kernel(spec, r, r * rho) != angular_kernel(spec, r * rho, r)]
 
 
 def test_kernel_certified_evaluation():
@@ -195,10 +197,12 @@ def test_next_fast_len_is_the_least_5_smooth_length():
     # 300 lengths from one Philox stream, and the two ends of the range
     lengths = np.random.Generator(np.random.Philox(5)).integers(1, 2 ** 20, 300,
                                                                 endpoint=True)
+    failed = []
     for n in [1, 2 ** 20, *lengths.tolist()]:
         got = riesz._next_fast_len(n)
-        assert got >= n and smooth(got), n
-        assert not any(smooth(k) for k in range(n, got)), n
+        if not (got >= n and smooth(got)) or any(smooth(k) for k in range(n, got)):
+            failed.append(n)
+    assert not failed
 
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0), (3, 1.0), (3, 1.05),
