@@ -33,9 +33,10 @@ untilted, and a window continued by e^{-nu|t|}.  Both are spectrally
 accurate for analytic profiles (Trefethen and Weideman, SIAM Review 56,
 2014).  It
 also owns the constant solution, its dispersion relation, and a finder
-that traces the even periodic (Delaunay) branch on a coarse grid, then
-polishes the prolonged orbit on the fine one.  The solvers run on numpy
-alone; only spline evaluation of a profile and ``kernel_hat`` load scipy.
+that traces the even periodic (Delaunay) branch on a coarse grid with dense
+Jacobians, then polishes the prolonged orbit on the fine one matrix-free.
+The solvers run on numpy alone; only spline evaluation of a profile and
+``kernel_hat`` load scipy.
 """
 
 from __future__ import annotations
@@ -435,12 +436,18 @@ class _HalfGridSystem:
     The unknowns are U(j h), j = 0..m, with h = L/N and m = N/2; the full
     period is their even reflection.  On the full period -d^2/dt^2 + nu^2
     and Khat * are circulant with the symbols a^_k = w_k^2 + nu^2 and c^_k =
-    Khat^(w_k), w_k = 2 pi k / L, so the residual applies each by one
-    rfft/irfft pair.  The Jacobian needs them dense: the circulant with
-    first column c = irfft(c^) folds onto the half grid as C[i, j] =
-    c[(i - j) % N] + c[(i + j) % N], where columns 0 and m, which have no
-    mirror node, keep only the first term; A folds from irfft(a^) alike.
+    Khat^(w_k), w_k = 2 pi k / L, so the residual and the Jacobian action
+    apply each by one rfft/irfft pair.  A Newton step on the trace grid
+    solves the dense Jacobian: the circulant with first column c =
+    irfft(c^) folds onto the half grid as C[i, j] = c[(i - j) % N] + c[(i +
+    j) % N], where columns 0 and m, which have no mirror node, keep only the
+    first term; A folds from irfft(a^) alike.  Once ``coarse`` holds the
+    trace system and its folded Jacobian at the coarse landing, a step is
+    matrix-free instead: two-grid sweeps (Hackbusch 1985) invert a^ on the
+    modes the trace grid cannot carry and the coarse Jacobian on the rest.
     """
+
+    coarse = None   # (trace system, its folded Jacobian), set for the fine polish
 
     def __init__(self, params, nl, kt, L, n_nodes):
         if n_nodes % 2:
@@ -448,8 +455,8 @@ class _HalfGridSystem:
         if n_nodes < 8:
             raise GridError("find_delaunay needs at least 8 nodes per period")
         if n_nodes > 2048:
-            raise ParameterRangeError("collocation is dense linear algebra; "
-                                      "2048 nodes is the ceiling")
+            raise ParameterRangeError("the orbits are resolved to rounding far below "
+                                      "2048 nodes; 2048 is the ceiling")
         self.nl = nl
         self.N = n_nodes
         self.m = n_nodes // 2
@@ -468,22 +475,25 @@ class _HalfGridSystem:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """The folded -d^2/dt^2 + nu^2; only the Jacobian needs it dense."""
+        """The folded -d^2/dt^2 + nu^2; only the dense Jacobian needs it."""
         return self._fold(self.a_hat)
 
     @cached_property
     def C(self) -> np.ndarray:
-        """The folded convolution matrix; only the Jacobian needs it dense."""
+        """The folded convolution matrix; only the dense Jacobian needs it."""
         return self._fold(self.c_hat)
+
+    def _circulant(self, symbol, x):
+        """The full-period circulant with this symbol, applied to the even x."""
+        return irfft(symbol * rfft(self.full_values(x)), self.N)[:self.m + 1]
 
     def residual(self, x):
         """(A x - f(x) conv, conv), conv = Khat * F(U) by ode_residual's operator."""
-        head = slice(0, self.m + 1)
-        conv = irfft(self.c_hat * rfft(self.full_values(self.nl.F(x))), self.N)[head]
+        conv = self._circulant(self.c_hat, self.nl.F(x))
         # the mean goes past the FFT, whose rounding then scales with the
         # oscillation, not the level, before a^ amplifies it by up to (pi/h)^2
-        u = self.full_values(x)
-        ax = irfft(self.a_hat * rfft(u - u.mean()), self.N)[head] + self.a_hat[0] * u.mean()
+        mean = self.full_values(x).mean()
+        ax = self._circulant(self.a_hat, x - mean) + self.a_hat[0] * mean
         return ax - self.nl.f(x) * conv, conv
 
     def jacobian(self, x, conv, out=None):
@@ -493,6 +503,32 @@ class _HalfGridSystem:
         J += self.A
         J[np.diag_indices(self.m + 1)] -= self.nl.f_prime(x) * conv
         return J
+
+    def _apply(self, x, conv, v):
+        """The Jacobian's action on v, by the symbols."""
+        return (self._circulant(self.a_hat, v) - self.nl.f_prime(x) * conv * v
+                - self.nl.f(x) * self._circulant(self.c_hat, self.nl.F_prime(x) * v))
+
+    def step(self, x, conv, g):
+        """The Newton step J^-1 g: dense, or two-grid sweeps once coarse is set."""
+        if self.coarse is None:
+            return solve(self.jacobian(x, conv), g)
+        trace, jc = self.coarse
+        k = trace.m
+        # a^ inverts the modes k >= M/2, half the bin at M/2; the coarse
+        # Jacobian inverts what they leave on modes 0..M/2
+        high_part = np.clip(np.arange(self.m + 1) - k + 0.5, 0.0, 1.0) / self.a_hat
+        d, r = 0.0, g
+        for _ in range(8):
+            high = irfft(high_part * rfft(self.full_values(r)), self.N)[:self.m + 1]
+            low = rfft(self.full_values(r - self._apply(x, conv, high)))[:k + 1]
+            low[k] = 2.0 * low[k].real   # the modes +-M/2 alias to one coarse bin
+            low *= trace.N / self.N
+            d = d + high + _prolong(solve(jc, irfft(low, trace.N)[:k + 1]), self.N)
+            r = g - self._apply(x, conv, d)
+            if np.max(np.abs(r)) <= 1e-6 * np.max(np.abs(g)):
+                return d
+        raise LinAlgError("the two-grid sweeps do not contract")
 
     def full_values(self, x):
         return np.concatenate([x, x[-2:0:-1]])
@@ -527,9 +563,7 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
         if not norm < last or (border is not None and norm <= tol):
             return x, L, norm <= tol, norm, it
         m1 = system.m + 1
-        if border is None:
-            J = system.jacobian(x, conv)
-        else:
+        if border is not None:
             row, target = border
             dL = 1e-7 * L
             J = np.empty((m1 + 1, m1 + 1))
@@ -538,8 +572,8 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
             J[m1] = row
             g = np.append(g, row[:m1] @ x + row[m1] * L - target)
         try:
-            step = solve(J, g)
-        except LinAlgError:   # a zero pivot leaves the step undefined
+            step = system.step(x, conv, g) if border is None else solve(J, g)
+        except LinAlgError:   # a zero pivot, or sweeps that do not contract
             return x, L, False, norm, it
         x = x - step[:m1]
         if border is not None:
@@ -571,7 +605,9 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     them on the branch; once L is crossed, the secant interpolant at L is
     polished by Newton at fixed L to max|R| <= 1e-12 (4 / h^2) max(1, U_c).
     The orbit is then prolonged to n_nodes by zero-padding its rfft and
-    polished there once more.  epsilon_target only sets partial_result (the
+    polished there once more, matrix-free: two-grid sweeps solve each
+    Newton step, with the trace grid's Jacobian at the coarse landing as
+    their coarse solve, and no fine matrix is built.  epsilon_target only sets partial_result (the
     neck stayed above it).  If L lies on the other side of L_0, or is not
     crossed within continuation_steps correctors, the constant is returned
     with converged=False and partial_result=True.
@@ -663,6 +699,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             w = (L - prev[-1]) / (cur[-1] - prev[-1])
             x, ok, norm = polish(coarse, prev[:-1] + w * (cur[:-1] - prev[:-1]))
             if system is not coarse:
+                system.coarse = coarse, coarse.jacobian(x, coarse.residual(x)[1])
                 x, ok, norm = polish(system, _prolong(x, n_nodes))
             return make_solution(x, ok, norm, steps,
                                  bool(x[0] > epsilon_target * (1.0 + 1e-6)))

@@ -214,24 +214,26 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
 
     Shells concentrate geometrically toward the sphere where the deficit
     degenerates; the ray through the origin and x (e_1 when x = 0) catches
-    image singularities emerging on the far side.  Points closer than 1e-9
-    to the origin are dropped to honor the y != 0 contract.
+    image singularities emerging on the far side.  The set is x + mu U for
+    the unit test set U; points closer than 1e-9 to the origin are dropped
+    to honor the y != 0 contract.
     """
     x = np.asarray(x, dtype=float)
-    offsets = mu * np.geomspace(1e-6, _SHELL_SPAN - 1.0, _N_SHELLS)
-    dirs = _shell_directions(spec.seed, n)
-    shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
-    pts = [shells.reshape(-1, n)]
+    out = x + mu * _unit_test_set(n, x, spec)
+    return out[np.linalg.norm(out, axis=1) > 1e-9]
+
+
+def _unit_test_set(n: int, x: np.ndarray, spec: TestSetSpec) -> np.ndarray:
+    """The test set about the unit sphere at 0, its ray along x (e_1 when x = 0)."""
+    shells = (1.0 + np.geomspace(1e-6, _SHELL_SPAN - 1.0, _N_SHELLS))[:, None, None] \
+        * _shell_directions(spec.seed, n)
     axis = np.zeros(n)
     if np.linalg.norm(x) > 0.0:
         axis[:] = x / np.linalg.norm(x)
     else:
         axis[0] = 1.0
-    ray = mu * np.geomspace(1e-7, _RAY_SPAN - 1.0, _RAY_POINTS // 2)
-    pts.append(x[None, :] - (mu + ray)[:, None] * axis[None, :])
-    pts.append(x[None, :] + (mu + ray)[:, None] * axis[None, :])
-    out = np.vstack(pts)
-    return out[np.linalg.norm(out, axis=1) > 1e-9]
+    ray = (1.0 + np.geomspace(1e-7, _RAY_SPAN - 1.0, _RAY_POINTS // 2))[:, None] * axis
+    return np.vstack([shells.reshape(-1, n), -ray, ray])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -283,8 +285,18 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
     A test point inside the sphere or at the origin is a caller error.
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
-    deficits, scales = _deficits(u, inv, pts)
-    bad = deficits < -_DEFICIT_TOL * scales
+    x, mu = inv.center, inv.radius
+    dist = np.linalg.norm(pts - x[None, :], axis=1)
+    inside = dist < mu * (1.0 - 1e-12)
+    if np.any(inside):
+        k = int(np.argmax(inside))
+        raise SamplingError(
+            f"test point {pts[k]} lies inside the comparison sphere "
+            f"(|y-x| = {dist[k]:.6g} < mu = {mu:.6g})")
+    if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+        raise SamplingError("the origin is never an admissible test point")
+    deficits, scales, bad = _deficits(u, pts, invert_point(inv, pts),
+                                      (mu / dist) ** (u.n - 2.0))
     rng = np.random.Generator(np.random.Philox(987654321))
     return ComparisonReport(
         inversion=inv, test_points=pts, deficits=deficits, scales=scales,
@@ -294,21 +306,12 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
         kernel_checks=_kernel_positivity_check(u.n, inv, alpha, rng))
 
 
-def _deficits(u: Field, inv: SphereInversion, pts: np.ndarray):
-    """(u - u_{x,mu}, |u| + |u_{x,mu}|) at the rows of pts, checked admissible."""
-    x, mu = inv.center, inv.radius
-    dist = np.linalg.norm(pts - x[None, :], axis=1)
-    bad = dist < mu * (1.0 - 1e-12)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SamplingError(
-            f"test point {pts[k]} lies inside the comparison sphere "
-            f"(|y-x| = {dist[k]:.6g} < mu = {mu:.6g})")
-    if np.any(np.linalg.norm(pts, axis=1) == 0.0):
-        raise SamplingError("the origin is never an admissible test point")
+def _deficits(u: Field, pts: np.ndarray, images: np.ndarray, weights: np.ndarray):
+    """(u - u_{x,mu}, |u| + |u_{x,mu}|, violated) from pts, their images and Kelvin factors."""
     u_at = u(pts)
-    u_mirror = (mu / dist) ** (u.n - 2.0) * u(invert_point(inv, pts))
-    return u_at - u_mirror, np.abs(u_at) + np.abs(u_mirror)
+    u_mirror = weights * u(images)
+    deficits, scales = u_at - u_mirror, np.abs(u_at) + np.abs(u_mirror)
+    return deficits, scales, deficits < -_DEFICIT_TOL * scales
 
 
 # ============================================================
@@ -341,13 +344,17 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
     """
     x = np.asarray(x, dtype=float)
     probes = 0
+    # the sphere (x, mu) maps x + mu U to x + mu U / |U|^2 with weight |U|^-(n-2)
+    unit = _unit_test_set(u.n, x, spec)
+    norm2 = np.sum(unit * unit, axis=1)
+    image, weights = unit / norm2[:, None], norm2 ** (-(u.n - 2.0) / 2.0)
 
     def holds(mu):
         nonlocal probes
         probes += 1
-        pts = deficit_test_set(u.n, x, mu, spec)
-        deficits, scales = _deficits(u, SphereInversion(x, mu), pts)
-        return not np.any(deficits < -_DEFICIT_TOL * scales)
+        pts = x + mu * unit
+        keep = np.linalg.norm(pts, axis=1) > 1e-9
+        return not np.any(_deficits(u, pts[keep], (x + mu * image)[keep], weights[keep])[2])
 
     if not holds(_MU_LO):
         return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={_MU_LO}",

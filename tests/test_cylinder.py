@@ -464,7 +464,7 @@ def test_find_delaunay_necks_do_not_depend_on_the_node_count(n, alpha):
     nl, kt = nonlinearity_for(P), kernel_table(P)
     uc, l0 = dispersion_root(P, nl, kt)
     necks = [find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=N).epsilon
-             for N in (64, 512, 1024)]
+             for N in (64, 512, 1024, 2048)]
     assert max(necks) - min(necks) <= 1e-12 * uc
 
 
@@ -482,19 +482,72 @@ def test_find_delaunay_orbit_solves_its_own_check():
     assert 1 <= sol.steps[-1]["polish_iterations"] <= 2
 
 
-def test_find_delaunay_factors_at_most_two_fine_matrices(monkeypatch):
-    sizes = []
+def test_find_delaunay_polishes_the_fine_grid_without_a_matrix(monkeypatch):
+    sizes, folded = [], []
 
     def counted(a, b):
         sizes.append(a.shape[0])
         return np.linalg.solve(a, b)
 
+    fold = _HalfGridSystem._fold
+
+    def recorded(self, symbol):
+        folded.append(self.N)
+        return fold(self, symbol)
+
     monkeypatch.setattr(cylinder, "solve", counted)
+    monkeypatch.setattr(_HalfGridSystem, "_fold", recorded)
     uc, l0 = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
     assert sol.converged
-    assert sum(size > 65 for size in sizes) <= 2
-    assert max(sizes) == 513
+    # only the coarse bordered system, 33 values and L, is ever factored
+    assert max(sizes) <= 34
+    assert set(folded) == {64}
+
+
+def _fine_landing(P, factor, nodes):
+    """The fine system at factor L_0, its coarse pair set, at the prolonged landing."""
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    x = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=64).profile.values[:33]
+    coarse = _HalfGridSystem(P, nl, kt, factor * l0, 64)
+    system = _HalfGridSystem(P, nl, kt, factor * l0, nodes)
+    system.coarse = coarse, coarse.jacobian(x, coarse.residual(x)[1])
+    return system, cylinder._prolong(x, nodes)
+
+
+@pytest.mark.parametrize("nodes", [512, 2048])
+@pytest.mark.parametrize("factor", [1.05, 4.0])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 0.5), (5, 3.0)])
+def test_two_grid_step_is_the_dense_newton_step(n, alpha, factor, nodes):
+    system, x = _fine_landing(ProblemParams(n, alpha), factor, nodes)
+    g, conv = system.residual(x)
+    J = system.jacobian(x, conv)
+    step = system.step(x, conv, g)
+    # the sweeps stop at max|g - J d| <= 1e-6 max|g|, by the dense J too
+    assert np.max(np.abs(g - J @ step)) <= 1e-6 * np.max(np.abs(g))
+    dense = np.linalg.solve(J, g)
+    assert np.max(np.abs(step - dense)) <= 1e-6 * np.max(np.abs(dense))
+
+
+def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch):
+    system, x = _fine_landing(P32, 4.0, 512)
+    system.coarse = system.coarse[0], np.eye(33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, converged, norm, its = cylinder._newton(
+            lambda Lq: system, x, system.h * system.N, 1e-12)
+    assert not converged and its == 0 and norm > 0.0
+    assert np.array_equal(got, x)
+    # through the finder: sweeps against twice the Jacobian stall at -1
+    apply = _HalfGridSystem._apply
+    monkeypatch.setattr(_HalfGridSystem, "_apply",
+                        lambda self, x, conv, v: 2.0 * apply(self, x, conv, v))
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    assert not sol.converged
+    assert sol.steps[-1] == {"period": sol.period, "nodes": 512, "neck": sol.epsilon,
+                             "polish_iterations": 0, "converged": False}
 
 
 def test_find_delaunay_reads_the_cached_bifurcation_frequency():

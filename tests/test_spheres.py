@@ -181,17 +181,17 @@ def test_deficit_test_set_is_admissible_and_reproducible():
 
 
 def _fresh_test_set(n, x, mu, spec):
-    # the set drawn from scratch, as deficit_test_set did before it cached
-    # its shell directions
+    # the set drawn from scratch: x + mu U for the unit test set U, whose
+    # shells are (1 + g) dirs and whose ray is +-(1 + g_ray) along x
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    offsets = mu * np.geomspace(1e-6, spheres._SHELL_SPAN - 1.0, spheres._N_SHELLS)
     dirs = rng.normal(size=(spheres._N_SHELLS, spheres._PER_SHELL, n))
     dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
-    shells = x[None, None, :] + (mu + offsets)[:, None, None] * dirs
+    shells = (1.0 + np.geomspace(1e-6, spheres._SHELL_SPAN - 1.0,
+                                 spheres._N_SHELLS))[:, None, None] * dirs
     axis = x / np.linalg.norm(x)
-    ray = mu * np.geomspace(1e-7, spheres._RAY_SPAN - 1.0, spheres._RAY_POINTS // 2)
-    out = np.vstack([shells.reshape(-1, n), x[None, :] - (mu + ray)[:, None] * axis,
-                     x[None, :] + (mu + ray)[:, None] * axis])
+    ray = (1.0 + np.geomspace(1e-7, spheres._RAY_SPAN - 1.0,
+                              spheres._RAY_POINTS // 2))[:, None] * axis
+    out = x + mu * np.vstack([shells.reshape(-1, n), -ray, ray])
     return out[np.linalg.norm(out, axis=1) > 1e-9]
 
 
