@@ -519,7 +519,7 @@ class _HalfGridSystem:
         # Jacobian inverts what they leave on modes 0..M/2
         high_part = np.clip(np.arange(self.m + 1) - k + 0.5, 0.0, 1.0) / self.a_hat
         d, r = 0.0, g
-        for _ in range(8):
+        for _ in range(32):
             high = irfft(high_part * rfft(self.full_values(r)), self.N)[:self.m + 1]
             low = rfft(self.full_values(r - self._apply(x, conv, high)))[:k + 1]
             low[k] = 2.0 * low[k].real   # the modes +-M/2 alias to one coarse bin

@@ -530,6 +530,24 @@ def test_two_grid_step_is_the_dense_newton_step(n, alpha, factor, nodes):
     assert np.max(np.abs(step - dense)) <= 1e-6 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("factor", [4.0, 16.0])
+def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, factor):
+    # at 16 L_0 a sweep contracts by only 0.2-0.5, so a step takes up to 12
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+
+    def solve_at(nodes):
+        sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=nodes)
+        return sol.converged, sol.epsilon, sol.steps[-1]["polish_iterations"]
+
+    swept = solve_at(512)
+    # every step by the dense Jacobian, as on the trace grid
+    monkeypatch.setattr(_HalfGridSystem, "step", lambda self, x, conv, g:
+                        np.linalg.solve(self.jacobian(x, conv), g))
+    dense = solve_at(512)
+    assert swept[0] and dense[0] and swept[2] == dense[2]
+    assert abs(swept[1] - dense[1]) <= 1e-13 * uc
+
+
 def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch):
     system, x = _fine_landing(P32, 4.0, 512)
     system.coarse = system.coarse[0], np.eye(33)
