@@ -535,15 +535,15 @@ def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, factor):
     # at 16 L_0 a sweep contracts by only 0.2-0.5, so a step takes up to 12
     uc, l0 = dispersion_root(P32, NL32, KT32)
 
-    def solve_at(nodes):
-        sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=nodes)
+    def polish():
+        sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=512)
         return sol.converged, sol.epsilon, sol.steps[-1]["polish_iterations"]
 
-    swept = solve_at(512)
+    swept = polish()
     # every step by the dense Jacobian, as on the trace grid
     monkeypatch.setattr(_HalfGridSystem, "step", lambda self, x, conv, g:
                         np.linalg.solve(self.jacobian(x, conv), g))
-    dense = solve_at(512)
+    dense = polish()
     assert swept[0] and dense[0] and swept[2] == dense[2]
     assert abs(swept[1] - dense[1]) <= 1e-13 * uc
 
