@@ -342,8 +342,9 @@ def _cmd_delaunay(cfg: dict) -> dict:
     em.svg("delaunay.svg", [("U", sol.profile.t, sol.profile.values)],
            xlabel="t", ylabel="U")
     if not sol.converged:
-        raise ConvergenceError(
-            f"no converged orbit: last residual {sol.residual_norm:.3e}")
+        low = float(sol.profile.values.min())
+        raise ConvergenceError(f"no positive orbit: min U {low:.3e}" if low <= 0.0 else
+                               f"no converged orbit: last residual {sol.residual_norm:.3e}")
     return em.summary(doc)
 
 

@@ -35,8 +35,8 @@ accurate for analytic profiles (Trefethen and Weideman, SIAM Review 56,
 also owns the constant solution, its dispersion relation, and a finder
 that traces the even periodic (Delaunay) branch on a coarse grid with dense
 Jacobians, then polishes the prolonged orbit on the fine one matrix-free.
-The solvers run on numpy alone; only spline evaluation of a profile and
-``kernel_hat`` load scipy.
+A profile is its own spectrum: between its nodes it is the trigonometric
+interpolant that these symbols act on.  Only ``kernel_hat`` loads scipy.
 """
 
 from __future__ import annotations
@@ -69,18 +69,19 @@ _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only poli
 
 @dataclass(frozen=True)
 class CylinderProfile:
-    """Values on a uniform t-grid: decaying on the line, L-periodic, or data.
+    """Values on a uniform t-grid: decaying on the line, or L-periodic.
 
     Decaying profiles promise |U| <= 1e-8 at both grid ends (so that
     zero-extension beyond the grid is harmless in convolutions); periodic
     profiles cover exactly one period, nodes at t_0 + j h for j = 0..N-1
-    with N h = L.  Data profiles (residuals of decaying profiles, say)
-    promise nothing about their ends.
+    with N h = L.  Between its nodes a profile is its trigonometric
+    interpolant: over the period, or over the span N h for a decaying one,
+    which reads 0 beyond its grid.
     """
 
     t: np.ndarray
     values: np.ndarray
-    boundary: str = "decaying"       # "decaying", "periodic" or "data"
+    boundary: str = "decaying"       # "decaying" or "periodic"
     period: Optional[float] = None   # required iff periodic
 
     def __post_init__(self):
@@ -103,11 +104,11 @@ class CylinderProfile:
                 raise GridError(
                     f"periodic span {t.size * h:.6g} (N h) must equal the period "
                     f"{self.period:.6g}")
-        elif self.boundary in ("decaying", "data"):
+        elif self.boundary == "decaying":
             if self.period is not None:
-                raise GridError(f"{self.boundary} profiles take no period")
+                raise GridError("decaying profiles take no period")
             end = max(abs(v[0]), abs(v[-1]))
-            if self.boundary == "decaying" and end > 1e-8:
+            if end > 1e-8:
                 raise GridError(
                     f"decaying profiles must be below 1e-8 at the grid ends, got {end:.3e}; "
                     "widen the t-range")
@@ -118,23 +119,26 @@ class CylinderProfile:
     def spacing(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-        if self.boundary == "periodic":
-            return CubicSpline(np.append(self.t, self.t[0] + self.period),
-                               np.append(self.values, self.values[0]),
-                               bc_type="periodic")
-        return CubicSpline(self.t, self.values)
-
     def __call__(self, tq):
-        """Cubic-spline evaluation (periodic-aware for periodic profiles)."""
+        """The trigonometric interpolant of the nodes, by Horner in e^{2 pi i (t - t_0)/span}."""
         tq = np.asarray(tq, dtype=float)
-        if self.boundary == "periodic":
-            out = self._spline((tq - self.t[0]) % self.period + self.t[0])
-        else:
-            out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), self._spline(tq), 0.0)
+        periodic = self.boundary == "periodic"
+        span = self.period if periodic else self.t.size * self.spacing
+        c = _spectrum(self.values) / self.t.size
+        z = np.exp(2j * math.pi / span * (tq - self.t[0]))
+        # real nodes: U = c_0 + 2 Re sum_{k >= 1} c_k z^k
+        out = 2.0 * np.polyval(c[::-1], z).real - c[0].real
+        if not periodic:
+            out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), out, 0.0)
         return out if out.ndim else float(out)
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant's rfft: an even count's Nyquist bin holds +-N/2, half each."""
+    spectrum = rfft(values)
+    if values.size % 2 == 0:
+        spectrum[-1] *= 0.5
+    return spectrum
 
 
 def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01) -> CylinderProfile:
@@ -295,15 +299,11 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     U'' is the symbol -w^2 by one rfft pair, on the period itself (the
     operator the Delaunay finder solves with) or, for a decaying profile,
     on a line window continuing U from its end values by e^{-nu|t|}, the
-    decay of the linear part, until it has fallen by another 1e-17.  Data
-    profiles declare no tail to continue by: GridError.  Both equation
-    sides cancel exponentially where U decays, so the norm is normalized by
-    the pointwise term scale |U''| + nu^2 |U| + |rhs|; the return is
-    (residual CylinderProfile, relative L2 norm over the grid).
+    decay of the linear part, until it has fallen by another 1e-17.  Both
+    equation sides cancel exponentially where U decays, so the norm is
+    normalized by the pointwise term scale |U''| + nu^2 |U| + |rhs|; the
+    return is (residual values at U's nodes, relative L2 norm over the grid).
     """
-    if U.boundary == "data":
-        raise GridError("ode_residual continues a profile by its boundary; "
-                        "data profiles declare none")
     nu = (kt.n - 2) / 2.0
     h, v = U.spacing, U.values
     periodic = U.boundary == "periodic"
@@ -317,11 +317,7 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     rhs = cylinder_convolution(nl.F(v), kt, h, "periodic" if periodic else "line") * nl.f(v)
     res = -d2 + nu * nu * v - rhs
     scale = np.abs(d2) + nu * nu * np.abs(v) + np.abs(rhs)
-    rel = math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
-    if periodic:
-        return CylinderProfile(U.t, res, boundary="periodic", period=U.period), rel
-    # the residual of a decaying profile need not be below 1e-8 at the ends
-    return CylinderProfile(U.t, res, boundary="data"), rel
+    return res, math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
 
 
 # ============================================================
@@ -537,11 +533,7 @@ class _HalfGridSystem:
 def _prolong(x: np.ndarray, n_nodes: int) -> np.ndarray:
     """The trigonometric interpolant of the even half-grid orbit x, on n_nodes nodes."""
     coarse = np.concatenate([x, x[-2:0:-1]])
-    spectrum = rfft(coarse)
-    # the coarse Nyquist bin holds the modes +-M/2 together; on the finer
-    # grid they are two bins, each carrying half
-    spectrum[-1] *= 0.5
-    return irfft(spectrum, n_nodes)[:n_nodes // 2 + 1] * (n_nodes / coarse.size)
+    return irfft(_spectrum(coarse), n_nodes)[:n_nodes // 2 + 1] * (n_nodes / coarse.size)
 
 
 def _newton(build, x, L, tol, border=None, max_iter=8):
@@ -607,10 +599,11 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     The orbit is then prolonged to n_nodes by zero-padding its rfft and
     polished there once more, matrix-free: two-grid sweeps solve each
     Newton step, with the trace grid's Jacobian at the coarse landing as
-    their coarse solve, and no fine matrix is built.  epsilon_target only sets partial_result (the
-    neck stayed above it).  If L lies on the other side of L_0, or is not
-    crossed within continuation_steps correctors, the constant is returned
-    with converged=False and partial_result=True.
+    their coarse solve, and no fine matrix is built.  A landing with min U
+    <= 0 is no positive solution: converged=False.  epsilon_target only sets
+    partial_result (the neck stayed above it).  If L lies on the other side
+    of L_0, or is not crossed within continuation_steps correctors, the
+    constant is returned with converged=False and partial_result=True.
     """
     if L <= 0:
         raise ParameterRangeError("the period must be positive")
@@ -637,7 +630,8 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
         return DelaunaySolution(
             n=params.n, alpha=params.alpha, c_f=nl.c_f, period=L,
             epsilon=float(x[0]), u_c=uc, profile=prof, residual_norm=rel,
-            residual_inf=norm_inf, amplitude=amp, converged=converged,
+            residual_inf=norm_inf, amplitude=amp,
+            converged=converged and bool(full.min() > 0.0),
             nontrivial=bool(amp > 1e-5 * uc), partial_result=partial,
             solver_tol=tol(system), steps=steps)
 

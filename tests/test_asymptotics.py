@@ -15,7 +15,8 @@ import pytest
 from hartreelab import (CylinderProfile, Field, GridError,
                         ParameterDomainError, ParameterRangeError,
                         ProblemParams, asymptotics_report, blowup_rescale,
-                        default_radii, find_delaunay, kernel_table,
+                        critical_radius, default_radii, dispersion_root,
+                        find_delaunay, kernel_table,
                         make_bubble, make_singular_power, nonlinearity_for,
                         profile_fit, sharp_constants, symmetry_ratio,
                         upper_bound_scan)
@@ -206,18 +207,39 @@ def test_profile_fit_recovers_periodic_translation():
     assert fit.multistart_spread is not None and fit.multistart_spread >= 0.0
 
 
+DELAUNAY_PAIRS = (P32, ProblemParams(5, 3.0), ProblemParams(3, 0.5))
+
+
+def _delaunay_field(params, factor, nodes):
+    """The orbit at factor L_0, and u = r^-nu U(-ln r), singular at the origin."""
+    nl, kt = nonlinearity_for(params), kernel_table(params)
+    uc, l0 = dispersion_root(params, nl, kt)
+    sol = find_delaunay(params, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=nodes)
+    return sol, Field.radial(params.n, lambda r: r ** -params.nu * sol.profile(-np.log(r)),
+                             singular_center=True)
+
+
 def test_profile_fit_accepts_delaunay_candidates():
-    nl = nonlinearity_for(P32)
-    kt = kernel_table(P32)
-    uc = (0.25 / (nl.c_f * kt.norm_l1)) ** 0.125
-    sol = find_delaunay(P32, nl, 0.5 * uc, 1.05 * 2.0 * math.pi,
-                        kt=kt, n_nodes=128)
-    u = Field.radial(3, lambda r: r ** -0.5 * sol.profile(-np.log(r)),
-                     singular_center=True)
-    fit = profile_fit(u, sol, default_radii(1e-3, 1.0), P32)
-    assert fit.candidate == "delaunay"
-    assert fit.error_smallest < 1e-8
-    assert not fit.rejected
+    for params in DELAUNAY_PAIRS:
+        sol, u = _delaunay_field(params, 1.05, 128)
+        fit = profile_fit(u, sol, default_radii(1e-3, 1.0), params)
+        assert fit.candidate == "delaunay"
+        assert fit.error_smallest < 1e-8, params.label()
+        assert not fit.rejected
+
+
+@pytest.mark.parametrize("params", DELAUNAY_PAIRS, ids=lambda p: p.label())
+def test_delaunay_fields_are_radial_about_their_singularity(params):
+    # spheres about x stay comparable until they reach the singularity, so
+    # the critical radius of a singular radial solution is |x|
+    _, u = _delaunay_field(params, 2.0, 256)
+    for x in (0.5, 2.0):
+        point = np.zeros(params.n)
+        point[0] = x
+        assert abs(float(critical_radius(u, point)) - x) <= 2e-4
+    if params.n == 3:   # at n = 5 the sphere rule has 27,951 points, about 1 s
+        rep = asymptotics_report(u, default_radii(1e-3, 1.0), params)
+        assert not rep.upper.divergence and rep.symmetry.certified
 
 
 def test_profile_fit_rejects_wrong_shapes():

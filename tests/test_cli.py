@@ -405,3 +405,13 @@ def test_subcritical_period_exits_four(capsys):
     err = json.loads(stderr)
     assert err["error"] == "ConvergenceError"
     assert "no converged orbit" in err["message"]
+
+
+def test_negative_neck_exits_four(capsys):
+    # 128 nodes do not resolve the spike of a 12 L_0 orbit: its neck lands
+    # below 0, and a nonpositive orbit is no solution
+    rc, _, stderr = run(capsys, "delaunay", "--period-factor", "12", "--nodes", "128")
+    assert rc == 4
+    err = json.loads(stderr)
+    assert err["error"] == "ConvergenceError"
+    assert err["message"].startswith("no positive orbit: min U -")

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-import scipy.interpolate
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         GridError, IntegrabilityError, KernelTable, ParameterRangeError,
@@ -221,37 +220,6 @@ def test_cylinder_profile_contracts():
         assert prof(np.array([0.1, 0.2])).shape == (2,)
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "decaying"])
-def test_cylinder_profile_builds_its_spline_once(boundary, monkeypatch):
-    builds = []
-
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return CubicSpline(*args, **kwargs)
-
-    # the profile imports the spline class on first evaluation
-    CubicSpline = scipy.interpolate.CubicSpline
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted)
-    t = np.linspace(-10.0, 10.0, 64)
-    if boundary == "periodic":
-        L = 64 * (t[1] - t[0])
-        U = CylinderProfile(t, np.cos(2.0 * np.pi * t / L), boundary=boundary, period=L)
-    else:
-        U = CylinderProfile(t, np.exp(-t * t), boundary=boundary)
-    for tq in (0.3, np.linspace(-2.0, 2.0, 5), -0.7):
-        U(tq)
-    assert len(builds) == 1
-
-
-def test_data_profiles_carry_any_end_values():
-    t = np.linspace(-1.0, 1.0, 64)
-    data = CylinderProfile(t, np.exp(-t * t), boundary="data")
-    assert data.boundary == "data" and data.period is None
-    assert data(0.0) == pytest.approx(1.0, rel=1e-6)
-    with pytest.raises(GridError):
-        CylinderProfile(t, np.exp(-t * t), boundary="data", period=2.0)
-
-
 def test_to_cylinder_maps_bubble_to_sech_power():
     bub = make_bubble(P32)
     U = to_cylinder(bub, P32)
@@ -260,6 +228,18 @@ def test_to_cylinder_maps_bubble_to_sech_power():
     assert np.max(np.abs(U.values / want - 1.0)) < 1e-13
     assert U.boundary == "decaying"
     assert abs(U.values[0]) <= 1e-8 and abs(U.values[-1]) <= 1e-8
+
+
+def test_to_cylinder_bubble_reads_between_its_nodes():
+    # the trigonometric interpolant over the span N h; a cubic spline misses
+    # by 2e-8 c_n at this spacing
+    U = to_cylinder(make_bubble(P32), P32, spacing=0.05)
+    cn = sharp_constants(P32).c_n
+    tq = U.t[:-1] + 0.025
+    tq = tq[np.abs(tq) <= 20.0]
+    assert np.max(np.abs(U(tq) - cn * (2.0 * np.cosh(tq)) ** -0.5)) <= 1e-11 * cn
+    # and reads 0 beyond the grid
+    assert U(U.t[0] - 0.025) == 0.0 and U(U.t[-1] + 0.025) == 0.0
 
 
 def test_to_cylinder_profile_route_and_roundtrip():
@@ -347,8 +327,7 @@ def test_ode_residual_on_cylinder_bubble():
     U = to_cylinder(make_bubble(P32), P32)
     res, rel = ode_residual(U, NL32, KT32)
     assert rel < 1e-3
-    assert res.t.shape == U.t.shape
-    assert res.boundary == "data" and res.period is None
+    assert res.shape == U.t.shape
 
 
 @pytest.mark.parametrize("h", [0.05, 0.01])
@@ -360,14 +339,6 @@ def test_ode_residual_of_the_cylinder_bubble_is_rounding(n, alpha, h):
     U = to_cylinder(make_bubble(params), params, spacing=h)
     _, rel = ode_residual(U, nonlinearity_for(params), kernel_table(params))
     assert rel <= 1e-10, rel
-
-
-def test_ode_residual_refuses_data_profiles():
-    # a data profile declares no tail to continue its window by
-    t = 0.1 * np.arange(-100, 101)
-    data = CylinderProfile(t, np.exp(-np.abs(t)), boundary="data")
-    with pytest.raises(GridError, match="data profiles"):
-        ode_residual(data, NL32, KT32)
 
 
 def test_ode_residual_on_constant_solution():
@@ -466,6 +437,45 @@ def test_find_delaunay_necks_do_not_depend_on_the_node_count(n, alpha):
     necks = [find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=N).epsilon
              for N in (64, 512, 1024, 2048)]
     assert max(necks) - min(necks) <= 1e-12 * uc
+
+
+@pytest.mark.parametrize("factor", [1.05, 2.0])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (5, 3.0), (3, 0.5)])
+def test_orbits_read_between_their_nodes_as_the_finer_orbit(n, alpha, factor):
+    # the half-nodes of N <= 512 nodes are nodes of the 1024-node orbit
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    truth = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=1024).profile.values
+    for N in (64, 128, 256, 512):
+        U = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=N).profile
+        k = 1024 // N
+        err = np.max(np.abs(U(U.t + 0.5 * U.spacing) - truth[k // 2::k]))
+        assert err <= 1e-11 * uc, (N, err / uc)
+
+
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 0.5)])
+def test_long_period_necks_follow_the_bubble_chain(n, alpha):
+    # as L grows the orbit becomes a chain of cylinder bubbles c_n (2 cosh
+    # t)^(-nu), neighbours meeting at the neck, so eps(L) = 2 c_n e^{-nu L/2}
+    # (1 + o(1)); c_n is the closed-form constant, independent of the solver
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    sol = find_delaunay(P, nl, 0.5 * uc, 8.0 * l0, kt=kt, n_nodes=512)
+    law = 2.0 * sharp_constants(P).c_n * math.exp(-P.nu * 4.0 * l0)
+    assert sol.converged
+    assert abs(sol.epsilon / law - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [128, 512])
+def test_find_delaunay_lands_only_positive_orbits(nodes):
+    # at 12 L_0 the neck is 2.4e-8 U_c; 128 nodes land it at -1.7e-7 U_c
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 12.0 * l0, kt=KT32, n_nodes=nodes)
+    positive = nodes == 512
+    assert bool(sol.profile.values.min() > 0.0) is positive
+    assert sol.converged is positive
 
 
 def test_find_delaunay_orbit_solves_its_own_check():

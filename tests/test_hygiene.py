@@ -6,6 +6,7 @@ argparse), and the lazy package resolves every exported name.
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,20 @@ print(json.dumps({"ok": ok, "scipy": [m for m in sys.modules
 """
 
 
+_PROFILE_PROBE = """
+import json, sys
+import numpy as np
+from hartreelab import CylinderProfile
+t = 0.1 * np.arange(-100, 100)
+profiles = (CylinderProfile(t, 0.7 + 0.1 * np.cos(np.pi * t / 10.0),
+                            boundary="periodic", period=20.0),
+            CylinderProfile(t, np.exp(-t * t)))
+values = [float(U(np.array([0.05, 3.33]))[1]) for U in profiles]
+print(json.dumps({"values": values, "scipy": [m for m in sys.modules
+                                               if m == "scipy" or m.startswith("scipy.")]}))
+"""
+
+
 def _probe(script):
     src = str(Path(hartreelab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -149,6 +164,14 @@ def test_library_solvers_load_no_scipy():
     # not just the set-up: the first solves load nothing that set-up skipped
     doc = _probe(_BRANCH_PROBE)
     assert all(doc["ok"])
+    assert doc["scipy"] == []
+
+
+def test_cylinder_profiles_evaluate_off_node_without_scipy():
+    # a profile between its nodes is its trigonometric interpolant, by numpy
+    doc = _probe(_PROFILE_PROBE)
+    assert doc["values"] == pytest.approx([0.7 + 0.1 * math.cos(0.333 * math.pi),
+                                           math.exp(-3.33 ** 2)], abs=1e-6)
     assert doc["scipy"] == []
 
 
