@@ -28,7 +28,7 @@ import numpy as np
 from . import artifacts, riesz
 from .constants import sharp_constants
 from .errors import AccuracyError, ConvergenceError, HartreelabError
-from .fields import Field, make_bubble, make_singular_power, sample_radial
+from .fields import Field, _row_norm, make_bubble, make_singular_power, sample_radial
 from .params import ProblemParams
 
 
@@ -362,7 +362,7 @@ def _make_field(cfg: dict, params: ProblemParams) -> Field:
     if kind == "perturbed_bubble":
         bub = make_bubble(params, center=center, mu=cfg.get("field_mu", 1.0))
         return Field(n=params.n,
-                     fn=lambda pts: (1.0 + np.linalg.norm(pts, axis=1)) * bub(pts))
+                     fn=lambda pts: (1.0 + _row_norm(pts)) * bub(pts))
     raise ConfigError(f"field: unknown kind {kind!r}")
 
 

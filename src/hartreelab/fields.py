@@ -250,6 +250,20 @@ def _parse_opt(s):
 # ============================================================
 
 
+def _row_norm(pts: np.ndarray, center=None, squared: bool = False) -> np.ndarray:
+    """|y - center| for each row y of an (m, n) array, or its square.
+
+    Summed a column at a time, which gives the bits of ``np.linalg.norm(pts
+    - center, axis=1)`` and ``np.sum((pts - center) ** 2, axis=1)`` at a
+    fraction of their cost: those reduce each short row in turn.
+    """
+    acc = np.zeros(pts.shape[0])
+    for k in range(pts.shape[1]):
+        d = pts[:, k] if center is None else pts[:, k] - center[k]
+        acc += d * d
+    return acc if squared else np.sqrt(acc)
+
+
 @dataclass(frozen=True)
 class Field:
     """A scalar field on R^n \\ {singular point}, evaluated pointwise.
@@ -274,8 +288,7 @@ class Field:
         if pts.shape[1] != self.n:
             raise SamplingError(f"points have dimension {pts.shape[1]}, field has n={self.n}")
         for s in self.singular_points:
-            d = np.linalg.norm(pts - np.asarray(s), axis=1)
-            if np.any(d == 0.0):
+            if np.any(_row_norm(pts, s, squared=True) == 0.0):
                 raise SamplingError(f"field evaluated at its singular point {np.asarray(s)}")
         vals = np.asarray(self.fn(pts), dtype=float)
         return float(vals[0]) if single else vals
@@ -286,8 +299,7 @@ class Field:
         c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
         def fn(pts):
-            rr = np.linalg.norm(pts - c[None, :], axis=1)
-            return radial_fn(rr)
+            return radial_fn(_row_norm(pts, c))
 
         sing = (tuple(c),) if singular_center else ()
         return cls(n=n, fn=fn, is_radial=True, center=c, radial_fn=radial_fn,

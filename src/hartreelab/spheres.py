@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, ParameterDomainError,
                      ParameterRangeError, SamplingError)
-from .fields import Field
+from .fields import Field, _row_norm
 from .params import CACHE_SIZE, ProblemParams
 
 _DEFICIT_TOL = 1e-8   # a deficit below -_DEFICIT_TOL (|u| + |u_{x,mu}|) is a violation
@@ -65,7 +65,7 @@ def invert_point(inv: SphereInversion, z):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     d = pts - inv.center[None, :]
-    r2 = np.sum(d * d, axis=1)
+    r2 = _row_norm(d, squared=True)
     if np.any(r2 == 0.0):
         raise ParameterDomainError("inversion is undefined at its own center")
     out = inv.center[None, :] + inv.radius ** 2 * d / r2[:, None]
@@ -88,7 +88,7 @@ def kelvin_transform(u: Field, inv: SphereInversion, exponent: float) -> Field:
     def at(d):
         # the image is x + w; a field about x takes w itself, since near x
         # the point x + w keeps only eps |x| / |w| of w
-        dist2 = np.sum(d * d, axis=1)
+        dist2 = _row_norm(d, squared=True)
         w = mu ** 2 * d / dist2[:, None]
         same = u.about is not None and np.array_equal(u.about[0], x)
         vals = u.about[1](w) if same else u(x[None, :] + w)
@@ -154,10 +154,10 @@ def comparison_kernel(inv: SphereInversion, z, y, exponent: float) -> np.ndarray
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    dy = np.linalg.norm(y - inv.center[None, :], axis=1)
+    dy = _row_norm(y, inv.center)
     yi = invert_point(inv, y)
-    direct = np.linalg.norm(y - z, axis=1) ** (-exponent)
-    mirror = (inv.radius / dy) ** exponent * np.linalg.norm(yi - z, axis=1) ** (-exponent)
+    direct = _row_norm(y - z) ** (-exponent)
+    mirror = (inv.radius / dy) ** exponent * _row_norm(yi - z) ** (-exponent)
     return direct - mirror
 
 
@@ -178,7 +178,7 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
     """
     def draw(radius_lo):
         dirs = rng.normal(size=(samples, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dirs /= _row_norm(dirs)[:, None]
         radii = inv.radius * np.exp(rng.uniform(math.log(radius_lo), math.log(40.0), samples))
         return inv.center[None, :] + radii[:, None] * dirs
 
@@ -188,9 +188,9 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
     if alpha is not None:
         out["kalpha_min"] = float(np.min(kernel_kalpha(n, alpha, inv, z, y)))
     dirs = rng.normal(size=(samples, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= _row_norm(dirs)[:, None]
     y_b = inv.center[None, :] + inv.radius * dirs
-    scale = np.linalg.norm(y_b - z, axis=1) ** (-(n - 2.0))
+    scale = _row_norm(y_b - z) ** (-(n - 2.0))
     out["k2_boundary_max"] = float(np.max(np.abs(kernel_k2(n, inv, z, y_b)) / scale))
     return out
 
@@ -220,7 +220,7 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
     """
     x = np.asarray(x, dtype=float)
     out = x + mu * _unit_test_set(n, x, spec)
-    return out[np.linalg.norm(out, axis=1) > 1e-9]
+    return out[_row_norm(out) > 1e-9]
 
 
 def _unit_test_set(n: int, x: np.ndarray, spec: TestSetSpec) -> np.ndarray:
@@ -241,7 +241,7 @@ def _shell_directions(seed: int, n: int) -> np.ndarray:
     """Unit directions of the test-set shells, drawn once per stream; read-only."""
     rng = np.random.Generator(np.random.Philox(seed))
     dirs = rng.normal(size=(_N_SHELLS, _PER_SHELL, n))
-    dirs /= np.linalg.norm(dirs, axis=2)[:, :, None]
+    dirs /= _row_norm(dirs.reshape(-1, n)).reshape(_N_SHELLS, _PER_SHELL, 1)
     dirs.flags.writeable = False
     return dirs
 
@@ -286,14 +286,14 @@ def comparison_deficit(u: Field, inv: SphereInversion, test_points,
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
     x, mu = inv.center, inv.radius
-    dist = np.linalg.norm(pts - x[None, :], axis=1)
+    dist = _row_norm(pts, x)
     inside = dist < mu * (1.0 - 1e-12)
     if np.any(inside):
         k = int(np.argmax(inside))
         raise SamplingError(
             f"test point {pts[k]} lies inside the comparison sphere "
             f"(|y-x| = {dist[k]:.6g} < mu = {mu:.6g})")
-    if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+    if np.any(_row_norm(pts, squared=True) == 0.0):
         raise SamplingError("the origin is never an admissible test point")
     deficits, scales, bad = _deficits(u, pts, invert_point(inv, pts),
                                       (mu / dist) ** (u.n - 2.0))
@@ -346,15 +346,17 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
     probes = 0
     # the sphere (x, mu) maps x + mu U to x + mu U / |U|^2 with weight |U|^-(n-2)
     unit = _unit_test_set(u.n, x, spec)
-    norm2 = np.sum(unit * unit, axis=1)
+    norm2 = _row_norm(unit, squared=True)
     image, weights = unit / norm2[:, None], norm2 ** (-(u.n - 2.0) / 2.0)
 
     def holds(mu):
         nonlocal probes
         probes += 1
-        pts = x + mu * unit
-        keep = np.linalg.norm(pts, axis=1) > 1e-9
-        return not np.any(_deficits(u, pts[keep], (x + mu * image)[keep], weights[keep])[2])
+        pts, images, w = x + mu * unit, x + mu * image, weights
+        keep = _row_norm(pts) > 1e-9
+        if not keep.all():      # a point at the origin is dropped; copy only then
+            pts, images, w = pts[keep], images[keep], w[keep]
+        return not np.any(_deficits(u, pts, images, w)[2])
 
     if not holds(_MU_LO):
         return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={_MU_LO}",
@@ -413,7 +415,7 @@ def equality_fit(u: Field, sample_points) -> EqualityFit:
                            note="constant field", converged=True)
 
     logv = np.log(vals)
-    design = np.column_stack([np.sum(pts * pts, axis=1), pts, np.ones(len(pts))])
+    design = np.column_stack([_row_norm(pts, squared=True), pts, np.ones(len(pts))])
     coef = np.linalg.lstsq(design, vals ** (-1.0 / nu), rcond=None)[0]
     c, b = coef[0], coef[1:-1]
     apex = coef[-1] - b @ b / (4.0 * c) if c > 0.0 else 0.0
@@ -422,14 +424,14 @@ def equality_fit(u: Field, sample_points) -> EqualityFit:
                                 -b / (2.0 * c)])
     else:
         x0 = pts[int(np.argmax(vals))]
-        r_scale = float(np.median(np.linalg.norm(pts - x0[None, :], axis=1)))
+        r_scale = float(np.median(_row_norm(pts, x0)))
         theta = np.concatenate([[float(logv.max()), -math.log(max(r_scale, 1e-12))], x0])
 
     def resid(theta):
         """Log residual and its Jacobian in (log A, log m, x0)."""
         d = pts - theta[None, 2:]
         m2 = math.exp(2.0 * theta[1])
-        q = m2 * np.sum(d * d, axis=1)
+        q = m2 * _row_norm(d, squared=True)
         jac = np.empty((len(pts), theta.size))
         jac[:, 0] = 1.0
         jac[:, 1] = -2.0 * nu * q / (1.0 + q)

@@ -334,22 +334,52 @@ def test_both_flag_forms_read_alike(capsys):
     assert spaced == joined and json.loads(joined)["n"] == 4
 
 
+def _config_rows(command):
+    """Every key away from its default, then 30 rows from one Philox stream:
+    ints in +-1e6, floats across 10^+-300 and -0.0, bools, and strings."""
+    rng = np.random.Generator(np.random.Philox(sorted(cli.SCHEMAS).index(command)))
+    letters = list("ab=- _.é/")
+
+    def draw(kind):
+        if kind is int:
+            return int(rng.integers(-10 ** 6, 10 ** 6 + 1))
+        if kind is float:
+            if rng.random() < 0.1:
+                return -0.0
+            return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+        if kind is bool:
+            return bool(rng.random() < 0.5)
+        return "".join(rng.choice(letters, int(rng.integers(0, 9))))
+
+    schema = cli.SCHEMAS[command]
+    rows = [{key: {bool: True, int: 7, float: 0.375, str: "x"}[opt.kind]
+             for key, opt in schema.items()}]
+    rows += [{key: draw(opt.kind) for key, opt in schema.items()} for _ in range(30)]
+    return rows
+
+
 @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
 def test_flags_and_config_file_give_one_hash(tmp_path, command):
-    # every key set away from its default, once as flags, once as a file
-    values = {}
-    for key, opt in cli.SCHEMAS[command].items():
-        values[key] = {bool: True, int: 7, float: 0.375, str: "x"}[opt.kind]
-    words = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        words += [flag] if value is True else [flag, str(value)]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"command": command, **values}))
-    from_flags = cli.resolve_config(command, *cli._parse_flags(command, words))
-    from_file = cli.resolve_config(command, str(path), {})
-    assert from_flags == from_file
-    assert cli._hash(command, from_flags) == cli._hash(command, from_file)
+    # each row once as flags (spaced and joined forms in turn), once as a
+    # config file, and once as a recorded config carrying its config_hash
+    for i, values in enumerate(_config_rows(command)):
+        words = []
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(value, bool):
+                words += [flag] if value else []
+            else:
+                words += [flag, str(value)] if i % 2 else [f"{flag}={value}"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": command, **values}))
+        from_flags = cli.resolve_config(command, *cli._parse_flags(command, words))
+        from_file = cli.resolve_config(command, str(path), {})
+        digest = cli._hash(command, from_file)
+        artifacts.write_json(path, {"command": command, "config_hash": digest, **from_file})
+        recorded = cli.resolve_config(command, str(path), {})
+        for cfg in (from_flags, recorded):
+            # the dicts compare -0.0 equal to 0.0; the hash tells them apart
+            assert cfg == from_file and cli._hash(command, cfg) == digest
 
 
 # ============================================================

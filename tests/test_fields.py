@@ -87,21 +87,50 @@ def test_profile_shape_mismatch():
         RadialProfile(grid, np.full(len(grid), np.nan))
 
 
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _profile_table():
+    """60 profiles from one Philox stream: grids at 16-64 per decade, values
+    of either sign across 10^+-300 with 0.0, -0.0, 5e-324 and +-max mixed
+    in, tail exponents None or drawn across 10^+-300."""
+    rng = np.random.Generator(np.random.Philox(60))
+    big = np.finfo(float).max
+    extremes = [0.0, -0.0, 5e-324, big, -big]
+
+    def draw(size=None):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+
+    table = []
+    for _ in range(60):
+        r_min = 10.0 ** rng.uniform(-6.0, 2.0)
+        grid = RadialGrid.geometric(r_min, r_min * 10.0 ** rng.uniform(0.5, 3.0),
+                                    int(rng.integers(16, 65)))
+        values = draw(len(grid))
+        values[rng.choice(len(grid), len(extremes), replace=False)] = extremes
+        inner, outer = (None if rng.random() < 0.3 else float(draw()) for _ in range(2))
+        table.append(RadialProfile(grid, values, inner, outer))
+    return table
+
+
 def test_profile_csv_json_roundtrip(tmp_path):
     grid = RadialGrid.geometric(0.1, 10.0, 24)
-    prof = RadialProfile(grid, np.exp(-grid.r), inner_exponent=0.0,
-                         outer_exponent=None)
-    prof.to_csv(tmp_path / "p.csv", metadata={"kind": "test"})
-    back = RadialProfile.from_csv(tmp_path / "p.csv")
-    np.testing.assert_array_equal(back.grid.r, prof.grid.r)
-    np.testing.assert_array_equal(back.values, prof.values)
-    assert back.inner_exponent == 0.0 and back.outer_exponent is None
-    prof.to_json(tmp_path / "p.json")
-    back = RadialProfile.from_json(tmp_path / "p.json")
-    np.testing.assert_array_equal(back.values, prof.values)
-    # the JSON artifact is the canonical writer's output
-    text = (tmp_path / "p.json").read_text()
-    assert text == artifacts.dumps_json(json.loads(text))
+    table = [RadialProfile(grid, np.exp(-grid.r), inner_exponent=0.0,
+                           outer_exponent=None), *_profile_table()]
+    for prof in table:
+        prof.to_csv(tmp_path / "p.csv", metadata={"kind": "test"})
+        prof.to_json(tmp_path / "p.json")
+        for back in (RadialProfile.from_csv(tmp_path / "p.csv"),
+                     RadialProfile.from_json(tmp_path / "p.json")):
+            # bit for bit, the sign of every zero included
+            assert _bits(back.grid.r) == _bits(prof.grid.r)
+            assert _bits(back.values) == _bits(prof.values)
+            assert _bits(back.inner_exponent) == _bits(prof.inner_exponent)
+            assert _bits(back.outer_exponent) == _bits(prof.outer_exponent)
+        # the JSON artifact is the canonical writer's output
+        text = (tmp_path / "p.json").read_text()
+        assert text == artifacts.dumps_json(json.loads(text))
 
 
 # ============================================================
@@ -117,6 +146,26 @@ def test_field_evaluation_shapes():
     assert batch.shape == (5,)
     with pytest.raises(SamplingError):
         u(np.zeros((5, 4)))             # wrong ambient dimension
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_row_norm_has_the_bits_of_the_row_reductions(n):
+    # a fixed Philox table across 1e-200..1e200, where squares underflow to
+    # subnormals or 0 and overflow to inf, with rows of zeros, signed zeros,
+    # subnormals, +-1e200 and the center itself; both memory orders
+    rng = np.random.Generator(np.random.Philox(n))
+    pts = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-200.0, 200.0, (300, 1))
+    centers = [None, rng.normal(size=n), 1e150 * rng.normal(size=n)]
+    pts[:8] = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, 1e-200, 0.0])[:, None]
+    pts[7, ::2] = -0.0
+    pts[8:10] = centers[1:]
+    with np.errstate(over="ignore", under="ignore"):
+        for c in centers:
+            for a in (pts, np.asfortranarray(pts)):
+                d = a if c is None else a - c
+                assert _bits(fields._row_norm(a, c)) == _bits(np.linalg.norm(d, axis=1))
+                assert (_bits(fields._row_norm(a, c, squared=True))
+                        == _bits(np.sum(d ** 2, axis=1)))
 
 
 def test_singular_points_are_refused():

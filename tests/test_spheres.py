@@ -284,6 +284,19 @@ def test_critical_radius_failure_at_the_floor():
     assert "already negative" in cr.note
 
 
+def test_critical_radius_drops_the_points_at_the_origin():
+    # at x = mu_lo (1 + s_0) e_1, with s_0 the first ray offset, the first
+    # probe's ray runs through the origin; the points it puts within 1e-9
+    # of 0 are dropped, never evaluated
+    x = np.array([spheres._MU_LO * (1.0 + 1e-7), 0.0, 0.0])
+    full = spheres._N_SHELLS * spheres._PER_SHELL + spheres._RAY_POINTS
+    assert deficit_test_set(3, x, spheres._MU_LO).shape[0] == full - 15
+    cr = critical_radius(make_singular_power(P32), x, xtol=1e-4)
+    assert abs(float(cr) - np.linalg.norm(x)) <= 1e-4
+    assert cr.probes == 19
+    assert abs(float(critical_radius(make_bubble(P32), x)) - 1.0) < 2e-4
+
+
 # ============================================================
 # equality case
 # ============================================================
