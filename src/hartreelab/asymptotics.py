@@ -278,7 +278,7 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
     nu = params.nu
     t = -np.log(r)
     c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
-    if u.is_radial and u.radial_fn is not None and np.array_equal(u.center, c):
+    if u.radial_fn is not None and np.array_equal(u.center, c):
         uvals = u.radial_fn(r)   # the profile about the center, exactly
     else:
         uvals = u(c + r[:, None] * np.eye(u.n)[0])

@@ -84,7 +84,8 @@ SCHEMAS = {
         plot=_Opt(False, bool, "write an SVG of the orbit"),
     ),
     "moving-spheres": _common(
-        field=_Opt("singular", str, "test field: singular | bubble | constant"),
+        field=_Opt("singular", str,
+                   "test field: singular | bubble | constant | perturbed_bubble"),
         field_mu=_Opt(1.0, float, "bubble shape parameter (field=bubble)"),
         field_center=_Opt(0.0, float, "bubble center offset along e_1 (field=bubble)"),
         field_value=_Opt(1.0, float, "constant value (field=constant)"),
@@ -95,7 +96,8 @@ SCHEMAS = {
         seed=_Opt(20240817, int, "Philox stream for test sets and fit clouds"),
     ),
     "asymptotics": _common(
-        field=_Opt("bubble", str, "test field: bubble | singular | perturbed_bubble"),
+        field=_Opt("bubble", str,
+                   "test field: bubble | singular | perturbed_bubble | constant (value 1)"),
         field_mu=_Opt(1.0, float, "bubble shape parameter"),
         field_center=_Opt(0.0, float, "field center offset along e_1"),
         r_min=_Opt(1e-3, float, "smallest probe radius"),

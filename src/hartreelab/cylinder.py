@@ -141,27 +141,21 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def to_cylinder(u, params: ProblemParams, *, spacing: float = 0.01) -> CylinderProfile:
-    """U(t) = r^((n-2)/2) u(r) at r = e^{-t}, resampled to a uniform t-grid.
+def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> CylinderProfile:
+    """U(t) = r^((n-2)/2) u(r) at r = e^{-t}, sampled on a uniform t-grid.
 
-    ``u`` may be a positive RadialProfile (interpolated, tails continued by
-    its declared exponents) or a radial Field about the origin, in which
-    case the exact callable is used.  The t-range is chosen so the
-    decaying-end contract (|U| <= 1e-8) holds.
+    ``u`` is a radial Field about the origin, whose exact radial callable
+    is sampled; a RadialProfile has no values between its nodes, so it is
+    refused.  The t-range is chosen so the decaying-end contract (|U| <=
+    1e-8) holds.
     """
     nu = params.nu
-    if isinstance(u, Field):
-        if not u.is_radial or u.radial_fn is None or np.any(u.center != 0.0):
-            raise SamplingError("to_cylinder wants a radial field about the origin")
-        ufun = lambda r: np.asarray(u.radial_fn(r), dtype=float)
-        amp = float(ufun(np.array([1.0]))[0])
-    elif isinstance(u, RadialProfile):
-        if not u.is_positive:
-            raise SamplingError("to_cylinder is defined for positive profiles")
-        ufun = lambda r: u(r, extrapolate=True)
-        amp = float(ufun(np.array([1.0]))[0])
-    else:
+    if not isinstance(u, Field):
         raise SamplingError(f"cannot map {type(u).__name__} to the cylinder")
+    if u.radial_fn is None or np.any(u.center != 0.0):
+        raise SamplingError("to_cylinder wants a radial field about the origin")
+    ufun = lambda r: np.asarray(u.radial_fn(r), dtype=float)
+    amp = float(ufun(np.array([1.0]))[0])
 
     # U ~ amp 2^nu e^{-nu|t|} for bubble-like decay: pad to reach 1e-9
     t_max = (math.log(max(amp, 1e-3)) + 9.5 * math.log(10.0)) / nu + 2.0
@@ -237,10 +231,6 @@ class KernelTable:
     n: int
     alpha: float
 
-    @classmethod
-    def build(cls, params: ProblemParams) -> "KernelTable":
-        return cls(n=params.n, alpha=params.alpha)
-
     @property
     def decay_constant(self) -> float:
         return omega(self.n - 1)
@@ -255,13 +245,13 @@ class KernelTable:
 
 
 def kernel_table(params: ProblemParams) -> KernelTable:
-    """Process-cached KernelTable.build."""
+    """The process-cached KernelTable of params."""
     return _kernel_table(params)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_table(params: ProblemParams) -> KernelTable:
-    return KernelTable.build(params)
+    return KernelTable(params.n, params.alpha)
 
 
 # ============================================================
@@ -333,8 +323,8 @@ def constant_solution(params: ProblemParams, nl: NonlinearitySpec,
 
 
 def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
-                        kt: KernelTable, w: float) -> float:
-    """D(w): the linearization of the ODE at U_c acting on e^{i w t}.
+                        kt: KernelTable, w):
+    """D(w): the linearization of the ODE at U_c acting on e^{i w t}, for scalar or array w.
 
     D(w) = w^2 + nu^2 [2 - p - p Khat^(w)/|Khat|_1], with Khat^ in closed
     form.  Khat^ strictly decreases in |w|, so D strictly increases from
@@ -345,18 +335,18 @@ def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
     """
     nu2 = params.nu ** 2
     p = nl.p
-    kappa = kt.fourier(w) / kt.norm_l1
-    return w * w + nu2 * (2.0 - p - p * kappa)
+    return w * w + nu2 * (2.0 - p - p * _khat_fourier(kt.n, kt.alpha, w) / kt.norm_l1)
 
 
 def dispersion_root(params: ProblemParams, nl: NonlinearitySpec, kt: KernelTable):
     """(U_c, L_0): the constant solution and its bifurcation period 2 pi / w_0."""
     return (constant_solution(params, nl, kt),
-            2.0 * math.pi / _bifurcation_frequency(kt.n, kt.alpha, nl.p))
+            2.0 * math.pi / _bifurcation_frequency(params, nl, kt))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _bifurcation_frequency(n: int, alpha: float, p: float) -> float:
+def _bifurcation_frequency(params: ProblemParams, nl: NonlinearitySpec,
+                           kt: KernelTable) -> float:
     """w_0, the one positive zero of ``dispersion_function``.
 
     D changes sign on [0, nu sqrt(2 (p - 1))] and strictly increases, so
@@ -364,12 +354,11 @@ def _bifurcation_frequency(n: int, alpha: float, p: float) -> float:
     call and keeps the cell where it turns positive, until the cell is a
     few ulp wide.
     """
-    nu2 = ((n - 2) / 2.0) ** 2
-    norm = float(_khat_fourier(n, alpha, 0.0))
-    lo, hi = 0.0, math.sqrt(nu2 * (2.0 * p - 2.0))
+    nu2 = params.nu ** 2
+    lo, hi = 0.0, math.sqrt(nu2 * (2.0 * nl.p - 2.0))
     while hi - lo > 1e-15 * hi:
         w = np.linspace(lo, hi, 33)
-        d = w * w + nu2 * (2.0 - p - p * _khat_fourier(n, alpha, w) / norm)
+        d = dispersion_function(params, nl, kt, w)
         k = min(max(int(np.count_nonzero(d <= 0.0)), 1), 32)
         lo, hi = float(w[k - 1]), float(w[k])
     return 0.5 * (lo + hi)

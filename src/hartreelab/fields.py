@@ -3,10 +3,10 @@
 Positive radial quantities in this problem live across many decades and
 decay like powers at both ends, so the native representation is a
 geometric radial grid together with declared power-law exponents for the
-two tails; the transforms accept only grids uniform in log r.
-Interpolation of positive profiles happens in (log r, log u) with a
-monotone cubic, which keeps interpolants positive and exact on pure power
-laws; non-positive profiles fall back to linear interpolation in the value.
+two tails; the transforms accept only grids uniform in log r.  A profile
+is those samples and tails and nothing between: the transforms continue it
+past its grid by the declared exponents, and nothing evaluates it off its
+nodes.
 
 Fields are lightweight wrappers around closed-form callables.  No global
 n-dimensional grid is ever built: pointwise evaluation, radial sampling
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -44,7 +44,7 @@ class RadialGrid:
     """Strictly increasing positive radii, at least 16 per decade.
 
     Transforms need the log-uniform grids of ``geometric`` (or a ``[::k]``
-    subsample of one); other radii serve sampling and interpolation only.
+    subsample of one); other radii serve sampling and serialization only.
     """
 
     r: np.ndarray
@@ -101,9 +101,9 @@ class RadialProfile:
     """Values on a radial grid with declared power-law tail exponents.
 
     ``inner_exponent`` / ``outer_exponent`` describe u ~ c r^e below r_min
-    and above r_max.  They are declarations (used for extrapolation and for
-    analytic tail integrals), not measurements; ``estimate_exponents``
-    measures.
+    and above r_max.  They are declarations (the transforms continue the
+    profile past its grid by them), not measurements;
+    ``estimate_exponents`` measures.
     """
 
     grid: RadialGrid
@@ -119,55 +119,8 @@ class RadialProfile:
         if not np.all(np.isfinite(v)):
             raise GridError("profile values must be finite")
 
-    # ---------- basic queries ----------
-
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.values > 0.0))
-
     def with_exponents(self, inner: Optional[float], outer: Optional[float]) -> "RadialProfile":
         return replace(self, inner_exponent=inner, outer_exponent=outer)
-
-    # ---------- interpolation ----------
-
-    @cached_property
-    def _interpolant(self):
-        from scipy.interpolate import PchipInterpolator
-        if self.is_positive:
-            return PchipInterpolator(self.grid.log_r, np.log(self.values), extrapolate=False)
-        return None
-
-    def __call__(self, r, extrapolate: bool = False):
-        """Evaluate at radii r; extrapolation beyond the grid is opt-in."""
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        if np.any(rr <= 0.0):
-            raise SamplingError("profiles are defined for r > 0 only")
-        below = rr < self.grid.r_min
-        above = rr > self.grid.r_max
-        if not extrapolate and (np.any(below) or np.any(above)):
-            raise SamplingError(
-                "radius outside the grid range; pass extrapolate=True to use "
-                "the declared tail exponents")
-        if extrapolate:
-            if np.any(below) and self.inner_exponent is None:
-                raise SamplingError("no inner_exponent declared for extrapolation below r_min")
-            if np.any(above) and self.outer_exponent is None:
-                raise SamplingError("no outer_exponent declared for extrapolation above r_max")
-        out = np.empty_like(rr)
-        inside = ~(below | above)
-        pch = self._interpolant
-        if np.any(inside):
-            if pch is not None:
-                out[inside] = np.exp(pch(np.log(rr[inside])))
-            else:
-                out[inside] = np.interp(rr[inside], self.grid.r, self.values)
-        if np.any(below):
-            out[below] = self.values[0] * (rr[below] / self.grid.r_min) ** self.inner_exponent
-        if np.any(above):
-            out[above] = self.values[-1] * (rr[above] / self.grid.r_max) ** self.outer_exponent
-        return float(out[0]) if scalar else out
 
     # ---------- exponents ----------
 
@@ -269,13 +222,13 @@ class Field:
     """A scalar field on R^n \\ {singular point}, evaluated pointwise.
 
     ``fn`` maps an (m, n) array of points to m values.  Radial fields
-    carry their center and a 1-d radial callable so samplers can take the
-    exact route instead of ray evaluation.
+    carry their center and a 1-d radial callable ``radial_fn`` (None on
+    any other field) so samplers can take the exact route instead of ray
+    evaluation.
     """
 
     n: int
     fn: Callable[[np.ndarray], np.ndarray]
-    is_radial: bool = False
     center: Optional[np.ndarray] = None
     radial_fn: Optional[Callable] = None
     singular_points: tuple = field(default_factory=tuple)  # points where evaluation is refused
@@ -302,8 +255,7 @@ class Field:
             return radial_fn(_row_norm(pts, c))
 
         sing = (tuple(c),) if singular_center else ()
-        return cls(n=n, fn=fn, is_radial=True, center=c, radial_fn=radial_fn,
-                   singular_points=sing)
+        return cls(n=n, fn=fn, center=c, radial_fn=radial_fn, singular_points=sing)
 
     def plus_constant(self, h: float) -> "Field":
         """The field u + h (harmonic offsets enter tests only this way)."""
@@ -313,8 +265,8 @@ class Field:
             return base.fn(pts) + h
 
         rf = (lambda r: base.radial_fn(r) + h) if base.radial_fn is not None else None
-        return Field(n=base.n, fn=fn, is_radial=base.is_radial, center=base.center,
-                     radial_fn=rf, singular_points=base.singular_points)
+        return Field(n=base.n, fn=fn, center=base.center, radial_fn=rf,
+                     singular_points=base.singular_points)
 
     def scaled(self, c: float) -> "Field":
         base = self
@@ -323,8 +275,8 @@ class Field:
             return c * base.fn(pts)
 
         rf = (lambda r: c * base.radial_fn(r)) if base.radial_fn is not None else None
-        return Field(n=base.n, fn=fn, is_radial=base.is_radial, center=base.center,
-                     radial_fn=rf, singular_points=base.singular_points)
+        return Field(n=base.n, fn=fn, center=base.center, radial_fn=rf,
+                     singular_points=base.singular_points)
 
 
 # ============================================================

@@ -127,7 +127,7 @@ class _KernelRule:
     was chosen to make negligible.
     """
 
-    __slots__ = ("omt", "w", "tip_omt", "tip_w", "tip_diag", "d_min", "depth")
+    __slots__ = ("omt", "w", "tip_omt", "tip_w", "tip_diag", "d_min")
 
     def __init__(self, omt, w, tip_omt, tip_w, tip_diag, depth):
         self.omt = omt
@@ -135,7 +135,6 @@ class _KernelRule:
         self.tip_omt = tip_omt
         self.tip_w = tip_w
         self.tip_diag = tip_diag
-        self.depth = depth
         self.d_min = 2.0 ** (-depth)
 
 

@@ -99,7 +99,7 @@ def kelvin_transform(u: Field, inv: SphereInversion, exponent: float) -> Field:
         s = np.asarray(s, dtype=float)
         if np.linalg.norm(s - x) > 0.0:
             singular.append(tuple(invert_point(inv, s)))
-    return Field(n=u.n, fn=lambda pts: at(pts - x[None, :]), is_radial=False,
+    return Field(n=u.n, fn=lambda pts: at(pts - x[None, :]),
                  singular_points=tuple(singular), about=(x, at))
 
 

@@ -5,8 +5,12 @@ summary, stderr one JSON error object, and every artifact embeds the hash
 of the semantic config (everything except `out` and `plot`).
 """
 
+import ast
+import inspect
 import json
 import math
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -292,6 +296,28 @@ def test_unknown_field_kind(capsys):
     rc, _, stderr = run(capsys, "moving-spheres", "--field", "vortex")
     assert rc == 2
     assert "unknown kind" in json.loads(stderr)["message"]
+
+
+def _field_kinds():
+    """The kinds ``cli._make_field`` builds: the words it compares ``kind`` with."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli._make_field)))
+    return sorted(node.comparators[0].value for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and getattr(node.left, "id", "") == "kind")
+
+
+@pytest.mark.parametrize("command", ["moving-spheres", "asymptotics"])
+def test_field_help_lists_every_kind_the_command_runs(capsys, command):
+    kinds = _field_kinds()
+    assert kinds == ["bubble", "constant", "perturbed_bubble", "singular"]
+    assert cli.main([command, "--help"]) == 0
+    line = next(text for text in capsys.readouterr().out.splitlines()
+                if text.lstrip().startswith("--field "))
+    assert [k for k in kinds if not re.search(rf"\b{k}\b", line)] == []
+    for kind in kinds:
+        rc, _, stderr = run(capsys, command, "--field", kind)
+        assert rc == 0, (kind, stderr)
+    rc, _, _ = run(capsys, command, "--field", "vortex")
+    assert rc == 2
 
 
 def test_no_command_prints_usage(capsys):

@@ -18,14 +18,13 @@ import pytest
 from scipy.integrate import quad
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
-                        GridError, IntegrabilityError, KernelTable, ParameterRangeError,
-                        ProblemParams, RadialGrid, SamplingError,
+                        GridError, IntegrabilityError, ParameterRangeError,
+                        ProblemParams, RadialGrid, RadialProfile, SamplingError,
                         angular_kernel, constant_solution,
                         cylinder_convolution, dispersion_function,
                         dispersion_root, find_delaunay, from_cylinder,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
-                        ode_residual, sample_radial, sharp_constants,
-                        to_cylinder)
+                        ode_residual, sharp_constants, to_cylinder)
 from hartreelab import cylinder
 from hartreelab.constants import omega
 from hartreelab.cylinder import _HalfGridSystem
@@ -178,7 +177,7 @@ def test_kernel_table_serves_unbounded_kernels(alpha):
     # Khat(0) is infinite for alpha <= 1, but Khat is integrable and its
     # closed forms exist; only the pointwise value at t = 0 is refused
     P = ProblemParams(3, alpha)
-    kt = KernelTable.build(P)
+    kt = kernel_table(P)
     assert math.isfinite(kt.norm_l1) and kt.norm_l1 > kt.fourier(1.0) > 0.0
     assert kt.decay_constant == omega(2)
     with pytest.raises(IntegrabilityError):
@@ -243,16 +242,11 @@ def test_to_cylinder_bubble_reads_between_its_nodes():
 
 
 def test_to_cylinder_profile_route_and_roundtrip():
+    # the field's nodes come back as a RadialProfile, node for node
     bub = make_bubble(P32)
-    prof = sample_radial(bub, RadialGrid.geometric(1e-22, 1e22, 96))
-    U = to_cylinder(prof, P32, spacing=0.02)
-    cn = sharp_constants(P32).c_n
-    want = cn * (2.0 * np.cosh(U.t)) ** -0.5
-    # interpolated route: spline accuracy, not exact
-    assert np.max(np.abs(U.values / want - 1.0)) < 1e-6
-    back = from_cylinder(U, P32)
+    back = from_cylinder(to_cylinder(bub, P32, spacing=0.02), P32)
     mid = (back.grid.r > 1e-2) & (back.grid.r < 1e2)
-    assert np.max(np.abs(back.values[mid] / bub.radial_fn(back.grid.r[mid]) - 1.0)) < 1e-6
+    assert np.max(np.abs(back.values[mid] / bub.radial_fn(back.grid.r[mid]) - 1.0)) < 1e-14
 
 
 def test_to_cylinder_rejects_off_center_fields():
@@ -260,6 +254,10 @@ def test_to_cylinder_rejects_off_center_fields():
         to_cylinder(make_bubble(P32, center=[1.0, 0.0, 0.0]), P32)
     with pytest.raises(SamplingError):
         to_cylinder(3.14, P32)
+    # a profile has no values between its nodes to resample
+    grid = RadialGrid.geometric(1e-3, 1e3, 16)
+    with pytest.raises(SamplingError):
+        to_cylinder(RadialProfile(grid, (1.0 + grid.r ** 2) ** -0.5, 0.0, -1.0), P32)
 
 
 # ============================================================

@@ -38,38 +38,6 @@ def test_grid_contracts():
     assert len(g) == 4 * 32 + 1
 
 
-def test_profile_interpolation_and_extrapolation():
-    grid = RadialGrid.geometric(0.1, 10.0, 48)
-    prof = RadialProfile(grid, grid.r ** -1.5, inner_exponent=-1.5,
-                         outer_exponent=-1.5)
-    # log-log pchip reproduces a pure power exactly
-    assert prof(0.37) == pytest.approx(0.37 ** -1.5, rel=1e-13)
-    assert prof(30.0, extrapolate=True) == pytest.approx(30.0 ** -1.5, rel=1e-12)
-    assert prof(0.01, extrapolate=True) == pytest.approx(0.01 ** -1.5, rel=1e-12)
-    with pytest.raises(SamplingError):
-        prof(30.0)                      # outside, extrapolation not requested
-    with pytest.raises(SamplingError):
-        prof(-1.0)
-    bare = RadialProfile(grid, grid.r ** -1.5)
-    with pytest.raises(SamplingError):
-        bare(30.0, extrapolate=True)    # no declared exponent to use
-
-
-def test_profile_with_a_sign_change_interpolates_linearly_in_r():
-    grid = RadialGrid.geometric(0.1, 10.0, 16)
-    prof = RadialProfile(grid, 1.0 - grid.r, inner_exponent=0.5, outer_exponent=-2.0)
-    assert not prof.is_positive
-    # linear in r is exact inside the grid, the log-log cubic is not defined
-    r = np.array([0.13, 1.0, 2.7, 9.9])
-    np.testing.assert_allclose(prof(r), 1.0 - r, rtol=0.0, atol=1e-15)
-    # outside it the declared tails take over from the end values
-    lo, hi = grid.r_min, grid.r_max
-    assert prof(0.02, extrapolate=True) == pytest.approx(
-        (1.0 - lo) * (0.02 / lo) ** 0.5, rel=1e-15)
-    assert prof(40.0, extrapolate=True) == pytest.approx(
-        (1.0 - hi) * (40.0 / hi) ** -2.0, rel=1e-15)
-
-
 def test_profile_exponent_estimation():
     grid = RadialGrid.geometric(1e-3, 1e3, 64)
     vals = 2.0 * grid.r ** -0.5 / (1.0 + grid.r ** 2)

@@ -1,6 +1,7 @@
 """Source hygiene: every module uses what it imports, caches only through
-``functools.lru_cache``, the CLI loads only what a command runs (and no
-argparse), and the lazy package resolves every exported name.
+``functools.lru_cache``, imports scipy only for the kernel oracle, the CLI
+loads only what a command runs (and no argparse), and the lazy package
+resolves every exported name.
 """
 
 import ast
@@ -60,6 +61,33 @@ def test_no_module_level_dict_caches(path):
             written.add(getattr(node.func.value, "id", None))
     caches = sorted(dicts & written)
     assert not caches, f"{path.name} caches in module-level dicts: {', '.join(caches)}"
+
+
+def _scipy_imports(node, owner=None):
+    """(enclosing function, line) of every scipy import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            yield owner, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _scipy_imports(child, inner)
+
+
+def test_scipy_serves_only_the_kernel_oracle():
+    # the Gauss-Jacobi rules and the QUADPACK reference cross-check the
+    # angular kernel; every other path runs on numpy alone
+    oracle = {("riesz.py", "_build_rule"), ("riesz.py", "_kernel_quad")}
+    found = {(path.name, owner, line) for path in MODULES
+             for owner, line in _scipy_imports(ast.parse(path.read_text()))}
+    stray = sorted(f"{name}:{line} ({owner or 'module level'})"
+                   for name, owner, line in found if (name, owner) not in oracle)
+    assert not stray, f"scipy imported outside the kernel oracle: {', '.join(stray)}"
+    assert {(name, owner) for name, owner, _ in found} == oracle
 
 
 _PROBE = """

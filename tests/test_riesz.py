@@ -331,7 +331,7 @@ def test_convolution_never_touches_the_kernel_family(monkeypatch):
 
 
 def _tail_profiles(grid):
-    # positive (PCHIP), sign-changing (np.interp), and a singular inner tail
+    # positive, sign-changing, and a singular inner tail
     r = grid.r
     return [RadialProfile(grid, (1.0 + r ** 2) ** -2.5, 0.0, -5.0),
             RadialProfile(grid, np.cos(np.log(r)) * (1.0 + r ** 2) ** -2.5, 0.0, -5.0),
@@ -341,13 +341,22 @@ def _tail_profiles(grid):
 @pytest.mark.parametrize("n,beta", [(3, 2.0), (5, 3.0)])
 @pytest.mark.parametrize("which", range(3))
 def test_profile_route_equals_the_pointwise_route(n, beta, which):
-    # the profile's grid values and declared tails against sampling the
-    # profile through its interpolant at every node of the source window
+    # the profile's grid values and declared tails against a callable that
+    # reads the same nodes (np.interp in log r) and tails at every node of
+    # the source window
     grid = default_grid(24)
     prof = _tail_profiles(grid)[which]
     spec = AngularKernelSpec(n, beta)
+    lo, hi = grid.r_min, grid.r_max
+
+    def pointwise(s):
+        inside = np.interp(np.log(s), grid.log_r, prof.values)
+        return np.where(s < lo, prof.values[0] * (s / lo) ** prof.inner_exponent,
+                        np.where(s > hi, prof.values[-1] * (s / hi) ** prof.outer_exponent,
+                                 inside))
+
     got = riesz_convolve(prof, spec)
-    want = riesz_convolve(lambda s: prof(s, extrapolate=True), spec, grid=grid,
+    want = riesz_convolve(pointwise, spec, grid=grid,
                           inner_exponent=prof.inner_exponent,
                           outer_exponent=prof.outer_exponent)
     assert (got.inner_exponent, got.outer_exponent) == (want.inner_exponent,
@@ -359,7 +368,7 @@ def test_newton_profile_convolution_memory():
     grid = default_grid(96)
     prof = _tail_profiles(grid)[0]
     spec = AngularKernelSpec(3, 2.0)
-    riesz_convolve(prof, spec)        # warm: interpolant, imports
+    riesz_convolve(prof, spec)        # warm: imports
     tracemalloc.start()
     try:
         riesz_convolve(prof, spec)
@@ -367,14 +376,6 @@ def test_newton_profile_convolution_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-
-
-def test_profile_convolution_builds_no_interpolant():
-    grid = default_grid(16)
-    h = (1.0 + grid.r ** 2) ** -2.5
-    prof = RadialProfile(grid, h, 0.0, -5.0)
-    riesz_convolve(prof, AngularKernelSpec(3, 2.0))
-    assert "_interpolant" not in prof.__dict__
 
 
 # ============================================================
