@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import artifacts
-from .constants import sharp_constants
+from .constants import omega, sharp_constants
 from .cylinder import CylinderProfile, DelaunaySolution
 from .errors import GridError, ParameterDomainError, ParameterRangeError
-from .fields import Field, sphere_quadrature, spherical_average
+from .fields import Field, sphere_quadrature
 from .params import ProblemParams
 
 _SPHERE_ORDER = 20   # product-quadrature order backing averages and extrema
@@ -56,6 +56,16 @@ def _smallest_decade(r: np.ndarray) -> np.ndarray:
     last = r <= r[-1] * 10.0
     last[-2:] = True
     return last
+
+
+def _sphere_sample(u: Field, radii, center):
+    """(radii, u at c + r_i nodes, a row per radius): one Field call per chunk of about 1 MB."""
+    r = _check_radii(radii)
+    nodes, _ = sphere_quadrature(u.n, _SPHERE_ORDER)
+    c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
+    chunk = max(1, 2 ** 17 // nodes.size)   # 2^17 coordinates of 8 bytes
+    return r, np.concatenate([u((c + r[i:i + chunk, None, None] * nodes).reshape(-1, u.n))
+                              for i in range(0, r.size, chunk)]).reshape(r.size, -1)
 
 
 # ============================================================
@@ -88,10 +98,14 @@ def upper_bound_scan(u: Field, radii, center=None) -> UpperBoundScan:
     exists because the critical-rate violator r^-(n-2) only grows by
     10^((n-2)/2) per decade, which stays under 10x in low dimension.
     """
-    r = _check_radii(radii)
-    nu = (u.n - 2.0) / 2.0
-    s = np.array([ri ** nu * spherical_average(u, ri, center=center,
-                                               order=_SPHERE_ORDER) for ri in r])
+    return _upper_bound(u.n, *_sphere_sample(u, radii, center))
+
+
+def _upper_bound(n: int, r: np.ndarray, table: np.ndarray) -> UpperBoundScan:
+    nu, (_, weights) = (n - 2.0) / 2.0, sphere_quadrature(n, _SPHERE_ORDER)
+    # each sphere's own dot and scalar r^nu: the bits of spherical_average
+    s = np.array([ri ** nu * float(np.dot(weights, row) / omega(n - 1))
+                  for ri, row in zip(r, table)])
     sup = np.maximum.accumulate(s)
     last = _smallest_decade(r)
     growth = float(s[-1] / max(np.abs(s[last][0]), 1e-300))
@@ -128,12 +142,12 @@ def symmetry_ratio(u: Field, radii, center=None) -> SymmetryRatio:
     A fitted slope of 1 is the O(|x|) symmetry rate; radial fields come out
     identically zero and are certified with slope None.
     """
-    r = _check_radii(radii)
-    nodes, _ = sphere_quadrature(u.n, _SPHERE_ORDER)
-    c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
+    return _symmetry(*_sphere_sample(u, radii, center))
+
+
+def _symmetry(r: np.ndarray, table: np.ndarray) -> SymmetryRatio:
     ratios = np.empty(r.size)
-    for i, ri in enumerate(r):
-        vals = u(c[None, :] + ri * nodes)
+    for i, (ri, vals) in enumerate(zip(r, table)):
         lo = float(np.min(vals))
         if lo <= 0.0:
             raise ParameterDomainError(
@@ -141,16 +155,13 @@ def symmetry_ratio(u: Field, radii, center=None) -> SymmetryRatio:
         ratios[i] = float(np.max(vals)) / lo - 1.0
     last = _smallest_decade(r)
     positive = ratios[last] > 1e-14
-    if not np.any(positive):
-        return SymmetryRatio(radii=r, ratios=ratios, slope=None, certified=True,
-                             note="oscillation at round-off; field is radial here")
-    if not np.all(positive):
-        return SymmetryRatio(radii=r, ratios=ratios, slope=None, certified=False,
-                             note="oscillation straddles round-off; no stable slope")
-    slope = float(np.polyfit(np.log(r[last]), np.log(ratios[last]), 1)[0])
-    return SymmetryRatio(radii=r, ratios=ratios, slope=slope,
-                         certified=bool(slope >= _SLOPE_FLOOR),
-                         note="slope fitted over the smallest decade")
+    slope, certified, note = None, True, "oscillation at round-off; field is radial here"
+    if np.all(positive):
+        slope = float(np.polyfit(np.log(r[last]), np.log(ratios[last]), 1)[0])
+        certified, note = bool(slope >= _SLOPE_FLOOR), "slope fitted over the smallest decade"
+    elif np.any(positive):
+        certified, note = False, "oscillation straddles round-off; no stable slope"
+    return SymmetryRatio(radii=r, ratios=ratios, slope=slope, certified=certified, note=note)
 
 
 # ============================================================
@@ -214,13 +225,8 @@ class ProfileFit:
 def _candidate_profile(candidate, params: ProblemParams):
     """(name, W(t) callable on all of R, period or None)."""
     if candidate == "cylinder_bubble":
-        cn = sharp_constants(params).c_n
-        nv = params.nu
-
-        def w_fun(t):
-            return cn * (2.0 * np.cosh(t)) ** (-nv)
-
-        return "cylinder_bubble", w_fun, None
+        cn, nv = sharp_constants(params).c_n, params.nu
+        return "cylinder_bubble", lambda t: cn * (2.0 * np.cosh(t)) ** (-nv), None
     if isinstance(candidate, DelaunaySolution):
         return "delaunay", candidate.profile, candidate.period
     if isinstance(candidate, CylinderProfile):
@@ -287,7 +293,6 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
         raise ParameterDomainError("profile fit needs positive samples")
     target = np.log(uvals) + nu * np.log(r)   # log of r^nu u = log W(t + tau) wanted
     small = _smallest_decade(r)
-
     t_small, want = t[small], target[small]
 
     def cost(taus):
@@ -296,12 +301,8 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
         mse = np.mean((np.log(np.where(ok[:, None], w, 1.0)) - want) ** 2, axis=1)
         return np.where(ok, mse, 1e6)
 
-    if period is None:
-        starts = np.linspace(-3.0, 3.0, 7)
-        span = 4.0
-    else:
-        starts = period * np.arange(6) / 6.0
-        span = period / 4.0
+    starts, span = ((np.linspace(-3.0, 3.0, 7), 4.0) if period is None
+                    else (period * np.arange(6) / 6.0, period / 4.0))
     minima, taus = _golden_minimize(cost, starts - span, starts + span, 1e-10)
     best = int(np.argmin(minima))
     best_cost, tau = float(minima[best]), float(taus[best])
@@ -345,14 +346,9 @@ class AsymptoticsReport:
             "growth_last_decade": self.upper.growth_last_decade,
             "symmetry_slope": self.symmetry.slope,
             "symmetry_certified": self.symmetry.certified,
-            "fits": [{
-                "candidate": f.candidate,
-                "tau": f.tau,
-                "error_smallest": f.error_smallest,
-                "monotone_decreasing": f.monotone_decreasing,
-                "rejected": f.rejected,
-                "multistart_spread": f.multistart_spread,
-            } for f in self.fits],
+            "fits": [{k: getattr(f, k) for k in ("candidate", "tau", "error_smallest",
+                                                 "monotone_decreasing", "rejected",
+                                                 "multistart_spread")} for f in self.fits],
         }
 
     def to_json(self, path) -> None:
@@ -364,8 +360,6 @@ def asymptotics_report(u: Field, radii, params: ProblemParams,
                        center=None) -> AsymptoticsReport:
     """Run the three scans and the profile fits in one deterministic pass."""
     fits = tuple(profile_fit(u, c, radii, params, center=center) for c in candidates)
-    return AsymptoticsReport(
-        n=params.n, alpha=params.alpha,
-        upper=upper_bound_scan(u, radii, center=center),
-        symmetry=symmetry_ratio(u, radii, center=center),
-        fits=fits)
+    sample = _sphere_sample(u, radii, center)   # one sample feeds both sphere scans
+    return AsymptoticsReport(n=params.n, alpha=params.alpha, upper=_upper_bound(u.n, *sample),
+                             symmetry=_symmetry(*sample), fits=fits)

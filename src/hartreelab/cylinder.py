@@ -49,7 +49,6 @@ from typing import Optional
 import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.linalg import LinAlgError, solve
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifacts
 from .constants import omega
@@ -426,15 +425,18 @@ class _HalfGridSystem:
     solves the dense Jacobian: the circulant with first column c =
     irfft(c^) folds onto the half grid as C[i, j] = c[(i - j) % N] + c[(i +
     j) % N], where columns 0 and m, which have no mirror node, keep only the
-    first term; A folds from irfft(a^) alike.  Once ``coarse`` holds the
-    trace system and its folded Jacobian at the coarse landing, a step is
-    matrix-free instead: two-grid sweeps (Hackbusch 1985) invert a^ on the
-    modes the trace grid cannot carry and the coarse Jacobian on the rest.
+    first term; A folds from a^ alike.  The fold is built by the cached
+    cosine basis of that identity, (Phi g c^ / N) @ Phi g.  A bordered system
+    also holds the symbols' forward differences in L, from the same Khat^
+    call, for R_L.  Once ``coarse`` holds the trace system and its folded
+    Jacobian at the coarse landing, a step is matrix-free instead: two-grid
+    sweeps (Hackbusch 1985) invert a^ on the modes the trace grid cannot
+    carry and the coarse Jacobian on the rest.
     """
 
     coarse = None   # (trace system, its folded Jacobian), set for the fine polish
 
-    def __init__(self, params, nl, kt, L, n_nodes):
+    def __init__(self, params, nl, kt, L, n_nodes, bordered=False):
         if n_nodes % 2:
             raise GridError("find_delaunay wants an even node count")
         if n_nodes < 8:
@@ -448,15 +450,18 @@ class _HalfGridSystem:
         self.h = L / n_nodes
         w = _frequencies(L, n_nodes)
         self.a_hat = w * w + params.nu ** 2
-        self.c_hat = _khat_fourier(kt.n, kt.alpha, w)
+        if bordered:   # R_L's symbol differences: Khat^ at L + dL in the same call
+            dL = 1e-7 * L
+            wd = _frequencies(L + dL, n_nodes)
+            symbols = _khat_fourier(kt.n, kt.alpha, np.concatenate([w, wd]))
+            self.c_hat, c_next = symbols.reshape(2, -1)
+            self.da_hat, self.dc_hat = (wd * wd - w * w) / dL, (c_next - self.c_hat) / dL
+        else:
+            self.c_hat = _khat_fourier(kt.n, kt.alpha, w)
 
     def _fold(self, symbol) -> np.ndarray:
-        c, N, m = irfft(symbol, self.N), self.N, self.m
-        # c[(i - j) % N] is a window of c[m:] ++ c[:m + 1] read backwards, and
-        # c[i + j] (i + j < N) a window of c[1:]: no index arrays are built
-        C = sliding_window_view(np.concatenate([c[m:], c[:m + 1]]), m + 1)[:, ::-1].copy()
-        C[:, 1:m] += sliding_window_view(c[1:N], m - 1)
-        return C
+        phi_g = _cosine_basis(self.m)
+        return (phi_g * (symbol / self.N)) @ phi_g
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -480,6 +485,11 @@ class _HalfGridSystem:
         mean = self.full_values(x).mean()
         ax = self._circulant(self.a_hat, x - mean) + self.a_hat[0] * mean
         return ax - self.nl.f(x) * conv, conv
+
+    def residual_l(self, x):
+        """R_L by the symbols' differences (bordered only); a^_0 = nu^2 needs no mean split."""
+        return (self._circulant(self.da_hat, x)
+                - self.nl.f(x) * self._circulant(self.dc_hat, self.nl.F(x)))
 
     def jacobian(self, x, conv, out=None):
         """A - diag(f(x)) C diag(F'(x)) - diag(f'(x) conv), written into out."""
@@ -519,6 +529,17 @@ class _HalfGridSystem:
         return np.concatenate([x, x[-2:0:-1]])
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _cosine_basis(m: int) -> np.ndarray:
+    """Phi g, read-only: Phi[i, k] = cos(pi k i / m), g the rfft weights (1 at k = 0 and m,
+    else 2); the even circulant with symbol s folds onto the half grid as (Phi g s / 2m) @ Phi g.
+    """
+    phi_g = np.cos(np.pi / m * (np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)))
+    phi_g[:, 1:m] *= 2.0
+    phi_g.flags.writeable = False
+    return phi_g
+
+
 def _prolong(x: np.ndarray, n_nodes: int) -> np.ndarray:
     """The trigonometric interpolant of the even half-grid orbit x, on n_nodes nodes."""
     coarse = np.concatenate([x, x[-2:0:-1]])
@@ -531,10 +552,10 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
     At fixed L (border None) the unknowns are x, and the iteration ends one
     full step past max|R| <= tol, so the orbit returned does not depend on
     its seed.  With border = (row, target) L is unknown too, the system is
-    closed by row . (x, L) = target, R_L is a forward difference, and the
-    iteration ends at max|R| <= tol.  A residual that fails to fall ends it
-    unconverged.  Returns (x, L, converged, the last max|R| evaluated,
-    iterations).
+    closed by row . (x, L) = target, R_L by the symbols' forward differences,
+    from the system's own build, and the iteration ends at max|R| <= tol.
+    A residual that fails to fall ends it unconverged.  Returns (x, L,
+    converged, the last max|R| evaluated, iterations).
     """
     last = math.inf
     for it in range(max_iter):
@@ -546,10 +567,9 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
         m1 = system.m + 1
         if border is not None:
             row, target = border
-            dL = 1e-7 * L
             J = np.empty((m1 + 1, m1 + 1))
             system.jacobian(x, conv, out=J[:m1, :m1])
-            J[:m1, m1] = (build(L + dL).residual(x)[0] - g) / dL
+            J[:m1, m1] = system.residual_l(x)
             J[m1] = row
             g = np.append(g, row[:m1] @ x + row[m1] * L - target)
         try:
@@ -631,9 +651,6 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     M = min(n_nodes, _COARSE_NODES)
     coarse = system if M == n_nodes else _HalfGridSystem(params, nl, kt, L, M)
 
-    def build(Lq):
-        return coarse if Lq == L else _HalfGridSystem(params, nl, kt, Lq, M)
-
     steps: list = []
 
     def polish(s, x):
@@ -660,8 +677,9 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             tangent /= np.linalg.norm(tangent)
             seed = cur + ds * tangent / scale
             border = (tangent * scale, float(tangent @ (seed * scale)))
-        x, Lx, ok, _, its = _newton(build, seed[:-1], seed[-1],
-                                    1e-4 * max(1.0, uc), border)
+        x, Lx, ok, _, its = _newton(
+            lambda Lq: _HalfGridSystem(params, nl, kt, Lq, M, bordered=True),
+            seed[:-1], seed[-1], 1e-4 * max(1.0, uc), border)
         pinned = ok and cur is None
         if pinned:
             cur = np.append(x, Lx)

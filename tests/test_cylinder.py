@@ -513,6 +513,50 @@ def test_find_delaunay_polishes_the_fine_grid_without_a_matrix(monkeypatch):
     assert set(folded) == {64}
 
 
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (5, 3.0), (3, 0.5)])
+def test_cosine_fold_is_the_folded_circulant(n, alpha, nodes):
+    # the definition: C[i, j] = c[(i - j) % N] + c[(i + j) % N], c = irfft(s),
+    # where columns 0 and m, which have no mirror node, keep only the first term
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    system = _HalfGridSystem(P, nl, kt, 1.05 * dispersion_root(P, nl, kt)[1], nodes)
+    m = system.m
+    i, j = np.arange(m + 1)[:, None], np.arange(m + 1)[None, :]
+    for symbol in (system.a_hat, system.c_hat):
+        c = np.fft.irfft(symbol, nodes)
+        want = c[(i - j) % nodes] + np.where((j == 0) | (j == m), 0.0, c[(i + j) % nodes])
+        got = system._fold(symbol)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the cached basis is shared by every system of this size: read-only
+    with pytest.raises(ValueError):
+        cylinder._cosine_basis(m)[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("factor", [1.05, 2.0])
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (5, 3.0), (3, 0.5)])
+def test_bordered_column_is_the_period_derivative_of_the_residual(n, alpha, factor):
+    # R_L by the symbols' forward differences, against a central difference
+    # of two residuals, at the coarse landing
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    L = factor * l0
+    x = find_delaunay(P, nl, 0.5 * uc, L, kt=kt, n_nodes=64).profile.values[:33]
+    column = _HalfGridSystem(P, nl, kt, L, 64, bordered=True).residual_l(x)
+    ends = [_HalfGridSystem(P, nl, kt, (1.0 + e) * L, 64).residual(x)[0] for e in (1e-4, -1e-4)]
+    central = (ends[0] - ends[1]) / (2e-4 * L)
+    assert np.max(np.abs(column - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_corrector_iteration_counts_stay_quadratic():
+    # two correctors of 2 iterations, one of 3, then the coarse and fine polishes
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    its = [s.get("pinned_iterations", s.get("polish_iterations")) for s in sol.steps]
+    assert its == [2, 2, 3, 4, 1]
+
+
 def _fine_landing(P, factor, nodes):
     """The fine system at factor L_0, its coarse pair set, at the prolonged landing."""
     nl, kt = nonlinearity_for(P), kernel_table(P)
@@ -613,7 +657,8 @@ def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch):
 
     monkeypatch.setattr(cylinder._HalfGridSystem, "jacobian", singular)
     uc, l0 = dispersion_root(P32, NL32, KT32)
-    system = cylinder._HalfGridSystem(P32, NL32, KT32, 1.05 * l0, 64)
+    # bordered: the L-free case reads its symbols' differences for R_L
+    system = cylinder._HalfGridSystem(P32, NL32, KT32, 1.05 * l0, 64, bordered=True)
     x = uc * (1.0 - 0.1 * np.cos(np.pi * np.arange(33) / 32))
     pin = np.append(np.ones(33), 0.0)
     # at fixed L and bordered with L free; no LinAlgWarning escapes
