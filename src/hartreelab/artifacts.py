@@ -153,15 +153,15 @@ def svg_plot(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "
 
     x0, x1 = _range(xall, logx)
     y0, y1 = _range(yall, logy)
+    lx0, lx1 = (math.log10(x0), math.log10(x1)) if logx else (x0, x1)
+    ly0, ly1 = (math.log10(y0), math.log10(y1)) if logy else (y0, y1)
 
     def px(v):
-        f = ((math.log10(v) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))
-             if logx else (v - x0) / (x1 - x0))
+        f = (math.log10(v) - lx0) / (lx1 - lx0) if logx else (v - x0) / (x1 - x0)
         return ml + f * pw
 
     def py(v):
-        f = ((math.log10(v) - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
-             if logy else (v - y0) / (y1 - y0))
+        f = (math.log10(v) - ly0) / (ly1 - ly0) if logy else (v - y0) / (y1 - y0)
         return mt + (1.0 - f) * ph
 
     parts = [

@@ -25,14 +25,15 @@ The convolution itself never touches those rules.  In t = ln r the
 kernel (r s)^((n-beta)/2) k_beta(r, s) depends on t - ln s only, so the
 potential is a convolution on the line (the Mellin convolution theorem;
 Titchmarsh, Introduction to the Theory of Fourier Integrals, 1937) whose
-symbol is a closed-form Gamma ratio.  On a grid uniform in log r it is a
-padded real FFT of the tilted source against that symbol, one tilt per half
-of the grid, a trapezoidal rule that converges exponentially for sources
-analytic in a strip (Trefethen & Weideman, SIAM Review 56, 2014).
+symbol is a closed-form Gamma ratio, rational in w for even beta.  On a
+grid uniform in log r it is a padded real FFT of the tilted source against
+that symbol, one tilt per half of the grid, a trapezoidal rule that
+converges exponentially for sources analytic in a strip (Trefethen &
+Weideman, SIAM Review 56, 2014).
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
-the differential form by the symbols of d/dt on the same tilted windows,
-the integral form via the Green convolution u = c2 R_2 * rhs.  Relative
+the differential form by the symbols of d/dt on one mid-tilt window, the
+integral form via the Green convolution u = c2 R_2 * rhs.  Relative
 residuals are normalized by the pointwise *term* scale (|u''| and
 |(n-2)u'|/r^2 separately, not their nearly-cancelling sum) because at
 large r the equation's sides are exponentially smaller than the terms
@@ -398,17 +399,24 @@ def _khat_fourier(n: int, beta: float, w):
     z^2) / ((A+j)^2 - z^2), then taken by :func:`_log_gamma_ratio` with d =
     B - A = beta/2.  Gamma(A - z) is the conjugate of Gamma at A + N -
     conj(z), so real w needs one evaluation and twice its real part.
+
+    For even beta, d = beta/2 is an integer and the same recurrence
+    telescopes exactly: the symbol is the rational function pi^(n/2)
+    Gamma(d) / Gamma(c) / prod_{j<d} ((A+j)^2 - z^2), one expression for
+    real and tilted w, and no factor vanishes inside the strip |Im w| < c.
     """
     q = 0.5 * np.asarray(w)
     s = q * q   # -z^2
     a, b, d = 0.25 * (n - beta), 0.25 * (n + beta), 0.5 * beta
+    front = math.exp(0.5 * n * math.log(math.pi) + math.lgamma(0.5 * beta)
+                     - math.lgamma(0.5 * (n - beta)))
+    if d.is_integer():
+        return front / math.prod((a + j) ** 2 + s for j in range(int(d)))
     shift = 1.0
     # one factor at a time: (_SHIFT, len(w)) complex temporaries at a thousand
     # bins are fresh pages from the allocator on every call
     for j in range(_SHIFT):
         shift = shift * (((b + j) ** 2 + s) / ((a + j) ** 2 + s))
-    front = math.exp(0.5 * n * math.log(math.pi) + math.lgamma(0.5 * beta)
-                     - math.lgamma(0.5 * (n - beta)))
     p = a + _SHIFT
     if np.isrealobj(q):
         re, _ = _log_gamma_ratio(p, q, d)
@@ -450,16 +458,18 @@ def _khat_convolve(G: np.ndarray, tau: np.ndarray, h: float, n: int, beta: float
 
 
 def _tilted_windows(g, grid: RadialGrid, e_in: float, e_out: float, s: float,
-                    bound: float):
+                    bound: float, halves: bool = True):
     """(tau, h, windows): G(tau) = e^{s tau} g(e^tau) on a log-uniform grid and past it.
 
     ``g`` is a callable or a profile's grid values, continued as r^e_in and
     r^e_out.  A window is (gamma, a half's grid nodes, their window nodes,
     e^{-gamma tau} G), gamma a quarter of the tilt interval (max(-bound, s +
     e_out), min(bound, s + e_in)) in from its top for the left half and from
-    its bottom for the right, which keeps the relative accuracy at both grid
-    ends.  Each tilted G falls by 1e-17 before the window ends, so neither
-    end is a jump for an FFT to ring on.
+    its bottom for the right, which keeps a convolution's relative accuracy
+    at both grid ends.  ``halves=False`` gives one window over the whole grid
+    at the interval's middle, enough for a derivative, which is local.  Each
+    tilted G falls by 1e-17 before the window ends, so neither end is a jump
+    for an FFT to ring on.
     """
     t = grid.log_r
     m = t.size
@@ -472,8 +482,8 @@ def _tilted_windows(g, grid: RadialGrid, e_in: float, e_out: float, s: float,
     if not lo < hi:
         raise AccuracyError(f"outer tail s^({e_out}) decays no faster than the inner "
                             f"s^({e_in}): no tilt tames both", achieved=math.inf)
-    gammas = (hi - (hi - lo) / 4.0, lo + (hi - lo) / 4.0)
-    reach_lo, reach_hi = _DIGITS / (s + e_in - gammas[0]), _DIGITS / (gammas[1] - s - e_out)
+    gammas = (hi - (hi - lo) / 4.0, lo + (hi - lo) / 4.0) if halves else (0.5 * (lo + hi),)
+    reach_lo, reach_hi = _DIGITS / (s + e_in - gammas[0]), _DIGITS / (gammas[-1] - s - e_out)
     if max(reach_lo, reach_hi) > _MAX_REACH:
         raise AccuracyError(
             f"tails s^({e_in}), s^({e_out}) need a source window "
@@ -489,7 +499,8 @@ def _tilted_windows(g, grid: RadialGrid, e_in: float, e_out: float, s: float,
             np.exp(s * tau[j_lo:j_lo + m]) * g,
             g[-1] * np.exp((s + e_out) * tau[j_lo + m:] - e_out * t[-1])])
     windows = []
-    for gamma, start, stop in zip(gammas, (0, m // 2), (m // 2, m)):
+    cuts = (0, m // 2, m) if halves else (0, m)
+    for gamma, start, stop in zip(gammas, cuts, cuts[1:]):
         G = np.exp(-gamma * tau) * G0
         if not np.all(np.isfinite(G)):
             raise SamplingError(f"g(r) r^({s - gamma}) is not finite on the source window "
@@ -728,9 +739,11 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
     ``rhs`` is (R_alpha * F(u)) f(u) on u's grid, e.g. ``calibrate_cf(...).rhs``
     with ``c_f`` the normalization it was built at.  Relative norms are
     weighted L2 over the window with the volume measure r^n dlog r.  u_t
-    and u_tt come from u's :func:`_tilted_windows` (s = 0, u's declared
-    tails): one rfft of each e^{-gamma t} u, times the symbols (i w + gamma)
-    and (i w + gamma)^2; a derivative is local, so no image is subtracted.
+    and u_tt come from one window of :func:`_tilted_windows` (s = 0, u's
+    declared tails) at the middle tilt gamma = (e_in + e_out)/2: one rfft of
+    e^{-gamma t} u, times the symbols (i w + gamma) and (i w + gamma)^2; a
+    derivative is local, so it needs no tilt per grid end and no image is
+    subtracted.
 
     For decaying u the Green convolution intertwines the two forms exactly:
     u - c2 R_2 * rhs = c2 R_2 * (-Lap u - rhs).  The forms gap is the
@@ -754,7 +767,7 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
     if u.inner_exponent is None or u.outer_exponent is None:
         raise IntegrabilityError("the residual continues u by its declared tail exponents")
     tau, h, windows = _tilted_windows(u.values, u.grid, u.inner_exponent,
-                                      u.outer_exponent, 0.0, math.inf)
+                                      u.outer_exponent, 0.0, math.inf, halves=False)
     du = np.empty((2, u.values.size))   # u_t, u_tt
     for gamma, part, rows, V in windows:
         size = _next_fast_len(V.size)

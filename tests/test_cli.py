@@ -49,6 +49,68 @@ def test_csv_cells_are_format_float(tmp_path):
     assert (tmp_path / "e.csv").read_text() == "x,y\n"
 
 
+def _polylines_per_point_logs(x, y, logx, logy):
+    # svg_plot's curve mapping with every axis logarithm taken again at each
+    # point: the reference its hoisted per-axis constants must reproduce
+    ok = np.isfinite(x) & np.isfinite(y)
+    if logx:
+        ok &= x > 0
+    if logy:
+        ok &= y > 0
+
+    def axis(v, log):
+        lo, hi = float(v.min()), float(v.max())
+        if log:
+            pad = (hi / lo) ** 0.04 if hi > lo else 2.0
+            return lo / pad, hi * pad
+        pad = 0.04 * (hi - lo) if hi > lo else max(abs(hi), 1.0)
+        return lo - pad, hi + pad
+
+    (x0, x1), (y0, y1) = axis(x[ok], logx), axis(y[ok], logy)
+
+    def px(v):
+        f = ((math.log10(v) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))
+             if logx else (v - x0) / (x1 - x0))
+        return 64.0 + f * 638.0
+
+    def py(v):
+        f = ((math.log10(v) - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
+             if logy else (v - y0) / (y1 - y0))
+        return 34.0 + (1.0 - f) * 400.0
+
+    segs, pts = [], []
+    for xi, yi, good in zip(x.tolist(), y.tolist(), ok.tolist()):
+        if good:
+            pts.append(f"{px(xi):.2f},{py(yi):.2f}")
+        elif pts:
+            segs.append(pts)
+            pts = []
+    if pts:
+        segs.append(pts)
+    return [" ".join(seg) for seg in segs if len(seg) >= 2]
+
+
+@pytest.mark.parametrize("log", [True, False], ids=["loglog", "linear"])
+def test_svg_points_match_the_per_point_logarithms(tmp_path, log):
+    rng = np.random.Generator(np.random.Philox(28))
+    if log:
+        x = np.sort(10.0 ** rng.uniform(-4.0, 4.0, 770))
+        y = 10.0 ** rng.uniform(-16.0, 0.0, 770)
+        y[rng.integers(0, 770, 40)] *= -1.0
+        y[rng.integers(0, 770, 10)] = 0.0
+        x[rng.integers(0, 770, 10)] = -x[0]
+    else:
+        x = np.linspace(-3.0, 5.0, 770)
+        y = rng.standard_normal(770)
+    y[rng.integers(0, 770, 10)] = np.nan
+    x[rng.integers(0, 770, 5)] = np.inf
+    artifacts.svg_plot(tmp_path / "p.svg", [("", x, y)], logx=log, logy=log)
+    got = re.findall(r'<polyline [^>]*points="([^"]*)"', (tmp_path / "p.svg").read_text())
+    want = _polylines_per_point_logs(x, y, log, log)
+    assert len(want) > 10 if log else len(want) > 1
+    assert got == want
+
+
 def test_constants_summary_and_artifacts(tmp_path, capsys):
     out = tmp_path / "run1"
     rc, stdout, _ = run(capsys, "constants", "--alpha", "2.0", "--out", str(out))

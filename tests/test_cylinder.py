@@ -137,7 +137,7 @@ def test_newton_symbol_closed_form(n):
     w = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     want = 2.0 * omega(n - 1) * nu / (nu * nu + w * w)
     got = cylinder._khat_fourier(n, 2.0, w).real
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-15
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.5])
@@ -359,6 +359,16 @@ def test_dispersion_closed_form():
         want = w * w + 0.25 * (2.0 - 5.0 - 5.0 / (1.0 + 4.0 * w * w))
         assert dispersion_function(P32, NL32, KT32, w) == pytest.approx(
             want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_bifurcation_period_at_alpha_two_in_closed_form(n):
+    # Khat^(w)/|Khat|_1 = nu^2/(nu^2 + w^2) makes D(w) (nu^2 + w^2) the quadratic
+    # (w^2 - nu^2 (p - 1)) (w^2 + 2 nu^2) in w^2, so w_0 = nu sqrt(p - 1)
+    P = ProblemParams(n, 2.0)
+    nl = nonlinearity_for(P)
+    want = 2.0 * math.pi / (P.nu * math.sqrt(nl.p - 1.0))
+    assert abs(dispersion_root(P, nl, kernel_table(P))[1] / want - 1.0) <= 1e-15
 
 
 def test_dispersion_root_is_two_pi():

@@ -167,24 +167,44 @@ def test_kernel_self_check_fails_on_nan(monkeypatch):
 # ============================================================
 
 
-@pytest.mark.parametrize("n,beta", [(3, 0.1), (3, 1.05), (3, 2.0), (4, 0.5), (5, 0.7),
-                                    (5, 3.0), (5, 4.5)])
-def test_symbol_matches_multiprecision_gamma(n, beta):
-    # the Gamma ratio at 40 digits, up to the Nyquist frequency pi/h of the
-    # 96-per-decade grid, on the real axis and at tilts up to 0.9 of the strip
-    c = (n - beta) / 2.0
-    w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
+def _mp_symbol(n, beta, ws):
+    # the Gamma ratio at 40 digits
     with mp.workdps(40):
         a, b = mp.mpf(n - beta) / 4, mp.mpf(n + beta) / 4
         front = mp.pi ** (mp.mpf(n) / 2) * mp.gamma(mp.mpf(beta) / 2) / mp.gamma(2 * a)
-        for gamma in (0.0, 0.5 * c, -0.5 * c, 0.9 * c, -0.9 * c):
-            ws = w if gamma == 0.0 else w - 1j * gamma
-            got = riesz._khat_fourier(n, beta, ws)
-            for wk, gk in zip(ws, got):
-                z = mp.mpc(0, 0.5) * mp.mpc(wk.real, wk.imag)
-                want = front * mp.gamma(a + z) * mp.gamma(a - z) \
-                    / (mp.gamma(b + z) * mp.gamma(b - z))
-                assert abs(gk / complex(want) - 1.0) <= 5e-14, (gamma, wk)
+        want = []
+        for wk in ws:
+            z = mp.mpc(0, 0.5) * mp.mpc(wk.real, wk.imag)
+            want.append(complex(front * mp.gamma(a + z) * mp.gamma(a - z)
+                                / (mp.gamma(b + z) * mp.gamma(b - z))))
+        return np.array(want)
+
+
+@pytest.mark.parametrize("n,beta", [(3, 0.1), (3, 1.05), (3, 2.0), (4, 0.5), (5, 0.7),
+                                    (5, 3.0), (5, 4.5), (6, 4.0), (7, 2.0), (8, 6.0)])
+def test_symbol_matches_multiprecision_gamma(n, beta):
+    # up to the Nyquist frequency pi/h of the 96-per-decade grid, on the real
+    # axis and at tilts up to 0.9 of the strip; even beta is a rational function
+    c = (n - beta) / 2.0
+    w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
+    bound = 2e-15 if beta % 2.0 == 0.0 else 5e-14
+    for gamma in (0.0, 0.5 * c, -0.5 * c, 0.9 * c, -0.9 * c):
+        ws = w if gamma == 0.0 else w - 1j * gamma
+        err = np.abs(riesz._khat_fourier(n, beta, ws) / _mp_symbol(n, beta, ws) - 1.0)
+        assert np.max(err) <= bound, (gamma, ws[np.argmax(err)])
+
+
+@pytest.mark.parametrize("n,beta", [(3, 2.0), (5, 2.0), (4, 2.0), (6, 4.0), (8, 6.0)])
+def test_even_beta_symbol_is_continuous_with_the_stirling_path(n, beta):
+    # the rational branch against the mean of the Gamma-ratio path a relative
+    # 1e-7 either side of beta, whose first-order terms cancel
+    c = (n - beta) / 2.0
+    w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
+    for gamma in (0.0, 0.5 * c, -0.9 * c):
+        ws = w if gamma == 0.0 else w - 1j * gamma
+        mean = 0.5 * (riesz._khat_fourier(n, beta * (1.0 - 1e-7), ws)
+                      + riesz._khat_fourier(n, beta * (1.0 + 1e-7), ws))
+        assert np.max(np.abs(mean / riesz._khat_fourier(n, beta, ws) - 1.0)) <= 2e-11, gamma
 
 
 def test_next_fast_len_is_the_least_5_smooth_length():
@@ -448,6 +468,23 @@ def test_bubble_residuals_both_forms():
     with pytest.raises(GridError):
         residual(sample_radial(make_bubble(P32), default_grid(48)), cal.rhs, P32,
                  c_f=cal.c_f)
+
+
+def test_bubble_derivative_window_sweep():
+    # one mid-tilt window serves u_t and u_tt over the whole grid, from the
+    # narrowest tilt interval (n = 3) to the widest (n = 7)
+    failed = []
+    for n in range(3, 8):
+        for a in sorted({0.5, 1.0, 2.0, n - 2.0, n - 0.5}):
+            P = ProblemParams(n, a)
+            for per_decade in (48, 96):
+                cal = calibrate_cf(P, per_decade=per_decade)
+                prof = sample_radial(make_bubble(P), cal.rhs.grid,
+                                     estimate_tails=False).with_exponents(0.0, 2.0 - n)
+                rep_d, _, gap = residual(prof, cal.rhs, P, c_f=cal.c_f)
+                if not (rep_d.rel_norm <= 1e-10 and gap <= 1e-9):
+                    failed.append((n, a, per_decade, rep_d.rel_norm, gap))
+    assert not failed
 
 
 def test_calibration_rhs_is_the_hartree_rhs_at_the_fit():
