@@ -768,13 +768,12 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
         raise IntegrabilityError("the residual continues u by its declared tail exponents")
     tau, h, windows = _tilted_windows(u.values, u.grid, u.inner_exponent,
                                       u.outer_exponent, 0.0, math.inf, halves=False)
-    du = np.empty((2, u.values.size))   # u_t, u_tt
-    for gamma, part, rows, V in windows:
-        size = _next_fast_len(V.size)
-        d = 1j * (2.0 * math.pi / (size * h)) * np.arange(size // 2 + 1) + gamma
-        du[:, part] = np.exp(gamma * tau[rows]) * irfft(np.stack([d, d * d]) * rfft(V, size),
-                                                        size)[:, rows]
-    (ut, utt), r2 = du, u.grid.r ** 2
+    [(gamma, _, rows, V)] = windows
+    size = _next_fast_len(V.size)
+    d = 1j * (2.0 * math.pi / (size * h)) * np.arange(size // 2 + 1) + gamma
+    ut, utt = np.exp(gamma * tau[rows]) * irfft(np.stack([d, d * d]) * rfft(V, size),
+                                                size)[:, rows]
+    r2 = u.grid.r ** 2
     res_d = -(utt + (n - 2.0) * ut) / r2 - rhs.values
     term_scale = (np.abs(utt) + (n - 2.0) * np.abs(ut)) / r2
     differential = report("differential", res_d, term_scale + np.abs(rhs.values))
