@@ -107,7 +107,7 @@ def test_svg_points_match_the_per_point_logarithms(tmp_path, log):
     artifacts.svg_plot(tmp_path / "p.svg", [("", x, y)], logx=log, logy=log)
     got = re.findall(r'<polyline [^>]*points="([^"]*)"', (tmp_path / "p.svg").read_text())
     want = _polylines_per_point_logs(x, y, log, log)
-    assert len(want) > 10 if log else len(want) > 1
+    assert len(want) > (10 if log else 1)
     assert got == want
 
 
