@@ -224,7 +224,8 @@ class Field:
     ``fn`` maps an (m, n) array of points to m values.  Radial fields
     carry their center and a 1-d radial callable ``radial_fn`` (None on
     any other field) so samplers can take the exact route instead of ray
-    evaluation.
+    evaluation.  A radial field's ``fn`` refuses its singular center from
+    its own distances; other fields' singular points are checked here.
     """
 
     n: int
@@ -240,7 +241,7 @@ class Field:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.n:
             raise SamplingError(f"points have dimension {pts.shape[1]}, field has n={self.n}")
-        for s in self.singular_points:
+        for s in self.singular_points if self.radial_fn is None else ():
             if np.any(_row_norm(pts, s, squared=True) == 0.0):
                 raise SamplingError(f"field evaluated at its singular point {np.asarray(s)}")
         vals = np.asarray(self.fn(pts), dtype=float)
@@ -252,7 +253,10 @@ class Field:
         c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
         def fn(pts):
-            return radial_fn(_row_norm(pts, c))
+            r = _row_norm(pts, c)
+            if singular_center and np.any(r == 0.0):
+                raise SamplingError(f"field evaluated at its singular point {c}")
+            return radial_fn(r)
 
         sing = (tuple(c),) if singular_center else ()
         return cls(n=n, fn=fn, center=c, radial_fn=radial_fn, singular_points=sing)

@@ -25,7 +25,8 @@ The convolution itself never touches those rules.  In t = ln r the
 kernel (r s)^((n-beta)/2) k_beta(r, s) depends on t - ln s only, so the
 potential is a convolution on the line (the Mellin convolution theorem;
 Titchmarsh, Introduction to the Theory of Fourier Integrals, 1937) whose
-symbol is a closed-form Gamma ratio, rational in w for even beta.  On a
+symbol is a closed-form Gamma ratio, rational in w for even beta and in
+w and tanh(pi w / 2) for odd beta with n - beta even.  On a
 grid uniform in log r it is a padded real FFT of the tilted source against
 that symbol, one tilt per half of the grid, a trapezoidal rule that
 converges exponentially for sources analytic in a strip (Trefethen &
@@ -404,6 +405,14 @@ def _khat_fourier(n: int, beta: float, w):
     telescopes exactly: the symbol is the rational function pi^(n/2)
     Gamma(d) / Gamma(c) / prod_{j<d} ((A+j)^2 - z^2), one expression for
     real and tilted w, and no factor vanishes inside the strip |Im w| < c.
+
+    For odd beta with n - beta even, 2A and 2B are integers, and reflection
+    (DLMF 5.5.3) gives Gamma(e+z) Gamma(e-z) = pi prod_{j=1}^{2e-1} (j-e-z) /
+    sin pi(e+z) for e = A, B.  Callers pass real w or w - i gamma, one gamma
+    (else ValueError), so z = x + i y with one x: sin pi(e+z) / cosh(pi y) =
+    sin pi(e+x) + i cos pi(e+x) tanh(pi y), reduced exactly about the nearest
+    zero x = m - e.  Each zero in the strip cancels its factor m - e - z; where
+    x lands on one, their ratio is taken as tanh(pi y) / y, pi at y = 0.
     """
     q = 0.5 * np.asarray(w)
     s = q * q   # -z^2
@@ -412,6 +421,23 @@ def _khat_fourier(n: int, beta: float, w):
                      - math.lgamma(0.5 * (n - beta)))
     if d.is_integer():
         return front / math.prod((a + j) ** 2 + s for j in range(int(d)))
+    if (2.0 * a).is_integer() and (2.0 * d).is_integer():
+        x = -float(q.imag.flat[0]) if np.iscomplexobj(q) and q.size else 0.0
+        if np.any(q.imag != -x):
+            raise ValueError("the odd-beta symbol takes real w or w - i gamma, one gamma")
+        y, th, parts = q.real, np.tanh(math.pi * q.real), []
+        for e in (a, b):
+            m = math.floor(x + e + 0.5)
+            r = x - (m - e)   # exact near the zero x = m - e, by Sterbenz
+            sn, cs = (-1.0) ** m * math.sin(math.pi * r), (-1.0) ** m * math.cos(math.pi * r)
+            hit = m if r == 0.0 and 0 < m < 2.0 * e else 0
+            poly = math.prod((j - e - x) - 1j * y for j in range(1, round(2 * e)) if j != hit)
+            sine = (-cs * np.divide(th, y, out=np.full(y.shape, math.pi), where=y != 0.0)
+                    if hit else sn + 1j * cs * th)   # over m - e - z = -i y if hit
+            parts.append((sine, poly))
+        (sine_a, poly_a), (sine_b, poly_b) = parts
+        out = front * (sine_b * poly_a) / (poly_b * sine_a)
+        return out.real if np.isrealobj(q) else out
     shift = 1.0
     # one factor at a time: (_SHIFT, len(w)) complex temporaries at a thousand
     # bins are fresh pages from the allocator on every call

@@ -22,10 +22,10 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         ProblemParams, RadialGrid, RadialProfile, SamplingError,
                         angular_kernel, constant_solution,
                         cylinder_convolution, dispersion_function,
-                        dispersion_root, find_delaunay, from_cylinder,
+                        dispersion_root, find_delaunay, from_cylinder, hls_ratio,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sharp_constants, to_cylinder)
-from hartreelab import cylinder
+from hartreelab import cylinder, riesz
 from hartreelab.constants import omega
 from hartreelab.cylinder import _HalfGridSystem
 
@@ -156,6 +156,23 @@ def test_kernel_table_symbol_matches_quadrature(alpha, w):
     assert abs(kt.fourier(w) / want - 1.0) <= 1e-12
     if w == 0.0:
         assert abs(kt.norm_l1 / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,stirling", [(3.0, False), (0.7, True)])
+def test_odd_alpha_symbol_takes_no_stirling_series(monkeypatch, alpha, stirling):
+    # a call count, not a timing: at (5, 3) the reflected symbol serves both
+    # the Riesz bilinear check and a bordered Delaunay system
+    P = ProblemParams(5, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    calls = []
+    log_gamma_ratio = riesz._log_gamma_ratio
+    monkeypatch.setattr(riesz, "_log_gamma_ratio",
+                        lambda *args: calls.append(1) or log_gamma_ratio(*args))
+    hls_ratio(P, per_decade=16)
+    assert bool(calls) == stirling
+    calls.clear()
+    _HalfGridSystem(P, nl, kt, 2.0 * math.pi, 64, bordered=True)
+    assert bool(calls) == stirling
 
 
 def test_symbol_strictly_decreases():

@@ -11,6 +11,7 @@ which pins both the kernel normalization and the quadrature at once.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -180,23 +181,29 @@ def _mp_symbol(n, beta, ws):
         return np.array(want)
 
 
+def _reflected(n, beta):
+    # odd beta with n - beta even: the symbol by the reflection formula
+    return beta % 2.0 == 1.0 and (n - beta) % 2.0 == 0.0
+
+
 @pytest.mark.parametrize("n,beta", [(3, 0.1), (3, 1.05), (3, 2.0), (4, 0.5), (5, 0.7),
-                                    (5, 3.0), (5, 4.5), (6, 4.0), (7, 2.0), (8, 6.0)])
+                                    (5, 3.0), (5, 4.5), (6, 4.0), (7, 2.0), (8, 6.0),
+                                    (3, 1.0), (5, 1.0), (7, 3.0), (9, 3.0), (11, 5.0)])
 def test_symbol_matches_multiprecision_gamma(n, beta):
     # up to the Nyquist frequency pi/h of the 96-per-decade grid, on the real
-    # axis and at tilts up to 0.9 of the strip; even beta is a rational function
+    # axis and at tilts up to 0.9 of the strip; even beta is a rational
+    # function, odd beta with n - beta even a reflected one
     c = (n - beta) / 2.0
     w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
-    bound = 2e-15 if beta % 2.0 == 0.0 else 5e-14
+    bound = 2e-15 if beta % 2.0 == 0.0 else 3e-15 if _reflected(n, beta) else 5e-14
     for gamma in (0.0, 0.5 * c, -0.5 * c, 0.9 * c, -0.9 * c):
         ws = w if gamma == 0.0 else w - 1j * gamma
         err = np.abs(riesz._khat_fourier(n, beta, ws) / _mp_symbol(n, beta, ws) - 1.0)
         assert np.max(err) <= bound, (gamma, ws[np.argmax(err)])
 
 
-@pytest.mark.parametrize("n,beta", [(3, 2.0), (5, 2.0), (4, 2.0), (6, 4.0), (8, 6.0)])
-def test_even_beta_symbol_is_continuous_with_the_stirling_path(n, beta):
-    # the rational branch against the mean of the Gamma-ratio path a relative
+def _stirling_seam(n, beta):
+    # the closed form against the mean of the Gamma-ratio path a relative
     # 1e-7 either side of beta, whose first-order terms cancel
     c = (n - beta) / 2.0
     w = np.linspace(0.0, math.pi / (math.log(10.0) / 96), 25)
@@ -205,6 +212,41 @@ def test_even_beta_symbol_is_continuous_with_the_stirling_path(n, beta):
         mean = 0.5 * (riesz._khat_fourier(n, beta * (1.0 - 1e-7), ws)
                       + riesz._khat_fourier(n, beta * (1.0 + 1e-7), ws))
         assert np.max(np.abs(mean / riesz._khat_fourier(n, beta, ws) - 1.0)) <= 2e-11, gamma
+
+
+@pytest.mark.parametrize("n,beta", [(3, 2.0), (5, 2.0), (4, 2.0), (6, 4.0), (8, 6.0)])
+def test_even_beta_symbol_is_continuous_with_the_stirling_path(n, beta):
+    _stirling_seam(n, beta)
+
+
+@pytest.mark.parametrize("n,beta", [(5, 3.0), (5, 1.0), (7, 3.0)])
+def test_odd_beta_symbol_is_continuous_with_the_stirling_path(n, beta):
+    # at (5, 1) and (7, 3) the tilt 0.5 c puts x = Re z on a cancelled zero
+    _stirling_seam(n, beta)
+
+
+@pytest.mark.parametrize("n,beta", [(3, 1.0), (5, 1.0), (5, 3.0), (7, 3.0), (9, 3.0),
+                                    (11, 5.0)])
+def test_odd_beta_symbol_at_its_removable_points(n, beta):
+    # every sine zero inside the strip, the tilts gamma that put x = gamma/2
+    # exactly on one and 1e-9 off it, at w = 0, next to 0 and out to 3000
+    c = int(n - beta) // 2
+    w = np.array([0.0, 1e-9, 1e-3, 0.5, 1.0, 7.0, 100.0, 3000.0])
+    tilts = [0.0] + [k + e for k in range(1 - c, c) for e in (0.0, 1e-9, -1e-9)]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for gamma in tilts:
+            ws = w if gamma == 0.0 else w - 1j * gamma
+            got = riesz._khat_fourier(n, beta, ws)
+            assert np.all(np.isfinite(got)), gamma
+            err = np.abs(got / _mp_symbol(n, beta, ws) - 1.0)
+            assert np.max(err) <= 3e-15, (gamma, ws[np.argmax(err)])
+
+
+def test_odd_beta_symbol_wants_one_tilt():
+    with pytest.raises(ValueError):
+        riesz._khat_fourier(5, 3.0, np.array([1.0 - 0.25j, 2.0 - 0.5j]))
+    assert riesz._khat_fourier(5, 3.0, np.array([], dtype=complex)).size == 0
 
 
 def test_next_fast_len_is_the_least_5_smooth_length():
@@ -227,7 +269,7 @@ def test_next_fast_len_is_the_least_5_smooth_length():
 
 @pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0), (3, 1.0), (3, 1.05),
                                  (3, 2.9), (5, 4.9), (3, 0.1), (3, 0.5), (4, 0.5),
-                                 (5, 0.7)])
+                                 (5, 0.7), (7, 5.0)])
 def test_conformal_power_potential(n, a):
     grid = default_grid(96)
     h = lambda r: (1.0 + np.asarray(r) ** 2) ** (-(n + a) / 2.0)
@@ -540,7 +582,8 @@ def test_potential_requires_integrable_tail():
 # ============================================================
 
 
-@pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0)])
+@pytest.mark.parametrize("n,a", [(3, 2.0), (4, 2.0), (5, 3.0), (3, 1.0), (5, 1.0),
+                                 (7, 3.0), (7, 5.0)])
 def test_hls_ratio_saturates(n, a):
     for mu in (0.5, 1.0, 2.0):
         for per_decade in (16, 48, 96):
