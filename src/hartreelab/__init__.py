@@ -25,12 +25,11 @@ _EXPORTS = {
                     "blowup_rescale", "default_radii", "profile_fit",
                     "symmetry_ratio", "upper_bound_scan"),
     "constants": ("SharpConstants", "k_identity_defect", "newton_constant",
-                  "omega", "sharp_constants", "unit_ball_volume"),
+                  "omega", "sharp_constants"),
     "cylinder": ("CylinderProfile", "DelaunaySolution", "KernelTable",
                  "constant_solution", "cylinder_convolution",
                  "dispersion_function", "dispersion_root", "find_delaunay",
-                 "from_cylinder", "kernel_hat", "kernel_table", "ode_residual",
-                 "to_cylinder"),
+                 "kernel_hat", "kernel_table", "ode_residual", "to_cylinder"),
     "errors": ("AccuracyError", "ConvergenceError", "GridError",
                "HartreelabError", "IntegrabilityError", "ParameterDomainError",
                "ParameterRangeError", "SamplingError",
@@ -47,7 +46,7 @@ _EXPORTS = {
                 "EqualityFit", "SphereInversion", "TestSetSpec", "bubble_image",
                 "comparison_deficit", "comparison_kernel", "critical_radius",
                 "deficit_test_set", "equality_fit", "fd_laplacian",
-                "invert_point", "kelvin_transform", "kernel_k2", "kernel_kalpha"),
+                "invert_point", "kelvin_transform"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -156,13 +156,18 @@ def svg_plot(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "
     lx0, lx1 = (math.log10(x0), math.log10(x1)) if logx else (x0, x1)
     ly0, ly1 = (math.log10(y0), math.log10(y1)) if logy else (y0, y1)
 
+    def frac(v, log, lo, hi):
+        """Where v (a float or an array) falls on an axis; log10 by math, point by point."""
+        if log:
+            v = np.array(list(map(math.log10, v.tolist()))) if isinstance(v, np.ndarray) \
+                else math.log10(v)
+        return (v - lo) / (hi - lo)
+
     def px(v):
-        f = (math.log10(v) - lx0) / (lx1 - lx0) if logx else (v - x0) / (x1 - x0)
-        return ml + f * pw
+        return ml + frac(v, logx, lx0, lx1) * pw
 
     def py(v):
-        f = (math.log10(v) - ly0) / (ly1 - ly0) if logy else (v - y0) / (y1 - y0)
-        return mt + (1.0 - f) * ph
+        return mt + (1.0 - frac(v, logy, ly0, ly1)) * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -201,21 +206,16 @@ def svg_plot(path, series, *, title: str = "", xlabel: str = "", ylabel: str = "
 
     for k, (label, x, y, ok) in enumerate(cleaned):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = []
-        segs = []
-        for xi, yi, good in zip(x.tolist(), y.tolist(), ok.tolist()):
-            if good:
-                pts.append(f"{px(xi):.2f},{py(yi):.2f}")
-            elif pts:
-                segs.append(pts)
-                pts = []
-        if pts:
-            segs.append(pts)
-        for seg in segs:
-            if len(seg) < 2:
+        xy = np.column_stack([px(x[ok]), py(y[ok])]).ravel().tolist()
+        good = np.flatnonzero(ok)
+        # runs of consecutive good points, as [a, b) into the good ones
+        cuts = [0, *(np.flatnonzero(np.diff(good) > 1) + 1).tolist(), good.size]
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a < 2:
                 continue
+            seg = " ".join(["%.2f,%.2f"] * (b - a)) % tuple(xy[2 * a:2 * b])
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                         f'points="{" ".join(seg)}"/>')
+                         f'points="{seg}"/>')
         if label:
             Yl = mt + 16 + 16 * k
             parts.append(f'<line x1="{ml + pw - 120:.2f}" y1="{Yl - 4:.2f}" '

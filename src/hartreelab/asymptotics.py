@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import artifacts
 from .constants import omega, sharp_constants
 from .cylinder import CylinderProfile, DelaunaySolution
 from .errors import GridError, ParameterDomainError, ParameterRangeError
@@ -35,8 +34,8 @@ _SLOPE_FLOOR = 0.8   # the least symmetry-ratio slope certified as the O(r) rate
 
 def default_radii(r_min: float, r_max: float) -> np.ndarray:
     """Descending geometric ladder, ratio 2^(1/4), clipped to four decades."""
-    if not (0.0 < r_min < r_max):
-        raise ParameterRangeError("need 0 < r_min < r_max")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ParameterRangeError("need 0 < r_min < r_max < inf")
     r_min = max(r_min, r_max * 1e-4)
     count = int(math.floor(math.log(r_max / r_min) / math.log(2.0 ** 0.25))) + 1
     return r_max * (2.0 ** -0.25) ** np.arange(count)
@@ -46,8 +45,9 @@ def _check_radii(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ParameterRangeError("need at least two probe radii")
-    if np.any(r <= 0.0) or np.any(np.diff(r) >= 0.0):
-        raise ParameterRangeError("probe radii must be positive and strictly decreasing")
+    if not (np.all(r > 0.0) and np.all(np.diff(r) < 0.0) and math.isfinite(r[0])):
+        raise ParameterRangeError(
+            "probe radii must be positive, finite and strictly decreasing")
     return r
 
 
@@ -350,9 +350,6 @@ class AsymptoticsReport:
                                                  "monotone_decreasing", "rejected",
                                                  "multistart_spread")} for f in self.fits],
         }
-
-    def to_json(self, path) -> None:
-        artifacts.write_json(path, self.summary())
 
 
 def asymptotics_report(u: Field, radii, params: ProblemParams,

@@ -132,6 +132,8 @@ def _coerce(command: str, key: str, value, kind: type):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{command}.{key}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past the floats
+            raise ConfigError(f"{command}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, str):
         raise ConfigError(f"{command}.{key}: expected a string, got {value!r}")

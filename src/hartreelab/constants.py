@@ -53,11 +53,6 @@ def omega(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n (distinct from the sphere measure)."""
-    return omega(n - 1) / n
-
-
 def newton_constant(n: int) -> float:
     """Normalization c2 with c2 |x|^(2-n) the fundamental solution of -Lap in R^n.
 

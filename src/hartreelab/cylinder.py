@@ -50,10 +50,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.linalg import LinAlgError, solve
 
-from . import artifacts
 from .constants import omega
 from .errors import AccuracyError, GridError, ParameterRangeError, SamplingError
-from .fields import Field, RadialGrid, RadialProfile
+from .fields import Field
 from .params import CACHE_SIZE, ProblemParams
 from .riesz import (_DIGITS, NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier,
                     _next_fast_len)
@@ -149,6 +148,8 @@ def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> Cy
     1e-8) holds.
     """
     nu = params.nu
+    if not (0.0 < spacing < math.inf):
+        raise GridError(f"cylinder spacing must be positive and finite, got {spacing}")
     if not isinstance(u, Field):
         raise SamplingError(f"cannot map {type(u).__name__} to the cylinder")
     if u.radial_fn is None or np.any(u.center != 0.0):
@@ -164,15 +165,6 @@ def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> Cy
     r = np.exp(-t)
     vals = r ** nu * ufun(r)
     return CylinderProfile(t, vals, boundary="decaying")
-
-
-def from_cylinder(U: CylinderProfile, params: ProblemParams) -> RadialProfile:
-    """u(r) = r^{-(n-2)/2} U(-ln r) on the geometric grid matching U's nodes."""
-    nu = params.nu
-    r = np.exp(-U.t[::-1])
-    vals = r ** (-nu) * U.values[::-1]
-    prof = RadialProfile(RadialGrid(r), vals)
-    return prof.with_exponents(*prof.estimate_exponents())
 
 
 # ============================================================
@@ -404,14 +396,6 @@ class DelaunaySolution:
             "partial_result": self.partial_result,
             "solver_tol": self.solver_tol,
         }
-
-    def to_json(self, path, metadata: Optional[dict] = None) -> None:
-        doc = dict(metadata or {})
-        doc.update(self.summary())
-        doc["steps"] = self.steps
-        doc["t"] = [float(x) for x in self.profile.t]
-        doc["U"] = [float(x) for x in self.profile.values]
-        artifacts.write_json(path, doc)
 
 
 class _HalfGridSystem:

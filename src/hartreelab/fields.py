@@ -16,16 +16,13 @@ access paths.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import artifacts
 from .constants import omega, sharp_constants
 from .errors import GridError, SamplingError, UnsupportedDimensionError
 from .params import CACHE_SIZE, ProblemParams
@@ -141,62 +138,6 @@ class RadialProfile:
         hi = r >= r[-1] * 0.1
         return slope(lo), slope(hi)
 
-    # ---------- serialization ----------
-
-    def to_csv(self, path, metadata: Optional[dict] = None) -> None:
-        artifacts.write_csv(path, {"r": self.grid.r, "value": self.values}, [
-            "hartreelab radial profile v1",
-            *(f"{key}={val}" for key, val in (metadata or {}).items()),
-            f"inner_exponent={_fmt_opt(self.inner_exponent)}",
-            f"outer_exponent={_fmt_opt(self.outer_exponent)}",
-        ])
-
-    @classmethod
-    def from_csv(cls, path) -> "RadialProfile":
-        inner = outer = None
-        rows = []
-        for line in Path(path).read_text().splitlines():
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("inner_exponent="):
-                    inner = _parse_opt(body.split("=", 1)[1])
-                elif body.startswith("outer_exponent="):
-                    outer = _parse_opt(body.split("=", 1)[1])
-                continue
-            if not line or line.startswith("r,"):
-                continue
-            a, b = line.split(",")
-            rows.append((float(a), float(b)))
-        r = np.array([a for a, _ in rows])
-        v = np.array([b for _, b in rows])
-        return cls(RadialGrid(r), v, inner, outer)
-
-    def to_json(self, path, metadata: Optional[dict] = None) -> None:
-        doc = dict(metadata or {})
-        doc.update({
-            "format": "hartreelab.radial_profile.v1",
-            "inner_exponent": self.inner_exponent,
-            "outer_exponent": self.outer_exponent,
-            "r": self.grid.r,
-            "value": self.values,
-        })
-        artifacts.write_json(path, doc)
-
-    @classmethod
-    def from_json(cls, path) -> "RadialProfile":
-        doc = json.loads(Path(path).read_text())
-        return cls(RadialGrid(np.array(doc["r"])), np.array(doc["value"]),
-                   doc.get("inner_exponent"), doc.get("outer_exponent"))
-
-
-def _fmt_opt(x):
-    return "none" if x is None else repr(float(x))
-
-
-def _parse_opt(s):
-    s = s.strip()
-    return None if s == "none" else float(s)
-
 
 # ============================================================
 # fields
@@ -261,27 +202,6 @@ class Field:
         sing = (tuple(c),) if singular_center else ()
         return cls(n=n, fn=fn, center=c, radial_fn=radial_fn, singular_points=sing)
 
-    def plus_constant(self, h: float) -> "Field":
-        """The field u + h (harmonic offsets enter tests only this way)."""
-        base = self
-
-        def fn(pts):
-            return base.fn(pts) + h
-
-        rf = (lambda r: base.radial_fn(r) + h) if base.radial_fn is not None else None
-        return Field(n=base.n, fn=fn, center=base.center, radial_fn=rf,
-                     singular_points=base.singular_points)
-
-    def scaled(self, c: float) -> "Field":
-        base = self
-
-        def fn(pts):
-            return c * base.fn(pts)
-
-        rf = (lambda r: c * base.radial_fn(r)) if base.radial_fn is not None else None
-        return Field(n=base.n, fn=fn, center=base.center, radial_fn=rf,
-                     singular_points=base.singular_points)
-
 
 # ============================================================
 # canonical fields
@@ -291,11 +211,10 @@ class Field:
 def make_bubble(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
     """The explicit bubble c_n (1 + mu^2 |x - x0|^2)^(-(n-2)/2).
 
-    The amplitude is the sharp-constant c_n(alpha) of ``sharp_constants``;
-    ``scaled`` gives any other.
+    The amplitude is the sharp-constant c_n(alpha) of ``sharp_constants``.
     """
-    if mu <= 0.0:
-        raise SamplingError(f"bubble scale mu must be positive, got {mu}")
+    if not (0.0 < mu < math.inf):
+        raise SamplingError(f"bubble scale mu must be positive and finite, got {mu}")
     nu = params.nu
     amp = sharp_constants(params).c_n
 
@@ -307,8 +226,8 @@ def make_bubble(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
 
 def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
     """Extremal (mu/(mu^2 + |x - x0|^2))^((n+alpha)/2) of the Riesz bilinear inequality."""
-    if mu <= 0.0:
-        raise SamplingError(f"extremal scale mu must be positive, got {mu}")
+    if not (0.0 < mu < math.inf):
+        raise SamplingError(f"extremal scale mu must be positive and finite, got {mu}")
     expo = (params.n + params.alpha) / 2.0
 
     def radial_fn(r):
@@ -424,8 +343,8 @@ def spherical_average(field: Field, r: float, center=None, order: int = 14) -> f
     Product Gauss quadrature, exact for polynomial integrands of degree
     <= order; the mean is the integral divided by omega(n-1).
     """
-    if r <= 0.0:
-        raise SamplingError(f"sphere radius must be positive, got {r}")
+    if not (0.0 < r < math.inf):
+        raise SamplingError(f"sphere radius must be positive and finite, got {r}")
     nodes, weights = sphere_quadrature(field.n, order)
     c = np.zeros(field.n) if center is None else np.asarray(center, dtype=float)
     pts = c[None, :] + r * nodes

@@ -744,9 +744,7 @@ def _window_weights(r: np.ndarray, window, n: int):
     return mask, r[mask] ** n * np.gradient(np.log(r[mask]))
 
 
-def _window_norms(grid: RadialGrid, res: np.ndarray, scale: np.ndarray,
-                  window, n: int):
-    mask, wq = _window_weights(grid.r, window, n)
+def _window_norms(mask: np.ndarray, wq: np.ndarray, res: np.ndarray, scale: np.ndarray):
     rel_norm = math.sqrt(float(np.dot(wq, res[mask] ** 2))
                          / float(np.dot(wq, scale[mask] ** 2)))
     rel_max = float(np.max(np.abs(res[mask]) / scale[mask]))
@@ -784,7 +782,7 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
     c2 = newton_constant(n)
 
     def report(form, res, scale, **green_consts):
-        rel_norm, rel_max = _window_norms(u.grid, res, scale, window, n)
+        rel_norm, rel_max = _window_norms(mask, wq, res, scale)
         return ResidualReport(form=form, n=n, alpha=params.alpha, c_f=c_f,
                               window=window, rel_norm=rel_norm, rel_max=rel_max,
                               residual=RadialProfile(u.grid, res),
@@ -792,6 +790,7 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
 
     if u.inner_exponent is None or u.outer_exponent is None:
         raise IntegrabilityError("the residual continues u by its declared tail exponents")
+    mask, wq = _window_weights(u.grid.r, window, n)
     tau, h, windows = _tilted_windows(u.values, u.grid, u.inner_exponent,
                                       u.outer_exponent, 0.0, math.inf, halves=False)
     [(gamma, _, rows, V)] = windows
@@ -811,8 +810,7 @@ def residual(u: RadialProfile, rhs: RadialProfile, params: ProblemParams,
 
     # the differential residual decays like the rhs tail; declare that for the map
     mapped = riesz_convolve(RadialProfile(u.grid, res_d, 0.0, -(n + 2.0)), green)
-    gap, _ = _window_norms(u.grid, res_i - c2 * mapped.values, np.abs(u.values),
-                           window, n)
+    gap, _ = _window_norms(mask, wq, res_i - c2 * mapped.values, np.abs(u.values))
     return differential, integral, gap
 
 

@@ -161,14 +161,6 @@ def comparison_kernel(inv: SphereInversion, z, y, exponent: float) -> np.ndarray
     return direct - mirror
 
 
-def kernel_k2(n: int, inv: SphereInversion, z, y) -> np.ndarray:
-    return comparison_kernel(inv, z, y, float(n - 2))
-
-
-def kernel_kalpha(n: int, alpha: float, inv: SphereInversion, z, y) -> np.ndarray:
-    return comparison_kernel(inv, z, y, float(n) - float(alpha))
-
-
 def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float],
                              rng: np.random.Generator, samples: int = 64) -> dict:
     """Spot-check kernel positivity on random admissible pairs.
@@ -184,14 +176,14 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
 
     z = draw(1.0 + 1e-6)
     y = draw(1.0 + 1e-6)
-    out = {"k2_min": float(np.min(kernel_k2(n, inv, z, y)))}
+    out = {"k2_min": float(np.min(comparison_kernel(inv, z, y, n - 2.0)))}
     if alpha is not None:
-        out["kalpha_min"] = float(np.min(kernel_kalpha(n, alpha, inv, z, y)))
+        out["kalpha_min"] = float(np.min(comparison_kernel(inv, z, y, n - float(alpha))))
     dirs = rng.normal(size=(samples, n))
     dirs /= _row_norm(dirs)[:, None]
     y_b = inv.center[None, :] + inv.radius * dirs
     scale = _row_norm(y_b - z) ** (-(n - 2.0))
-    out["k2_boundary_max"] = float(np.max(np.abs(kernel_k2(n, inv, z, y_b)) / scale))
+    out["k2_boundary_max"] = float(np.max(np.abs(comparison_kernel(inv, z, y_b, n - 2.0)) / scale))
     return out
 
 
@@ -343,6 +335,11 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
     of ``comparison_deficit`` read, does not change the radius.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ParameterRangeError(f"sphere center must be finite, got {x}")
+    if not (0.0 < xtol < math.inf and _MU_LO < mu_hi < math.inf):
+        raise ParameterRangeError(
+            f"need 0 < xtol < inf and {_MU_LO} < mu_hi < inf, got {xtol} and {mu_hi}")
     probes = 0
     # the sphere (x, mu) maps x + mu U to x + mu U / |U|^2 with weight |U|^-(n-2)
     unit = _unit_test_set(u.n, x, spec)
@@ -367,6 +364,8 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
     lo, hi = _MU_LO, mu_hi
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):     # the bracket is one float wide
+            break
         if holds(mid):
             lo = mid
         else:

@@ -9,8 +9,12 @@ import ast
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +420,26 @@ def test_flag_errors_exit_two_naming_the_word(capsys, argv, word):
     assert err["error"] == "ConfigError" and word in err["message"]
 
 
+@pytest.mark.parametrize("argv, body", [
+    (["moving-spheres", "--x-offset", "nan"], None),
+    (["moving-spheres", "--mu-hi", "nan"], None),
+    (["asymptotics", "--r-max", "inf"], None),
+    (["asymptotics", "--field-mu", "nan"], None),
+    (["constants", "--alpha=1e400"], None),
+    (["moving-spheres"], '{"x_offset": NaN}'),          # json.loads reads these
+    (["asymptotics"], '{"r_min": -Infinity}'),
+    (["constants"], '{"alpha": 1' + "0" * 400 + "}"),   # an int past the floats
+], ids=["x-offset", "mu-hi", "r-max", "field-mu", "alpha", "cfg-nan", "cfg-inf", "cfg-int"])
+def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, body):
+    if body is not None:
+        (tmp_path / "c.json").write_text(body)
+        argv = [*argv, "--config", str(tmp_path / "c.json")]
+    rc, stdout, stderr = run(capsys, *argv)
+    assert rc == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ConfigError" and "expected a finite number" in err["message"]
+
+
 def test_both_flag_forms_read_alike(capsys):
     _, spaced, _ = run(capsys, "constants", "--n", "4", "--alpha", "2")
     _, joined, _ = run(capsys, "constants", "--n=4", "--alpha=2")
@@ -473,6 +497,24 @@ def test_flags_and_config_file_give_one_hash(tmp_path, command):
 # ============================================================
 # numerical failures (exit 3 and 4)
 # ============================================================
+
+
+@pytest.mark.parametrize("xtol, code", [("0", 3), ("-1", 3), ("1e-300", 0)])
+def test_moving_spheres_bisection_ends_at_every_xtol(xtol, code):
+    # in a child process with a timeout, so a bisection that never ends fails
+    # here instead of hanging the suite; a width below one float stops at a
+    # bracket one float wide
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "hartreelab.cli", "moving-spheres",
+                          "--xtol", xtol], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert abs(json.loads(out.stdout)["critical_radius"] - 0.5) <= 1e-4
+    else:
+        assert out.stdout == "" and json.loads(out.stderr)["error"] == "ParameterRangeError"
 
 
 def test_unattainable_tolerance_exits_three(capsys):

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from hartreelab import ProblemParams, sharp_constants
 from hartreelab.constants import (k_identity_defect, newton_constant,
-                                  newton_constant_alt, omega, unit_ball_volume)
+                                  newton_constant_alt, omega)
 from hartreelab.errors import ParameterDomainError
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sharp_constants_oracle.json"
@@ -35,7 +35,6 @@ def test_sphere_measures():
     assert omega(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert omega(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert omega(3) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
-    assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
     with pytest.raises(ValueError):
         omega(-1)
 

@@ -22,7 +22,7 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         ProblemParams, RadialGrid, RadialProfile, SamplingError,
                         angular_kernel, constant_solution,
                         cylinder_convolution, dispersion_function,
-                        dispersion_root, find_delaunay, from_cylinder, hls_ratio,
+                        dispersion_root, find_delaunay, hls_ratio,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sharp_constants, to_cylinder)
 from hartreelab import cylinder, riesz
@@ -258,12 +258,10 @@ def test_to_cylinder_bubble_reads_between_its_nodes():
     assert U(U.t[0] - 0.025) == 0.0 and U(U.t[-1] + 0.025) == 0.0
 
 
-def test_to_cylinder_profile_route_and_roundtrip():
-    # the field's nodes come back as a RadialProfile, node for node
-    bub = make_bubble(P32)
-    back = from_cylinder(to_cylinder(bub, P32, spacing=0.02), P32)
-    mid = (back.grid.r > 1e-2) & (back.grid.r < 1e2)
-    assert np.max(np.abs(back.values[mid] / bub.radial_fn(back.grid.r[mid]) - 1.0)) < 1e-14
+@pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
+def test_to_cylinder_refuses_a_spacing_that_makes_no_grid(spacing):
+    with pytest.raises(GridError):
+        to_cylinder(make_bubble(P32), P32, spacing=spacing)
 
 
 def test_to_cylinder_rejects_off_center_fields():
@@ -710,11 +708,3 @@ def test_discrete_bifurcation_is_the_dispersion_root(n, alpha):
     _, conv = system.residual(x)
     cos1 = np.cos(np.pi * np.arange(system.m + 1) / system.m)
     assert np.max(np.abs(system.jacobian(x, conv) @ cos1)) <= 1e-13 * P.nu ** 2
-
-
-def test_delaunay_serialization(tmp_path):
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.72 * uc, 1.05 * l0, kt=KT32, n_nodes=128)
-    sol.to_json(tmp_path / "orbit.json")
-    body = (tmp_path / "orbit.json").read_text()
-    assert '"period"' in body and '"epsilon"' in body

@@ -87,15 +87,25 @@ def test_profile_csv_json_roundtrip(tmp_path):
     table = [RadialProfile(grid, np.exp(-grid.r), inner_exponent=0.0,
                            outer_exponent=None), *_profile_table()]
     for prof in table:
-        prof.to_csv(tmp_path / "p.csv", metadata={"kind": "test"})
-        prof.to_json(tmp_path / "p.json")
-        for back in (RadialProfile.from_csv(tmp_path / "p.csv"),
-                     RadialProfile.from_json(tmp_path / "p.json")):
+        tails = {"inner_exponent": prof.inner_exponent, "outer_exponent": prof.outer_exponent}
+        artifacts.write_csv(tmp_path / "p.csv", {"r": prof.grid.r, "value": prof.values},
+                            [f"{k}={artifacts.format_float(v)}" for k, v in tails.items()
+                             if v is not None])
+        artifacts.write_json(tmp_path / "p.json", {**tails, "r": prof.grid.r,
+                                                   "value": prof.values})
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        head = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+        assert lines[len(head)] == "r,value"
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[len(head) + 1:]]
+        from_csv = (*zip(*rows), *(float(head[k]) if k in head else None for k in tails))
+        doc = json.loads((tmp_path / "p.json").read_text())
+        from_json = (doc["r"], doc["value"], doc["inner_exponent"], doc["outer_exponent"])
+        for r, value, inner, outer in (from_csv, from_json):
             # bit for bit, the sign of every zero included
-            assert _bits(back.grid.r) == _bits(prof.grid.r)
-            assert _bits(back.values) == _bits(prof.values)
-            assert _bits(back.inner_exponent) == _bits(prof.inner_exponent)
-            assert _bits(back.outer_exponent) == _bits(prof.outer_exponent)
+            assert _bits(r) == _bits(prof.grid.r)
+            assert _bits(value) == _bits(prof.values)
+            assert _bits(inner) == _bits(prof.inner_exponent)
+            assert _bits(outer) == _bits(prof.outer_exponent)
         # the JSON artifact is the canonical writer's output
         text = (tmp_path / "p.json").read_text()
         assert text == artifacts.dumps_json(json.loads(text))
@@ -162,7 +172,8 @@ def test_talenti_bubble_solves_local_equation(n):
     P = ProblemParams(n, 2.0)
     mu = 1.7
     talenti = (n * (n - 2.0)) ** ((n - 2.0) / 4.0)
-    u = make_bubble(P, mu=mu).scaled(talenti / sharp_constants(P).c_n)
+    bub, k = make_bubble(P, mu=mu), talenti / sharp_constants(P).c_n
+    u = Field.radial(n, lambda r: k * bub.radial_fn(r), singular_center=False)
     pts = np.array([[0.3] + [0.1] * (n - 1), [1.0] + [0.0] * (n - 1)])
     lap = fd_laplacian(u, pts, h=1e-3)
     want = mu ** 2 * u(pts) ** ((n + 2.0) / (n - 2.0))
@@ -170,12 +181,14 @@ def test_talenti_bubble_solves_local_equation(n):
     assert np.max(np.abs(-lap / want - 1.0)) < 1e-4
 
 
-def test_field_algebra():
-    u = make_bubble(P32)
-    v = u.plus_constant(0.25).scaled(2.0)
-    pt = np.array([0.4, -0.2, 0.1])
-    assert v(pt) == pytest.approx(2.0 * (u(pt) + 0.25), rel=1e-15)
-    assert v.radial_fn is not None          # algebra preserves the radial route
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_scales_and_sphere_radii_are_positive_and_finite(bad):
+    with pytest.raises(SamplingError):
+        make_bubble(P32, mu=bad)
+    with pytest.raises(SamplingError):
+        make_hls_extremal(P32, mu=bad)
+    with pytest.raises(SamplingError):
+        spherical_average(make_bubble(P32), bad)
 
 
 def test_sample_radial_uses_exact_callable():

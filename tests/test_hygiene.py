@@ -224,6 +224,47 @@ def test_lazy_names_resolve_to_their_home_objects():
         hartreelab.no_such_name
 
 
+# exported names no command or library path calls, each kept for a reason
+_UNCALLED = {
+    "kelvin_transform": "the paper's Kelvin transform",
+    "blowup_rescale": "the paper's blow-up frame",
+    "to_cylinder": "the paper's log-cylindrical reduction",
+    "spherical_average": "the paper's spherical mean",
+    "upper_bound_scan": "the paper's upper-bound predicate",
+    "symmetry_ratio": "the paper's symmetry predicate",
+    "fd_laplacian": "the reference the tests compare closed forms against",
+    "bubble_image": "the reference the tests compare Kelvin images against",
+    "k_identity_defect": "the constants check, which a command is to report",
+}
+
+
+def _referenced(tree, skip):
+    """Names and attributes read anywhere in tree outside a definition named skip."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        found |= _referenced(node, skip)
+    return found
+
+
+def test_every_export_has_a_caller():
+    # an export only the tests reach is surface to maintain for nothing: it
+    # needs a caller in src/ besides its own body, or one in perfbench/
+    perfbench = Path(hartreelab.__file__).parents[2] / "perfbench"
+    benched = set().union(*(_referenced(ast.parse(p.read_text()), None)
+                            for p in perfbench.rglob("*.py")))
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    uncalled = sorted(name for name in hartreelab.__all__ if name not in benched
+                      and not any(name in _referenced(tree, name) for tree in trees))
+    assert uncalled == sorted(_UNCALLED)
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from hartreelab import *", namespace)

@@ -6,6 +6,8 @@ about the unit sphere, and bubbles map to bubbles with explicitly
 computable image parameters.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from hartreelab import (Field, ParameterDomainError, ParameterRangeError,
                         TestSetSpec, bubble_image, comparison_deficit,
                         comparison_kernel, critical_radius, deficit_test_set,
                         equality_fit, fd_laplacian, invert_point,
-                        kelvin_transform, kernel_k2, kernel_kalpha,
-                        make_bubble, make_singular_power, sharp_constants)
+                        kelvin_transform, make_bubble, make_singular_power,
+                        sharp_constants)
 
 P32 = ProblemParams(3, 2.0)
 
@@ -152,14 +154,11 @@ def test_comparison_kernel_sign_and_boundary():
     on_sphere = np.array([[0.0, 1.0, 0.0]])
     assert comparison_kernel(inv, z, outside, 1.0) > 0.0
     assert comparison_kernel(inv, z, on_sphere, 1.0) == pytest.approx(0.0, abs=1e-15)
-    # for n = 3, alpha = 2 both wrapped exponents equal 1
-    np.testing.assert_array_equal(kernel_k2(3, inv, z, outside),
-                                  kernel_kalpha(3, 2.0, inv, z, outside))
     rng = np.random.default_rng(23)
     y = rng.normal(size=(200, 3))
     y = inv.center + y / np.linalg.norm(y, axis=1)[:, None] \
         * (1.0 + 10.0 ** rng.uniform(-6, 1, 200))[:, None]
-    assert np.min(kernel_k2(3, inv, z, y)) > 0.0
+    assert np.min(comparison_kernel(inv, z, y, 1.0)) > 0.0
 
 
 # ============================================================
@@ -284,6 +283,22 @@ def test_critical_radius_failure_at_the_floor():
     assert "already negative" in cr.note
 
 
+@pytest.mark.parametrize("x, kw", [
+    ([math.nan, 0.0, 0.0], {}),
+    ([0.5, math.inf, 0.0], {}),
+    ([0.5, 0.0, 0.0], {"xtol": math.nan}),
+    ([0.5, 0.0, 0.0], {"xtol": math.inf}),
+    ([0.5, 0.0, 0.0], {"mu_hi": math.nan}),
+    ([0.5, 0.0, 0.0], {"mu_hi": math.inf}),
+    ([0.5, 0.0, 0.0], {"mu_hi": 1e-3}),
+], ids=["x-nan", "x-inf", "xtol-nan", "xtol-inf", "mu_hi-nan", "mu_hi-inf", "mu_hi-floor"])
+def test_critical_radius_refuses_non_finite_inputs_and_empty_brackets(x, kw):
+    # a NaN center once read as "unbounded at 8", a NaN ceiling as radius NaN;
+    # xtol <= 0, which never ended, is run by the CLI tests in a child process
+    with pytest.raises(ParameterRangeError):
+        critical_radius(make_singular_power(P32), np.array(x), **kw)
+
+
 def test_critical_radius_drops_the_points_at_the_origin():
     # at x = mu_lo (1 + s_0) e_1, with s_0 the first ray offset, the first
     # probe's ray runs through the origin; the points it puts within 1e-9
@@ -322,7 +337,9 @@ def test_equality_fit_recovers_exact_bubble(sample_cloud):
 
 def test_equality_fit_flags_perturbed_field(sample_cloud):
     c, cloud = sample_cloud
-    fit = equality_fit(make_bubble(P32, center=c, mu=2.2).plus_constant(0.05), cloud)
+    bub = make_bubble(P32, center=c, mu=2.2)
+    u = Field.radial(3, lambda r: bub.radial_fn(r) + 0.05, center=c, singular_center=False)
+    fit = equality_fit(u, cloud)
     assert fit.note == "non-bubble"
     assert fit.fit_error > 1e-3
 
@@ -342,7 +359,8 @@ def test_equality_fit_constant_short_circuit(sample_cloud):
 def test_equality_fit_rejects_nonpositive_samples(sample_cloud):
     _, cloud = sample_cloud
     with pytest.raises(ParameterDomainError):
-        equality_fit(make_bubble(P32).plus_constant(-0.1), cloud)
+        equality_fit(Field.radial(3, lambda r: make_bubble(P32).radial_fn(r) - 0.1,
+                                  singular_center=False), cloud)
 
 
 # ============================================================
