@@ -64,9 +64,9 @@ class RadialGrid:
     @classmethod
     def geometric(cls, r_min: float, r_max: float, per_decade: int = 96) -> "RadialGrid":
         """The log-uniform grid from r_min to r_max, per_decade nodes per decade."""
-        if not (0.0 < r_min < r_max):
-            raise GridError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-        if per_decade < 16:
+        if not (0.0 < r_min < r_max < math.inf):
+            raise GridError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
+        if not (per_decade >= 16):
             raise GridError(f"per_decade must be >= 16, got {per_decade}")
         decades = math.log10(r_max / r_min)
         num = int(math.ceil(decades * per_decade)) + 1

@@ -54,6 +54,8 @@ class SphereInversion:
         c = np.asarray(self.center, dtype=float)
         if c.ndim != 1:
             raise ParameterDomainError("inversion center must be a single point")
+        if not np.all(np.isfinite(c)):
+            raise ParameterRangeError(f"inversion center must be finite, got {c}")
         object.__setattr__(self, "center", c)
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise ParameterRangeError(f"inversion radius must be positive, got {self.radius}")
@@ -80,7 +82,7 @@ def kelvin_transform(u: Field, inv: SphereInversion, exponent: float) -> Field:
     singular at the inversion center and at the images of u's own singular
     points.
     """
-    if exponent <= 0.0:
+    if not (exponent > 0.0):
         raise ParameterRangeError(f"kelvin exponent must be positive, got {exponent}")
     x = inv.center
     mu = inv.radius
@@ -211,6 +213,8 @@ def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) ->
     to honor the y != 0 contract.
     """
     x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(x)) and 0.0 < mu < math.inf):
+        raise ParameterRangeError(f"need a finite center and 0 < mu < inf, got {x} and {mu}")
     out = x + mu * _unit_test_set(n, x, spec)
     return out[_row_norm(out) > 1e-9]
 

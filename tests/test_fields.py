@@ -182,7 +182,9 @@ def test_talenti_bubble_solves_local_equation(n):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-def test_scales_and_sphere_radii_are_positive_and_finite(bad):
+def test_scales_radii_and_grid_ends_are_positive_and_finite(bad):
+    with pytest.raises(GridError):
+        RadialGrid.geometric(1e-3, bad)
     with pytest.raises(SamplingError):
         make_bubble(P32, mu=bad)
     with pytest.raises(SamplingError):

@@ -1,7 +1,7 @@
 """Source hygiene: every module uses what it imports, caches only through
 ``functools.lru_cache``, imports scipy only for the kernel oracle, the CLI
 loads only what a command runs (and no argparse), and the lazy package
-resolves every exported name.
+resolves every exported name, each with a caller unless it is listed.
 """
 
 import ast

@@ -283,20 +283,29 @@ def test_critical_radius_failure_at_the_floor():
     assert "already negative" in cr.note
 
 
-@pytest.mark.parametrize("x, kw", [
-    ([math.nan, 0.0, 0.0], {}),
-    ([0.5, math.inf, 0.0], {}),
-    ([0.5, 0.0, 0.0], {"xtol": math.nan}),
-    ([0.5, 0.0, 0.0], {"xtol": math.inf}),
-    ([0.5, 0.0, 0.0], {"mu_hi": math.nan}),
-    ([0.5, 0.0, 0.0], {"mu_hi": math.inf}),
-    ([0.5, 0.0, 0.0], {"mu_hi": 1e-3}),
-], ids=["x-nan", "x-inf", "xtol-nan", "xtol-inf", "mu_hi-nan", "mu_hi-inf", "mu_hi-floor"])
-def test_critical_radius_refuses_non_finite_inputs_and_empty_brackets(x, kw):
-    # a NaN center once read as "unbounded at 8", a NaN ceiling as radius NaN;
-    # xtol <= 0, which never ended, is run by the CLI tests in a child process
+_X = np.array([0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda u: critical_radius(u, np.array([math.nan, 0.0, 0.0])),
+    lambda u: critical_radius(u, np.array([0.5, math.inf, 0.0])),
+    lambda u: critical_radius(u, _X, xtol=math.nan),
+    lambda u: critical_radius(u, _X, xtol=math.inf),
+    lambda u: critical_radius(u, _X, mu_hi=math.nan),
+    lambda u: critical_radius(u, _X, mu_hi=math.inf),
+    lambda u: critical_radius(u, _X, mu_hi=1e-3),
+    lambda u: SphereInversion(np.array([math.nan, 0.0, 0.0]), 0.4),
+    lambda u: deficit_test_set(3, np.array([math.inf, 0.0, 0.0]), 0.4),
+    lambda u: deficit_test_set(3, _X, math.nan),
+    lambda u: kelvin_transform(u, SphereInversion(np.zeros(3), 1.0), math.nan),
+], ids=["radius-x-nan", "radius-x-inf", "xtol-nan", "xtol-inf", "mu_hi-nan", "mu_hi-inf",
+        "mu_hi-floor", "inversion-nan", "test-set-x-inf", "test-set-mu-nan", "kelvin-nan"])
+def test_sphere_probes_refuse_non_finite_inputs_and_empty_brackets(call):
+    # a NaN center once read as "unbounded at 8", a NaN ceiling as radius NaN,
+    # a NaN test set as empty; xtol <= 0, which never ended, is run by the
+    # CLI tests in a child process
     with pytest.raises(ParameterRangeError):
-        critical_radius(make_singular_power(P32), np.array(x), **kw)
+        call(make_singular_power(P32))
 
 
 def test_critical_radius_drops_the_points_at_the_origin():
