@@ -570,82 +570,38 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
     return x, L, False, last, max_iter
 
 
-def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
-                  epsilon_target: float, L: float, continuation_steps: int = 40,
-                  *, kt: Optional[KernelTable] = None,
-                  n_nodes: int = 512) -> DelaunaySolution:
-    """Trace the even periodic branch from its bifurcation to period L.
+def _landing_tol(system: _HalfGridSystem, uc: float) -> float:
+    """The fixed-period polish tolerance, max|R| <= 1e-12 (4 / h^2) max(1, U_c)."""
+    return 1e-12 * (4.0 / system.h ** 2) * max(1.0, uc)
 
-    The system is ``_HalfGridSystem``'s Fourier symbols, spectrally accurate
-    on these analytic orbits, so the branch is traced on M = min(n_nodes,
-    _COARSE_NODES) nodes and only the landing is repeated at n_nodes.  On
-    that grid the constant U_c loses stability exactly where the dispersion
-    function vanishes, so the branch leaves it at L_0 from
-    ``dispersion_root``.  Its first point is pinned at cosine amplitude
-    -0.06 U_c with L free, which fixes the side of L_0 the branch lies on.
-    Later points are pseudo-arclength steps (Keller 1977) on the secant
-    tangent in the scaled variables (x / U_c, L / L_0), the step ds grown
-    1.5x after a corrector of at most 2 iterations and halved after a
-    failed one.  Correctors stop at max|R| <= 1e-4 max(1, U_c), which keeps
-    them on the branch; once L is crossed, the secant interpolant at L is
-    polished by Newton at fixed L to max|R| <= 1e-12 (4 / h^2) max(1, U_c).
-    The orbit is then prolonged to n_nodes by zero-padding its rfft and
-    polished there once more, matrix-free: two-grid sweeps solve each
-    Newton step, with the trace grid's Jacobian at the coarse landing as
-    their coarse solve, and no fine matrix is built.  A landing with min U
-    <= 0 is no positive solution: converged=False.  epsilon_target only sets
-    partial_result (the neck stayed above it).  If L lies on the other side
-    of L_0, or is not crossed within continuation_steps correctors, the
-    constant is returned with converged=False and partial_result=True.
+
+def _polish(system, x, L, uc, steps):
+    """Newton at fixed L on system from x, logged to steps: (x, converged, max|R|)."""
+    x, _, ok, norm, its = _newton(lambda Lq: system, x, L, _landing_tol(system, uc))
+    steps.append({"period": L, "nodes": system.N, "neck": float(x[0]),
+                  "polish_iterations": its, "converged": ok})
+    return x, ok, norm
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _coarse_landing(params, nl, kt, L, M, continuation_steps):
+    """The even branch traced on M nodes to period L and polished there: (landing, steps).
+
+    On M nodes U_c loses stability exactly where the dispersion function
+    vanishes, so the branch leaves it at L_0.  The first point is pinned at
+    cosine amplitude -0.06 U_c with L free, which fixes the side of L_0 the
+    branch lies on; later points are pseudo-arclength steps (Keller 1977) on
+    the secant tangent in (x / U_c, L / L_0), ds grown 1.5x after a
+    corrector of at most 2 iterations and halved after a failed one.
+    Correctors stop at max|R| <= 1e-4 max(1, U_c), which keeps them on the
+    branch.  landing is (trace system, the orbit at L (read-only),
+    converged, max|R|, the folded Jacobian there), or None if L is not
+    reached; steps is the log, a tuple.
     """
-    if L <= 0:
-        raise ParameterRangeError("the period must be positive")
-    if continuation_steps < 1:
-        raise ParameterRangeError("need at least one continuation step")
-    if kt is None:
-        kt = kernel_table(params)
-    uc = constant_solution(params, nl, kt)
-    if epsilon_target > uc * (1.0 + 1e-9):
-        raise ParameterRangeError(
-            f"epsilon_target {epsilon_target} exceeds the constant solution {uc}")
-
-    system = _HalfGridSystem(params, nl, kt, L, n_nodes)
-
-    def tol(s):
-        return 1e-12 * (4.0 / s.h ** 2) * max(1.0, uc)
-
-    def make_solution(x, converged, norm_inf, steps, partial):
-        full = system.full_values(x)
-        prof = CylinderProfile(system.h * np.arange(system.N), full,
-                               boundary="periodic", period=L)
-        _, rel = ode_residual(prof, nl, kt)
-        amp = float(full.max() - full.min())
-        return DelaunaySolution(
-            n=params.n, alpha=params.alpha, c_f=nl.c_f, period=L,
-            epsilon=float(x[0]), u_c=uc, profile=prof, residual_norm=rel,
-            residual_inf=norm_inf, amplitude=amp,
-            converged=converged and bool(full.min() > 0.0),
-            nontrivial=bool(amp > 1e-5 * uc), partial_result=partial,
-            solver_tol=tol(system), steps=steps)
-
-    const = np.full(system.m + 1, uc)
-    if epsilon_target >= uc * (1.0 - 1e-9):
-        return make_solution(const, True, 0.0, [], False)
-
-    M = min(n_nodes, _COARSE_NODES)
-    coarse = system if M == n_nodes else _HalfGridSystem(params, nl, kt, L, M)
-
+    uc, Lc = dispersion_root(params, nl, kt)
+    coarse = _HalfGridSystem(params, nl, kt, L, M)
     steps: list = []
-
-    def polish(s, x):
-        """Newton at fixed L on the system s, logged."""
-        x, _, ok, norm, its = _newton(lambda Lq: s, x, L, tol(s))
-        steps.append({"period": L, "nodes": s.N, "neck": float(x[0]),
-                      "polish_iterations": its, "converged": ok})
-        return x, ok, norm
-
     m = coarse.m
-    Lc = dispersion_root(params, nl, kt)[1]
     # the x part as an RMS, so that ds does not grow with the node count
     scale = np.append(np.full(m + 1, 1.0 / (uc * math.sqrt(m + 1))), 1.0 / Lc)
     cos1 = np.cos(np.pi * np.arange(m + 1) / m)
@@ -682,11 +638,70 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             ds *= 1.5
         if (prev[-1] - L) * (cur[-1] - L) <= 0.0:
             w = (L - prev[-1]) / (cur[-1] - prev[-1])
-            x, ok, norm = polish(coarse, prev[:-1] + w * (cur[:-1] - prev[:-1]))
-            if system is not coarse:
-                system.coarse = coarse, coarse.jacobian(x, coarse.residual(x)[1])
-                x, ok, norm = polish(system, _prolong(x, n_nodes))
-            return make_solution(x, ok, norm, steps,
-                                 bool(x[0] > epsilon_target * (1.0 + 1e-6)))
-    # no orbit at L: report the constant, flag the shortfall
-    return make_solution(const, False, float("nan"), steps, True)
+            x, ok, norm = _polish(coarse, prev[:-1] + w * (cur[:-1] - prev[:-1]), L, uc, steps)
+            jc = coarse.jacobian(x, coarse.residual(x)[1])
+            x.flags.writeable = jc.flags.writeable = False
+            return (coarse, x, ok, norm, jc), tuple(steps)
+    return None, tuple(steps)
+
+
+def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
+                  epsilon_target: float, L: float, continuation_steps: int = 40,
+                  *, kt: Optional[KernelTable] = None,
+                  n_nodes: int = 512) -> DelaunaySolution:
+    """Trace the even periodic branch from its bifurcation to period L.
+
+    ``_coarse_landing`` traces and lands the branch on M = min(n_nodes,
+    _COARSE_NODES) nodes once per (params, nl, kt, L, M, continuation_steps):
+    the symbols are spectrally accurate on these analytic orbits.  Each call
+    prolongs that orbit to n_nodes by zero-padding its rfft and polishes it
+    there matrix-free, by two-grid sweeps around the trace grid's Jacobian.
+    A landing with min U <= 0 is no positive solution: converged=False.
+    epsilon_target only sets partial_result (the neck stayed above it).  If
+    L lies on the other side of L_0, or is not crossed within
+    continuation_steps correctors, the constant is returned with
+    converged=False and partial_result=True.
+    """
+    L = float(L)
+    if not 0.0 < L < math.inf:
+        raise ParameterRangeError(f"the period must be positive and finite, got {L}")
+    if not math.isfinite(epsilon_target):
+        raise ParameterRangeError(f"epsilon_target must be finite, got {epsilon_target}")
+    if continuation_steps < 1:
+        raise ParameterRangeError("need at least one continuation step")
+    if kt is None:
+        kt = kernel_table(params)
+    uc = constant_solution(params, nl, kt)
+    if epsilon_target > uc * (1.0 + 1e-9):
+        raise ParameterRangeError(
+            f"epsilon_target {epsilon_target} exceeds the constant solution {uc}")
+
+    system = _HalfGridSystem(params, nl, kt, L, n_nodes)
+
+    def make_solution(x, converged, norm_inf, steps, partial):
+        full = system.full_values(x)
+        prof = CylinderProfile(system.h * np.arange(system.N), full,
+                               boundary="periodic", period=L)
+        _, rel = ode_residual(prof, nl, kt)
+        amp = float(full.max() - full.min())
+        return DelaunaySolution(
+            n=params.n, alpha=params.alpha, c_f=nl.c_f, period=L,
+            epsilon=float(x[0]), u_c=uc, profile=prof, residual_norm=rel,
+            residual_inf=norm_inf, amplitude=amp,
+            converged=converged and bool(full.min() > 0.0),
+            nontrivial=bool(amp > 1e-5 * uc), partial_result=partial,
+            solver_tol=_landing_tol(system, uc), steps=steps)
+
+    const = np.full(system.m + 1, uc)
+    if epsilon_target >= uc * (1.0 - 1e-9):
+        return make_solution(const, True, 0.0, [], False)
+    M = min(n_nodes, _COARSE_NODES)
+    landing, trace_steps = _coarse_landing(params, nl, kt, L, M, continuation_steps)
+    steps = [dict(s) for s in trace_steps]
+    if landing is None:   # no orbit at L: report the constant, flag the shortfall
+        return make_solution(const, False, float("nan"), steps, True)
+    coarse, x, ok, norm, jc = landing
+    if M < n_nodes:
+        system.coarse = coarse, jc
+        x, ok, norm = _polish(system, _prolong(x, n_nodes), L, uc, steps)
+    return make_solution(x, ok, norm, steps, bool(x[0] > epsilon_target * (1.0 + 1e-6)))

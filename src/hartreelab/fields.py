@@ -240,6 +240,8 @@ def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Fi
 def make_singular_power(params: ProblemParams, exponent: Optional[float] = None) -> Field:
     """The singular power field |x|^e, default e = -(n-2)/2 (the cylinder constant's shadow)."""
     e = -params.nu if exponent is None else float(exponent)
+    if not math.isfinite(e):
+        raise SamplingError(f"singular power exponent must be finite, got {exponent}")
 
     def radial_fn(r):
         return np.asarray(r, dtype=float) ** e

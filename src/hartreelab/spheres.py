@@ -407,6 +407,8 @@ def equality_fit(u: Field, sample_points) -> EqualityFit:
     then reach the log-space optimum, or raise ConvergenceError.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise SamplingError("equality_fit wants finite sample points")
     vals = u(pts)
     if np.any(vals <= 0.0):
         raise ParameterDomainError("equality_fit wants a positive field on its samples")

@@ -38,6 +38,15 @@ KERNEL_ORACLE = json.loads((Path(__file__).parent / "fixtures"
                             / "kernel_oracle.json").read_text())["cases"]
 
 
+@pytest.fixture
+def fresh_trace():
+    """An empty coarse-trace cache, emptied again at the end, so that a
+    trace run under a patched solver serves no later call."""
+    cylinder._coarse_landing.cache_clear()
+    yield
+    cylinder._coarse_landing.cache_clear()
+
+
 # ============================================================
 # the kernel
 # ============================================================
@@ -159,7 +168,7 @@ def test_kernel_table_symbol_matches_quadrature(alpha, w):
 
 
 @pytest.mark.parametrize("alpha,stirling", [(3.0, False), (0.7, True)])
-def test_odd_alpha_symbol_takes_no_stirling_series(monkeypatch, alpha, stirling):
+def test_odd_alpha_symbol_takes_no_stirling_series(monkeypatch, fresh_trace, alpha, stirling):
     # a call count, not a timing: at (5, 3) the reflected symbol serves both
     # the Riesz bilinear check and a bordered Delaunay system
     P = ProblemParams(5, alpha)
@@ -409,6 +418,29 @@ def test_find_delaunay_guards():
         find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=4096)
 
 
+@pytest.mark.parametrize("L, target", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                       (6.6, math.nan), (6.6, -math.inf)],
+                         ids=["L-nan", "L-inf", "L-minus-inf", "target-nan", "target-minus-inf"])
+def test_find_delaunay_refuses_non_finite_inputs(L, target):
+    # a NaN or infinite period once ran the whole trace and died as a
+    # GridError, and a NaN target returned converged=True
+    uc = constant_solution(P32, NL32, KT32)
+    info = cylinder._coarse_landing.cache_info()
+    with pytest.raises(ParameterRangeError):
+        find_delaunay(P32, NL32, target * uc, L, kt=KT32, n_nodes=64)
+    assert cylinder._coarse_landing.cache_info() == info
+
+
+def test_an_integer_period_is_the_float_period():
+    uc, _ = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 7.0, kt=KT32, n_nodes=128)
+    info = cylinder._coarse_landing.cache_info()
+    again = find_delaunay(P32, NL32, 0.5 * uc, 7, kt=KT32, n_nodes=128)
+    assert cylinder._coarse_landing.cache_info().hits == info.hits + 1
+    assert type(again.period) is float and again.steps == sol.steps
+    assert np.array_equal(again.profile.values, sol.profile.values)
+
+
 def test_find_delaunay_constant_branch():
     uc = constant_solution(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, uc, 6.6, kt=KT32, n_nodes=64)
@@ -515,7 +547,7 @@ def test_find_delaunay_orbit_solves_its_own_check():
     assert 1 <= sol.steps[-1]["polish_iterations"] <= 2
 
 
-def test_find_delaunay_polishes_the_fine_grid_without_a_matrix(monkeypatch):
+def test_find_delaunay_polishes_the_fine_grid_without_a_matrix(monkeypatch, fresh_trace):
     sizes, folded = [], []
 
     def counted(a, b):
@@ -608,7 +640,7 @@ def test_two_grid_step_is_the_dense_newton_step(n, alpha, factor, nodes):
 
 
 @pytest.mark.parametrize("factor", [4.0, 16.0])
-def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, factor):
+def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, fresh_trace, factor):
     # at 16 L_0 a sweep contracts by only 0.2-0.5, so a step takes up to 12
     uc, l0 = dispersion_root(P32, NL32, KT32)
 
@@ -625,7 +657,7 @@ def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, factor):
     assert abs(swept[1] - dense[1]) <= 1e-13 * uc
 
 
-def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch):
+def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch, fresh_trace):
     system, x = _fine_landing(P32, 4.0, 512)
     system.coarse = system.coarse[0], np.eye(33)
     with warnings.catch_warnings():
@@ -645,6 +677,69 @@ def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch):
                              "polish_iterations": 0, "converged": False}
 
 
+def _result_bits(sol):
+    """Everything a find_delaunay result holds, exactly."""
+    return (sol.profile.values.tobytes(), sol.profile.t.tobytes(),
+            repr((sol.summary(), sol.residual_norm, sol.residual_inf, sol.steps)))
+
+
+@pytest.mark.parametrize("n,alpha", [(3, 2.0), (3, 0.5), (4, 1.0), (5, 3.0), (3, 1.0)])
+def test_cached_traces_land_as_fresh_ones(n, alpha):
+    # below, near and past the bifurcation; node counts on and above the trace grid
+    P = ProblemParams(n, alpha)
+    nl, kt = nonlinearity_for(P), kernel_table(P)
+    uc, l0 = dispersion_root(P, nl, kt)
+    for factor in (0.9, 1.05, 1.5, 2.0):
+        cold = []
+        for N in (16, 64, 128, 512, 2048):
+            cylinder._coarse_landing.cache_clear()
+            cold.append(_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt,
+                                                   n_nodes=N)))
+        info = cylinder._coarse_landing.cache_info()
+        warm = [_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=N))
+                for N in (16, 64, 128, 512, 2048)]
+        # 16 nodes trace on their own grid, the rest share the 64-node trace
+        assert cylinder._coarse_landing.cache_info().hits == info.hits + 4
+        assert warm == cold
+
+
+def test_one_trace_serves_every_node_count_of_a_period():
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    info = cylinder._coarse_landing.cache_info
+    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    before = info()
+    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
+    assert (info().hits, info().misses) == (before.hits + 1, before.misses)
+    # a new period, c_f or step budget is a new trace
+    other = nonlinearity_for(P32, c_f=2.0 * NL32.c_f)
+    for call in (lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.06 * l0, kt=KT32),
+                 lambda: find_delaunay(P32, other, 0.1 * uc, 1.05 * l0, kt=KT32),
+                 lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, 39, kt=KT32)):
+        before = info()
+        call()
+        assert (info().hits, info().misses) == (before.hits, before.misses + 1)
+
+
+def test_a_returned_log_is_the_callers_own():
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    want = [dict(s) for s in sol.steps]
+    sol.steps[0]["neck"] = -1.0
+    sol.steps.clear()
+    assert find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512).steps == want
+
+
+def test_the_cached_landing_is_read_only():
+    uc, l0 = dispersion_root(P32, NL32, KT32)
+    landing, steps = cylinder._coarse_landing(P32, NL32, KT32, 1.05 * l0, 64, 40)
+    _, x, ok, _, jc = landing
+    assert ok and isinstance(steps, tuple)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        jc[0, 0] = 0.0
+
+
 def test_find_delaunay_reads_the_cached_bifurcation_frequency():
     P = ProblemParams(4, 1.7)
     nl, kt = nonlinearity_for(P), kernel_table(P)
@@ -652,7 +747,8 @@ def test_find_delaunay_reads_the_cached_bifurcation_frequency():
     info = cylinder._bifurcation_frequency.cache_info
     find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=64)
     before = info()
-    find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=128)
+    # a second period: its trace is not cached, so it reads the frequency
+    find_delaunay(P, nl, 0.5 * uc, 1.1 * l0, kt=kt, n_nodes=128)
     after = info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 1
@@ -674,7 +770,7 @@ def test_find_delaunay_below_the_bifurcation_returns_the_constant():
     assert len(sol.steps) == 1 and sol.steps[0]["period"] > 2.0 * math.pi
 
 
-def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch):
+def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch, fresh_trace):
     def singular(self, x, conv, out=None):
         J = np.empty((self.m + 1, self.m + 1)) if out is None else out
         J[...] = 0.0

@@ -193,6 +193,13 @@ def test_scales_radii_and_grid_ends_are_positive_and_finite(bad):
         spherical_average(make_bubble(P32), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_singular_power_refuses_a_non_finite_exponent(bad):
+    # a NaN exponent once made a field that read NaN everywhere but r = 1
+    with pytest.raises(SamplingError):
+        make_singular_power(P32, exponent=bad)
+
+
 def test_sample_radial_uses_exact_callable():
     u = make_bubble(P32)
     grid = RadialGrid.geometric(1e-3, 1e3, 48)

@@ -353,6 +353,18 @@ def test_equality_fit_flags_perturbed_field(sample_cloud):
     assert fit.fit_error > 1e-3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_equality_fit_refuses_non_finite_sample_points(sample_cloud, capfd, bad):
+    # a NaN point once reached LAPACK, which printed DLASCL errors to stderr
+    # and raised LinAlgError
+    c, cloud = sample_cloud
+    cloud = cloud.copy()
+    cloud[7, 1] = bad
+    with pytest.raises(SamplingError):
+        equality_fit(make_bubble(P32, center=c, mu=2.2), cloud)
+    assert capfd.readouterr().err == ""
+
+
 def test_equality_fit_constant_short_circuit(sample_cloud):
     _, cloud = sample_cloud
     fit = equality_fit(Field(n=3, fn=lambda p: np.full(p.shape[0], 0.37)), cloud)
