@@ -570,7 +570,7 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
     return x, L, False, last, max_iter
 
 
-def _landing_tol(system: _HalfGridSystem, uc: float) -> float:
+def _landing_tol(system, uc):
     """The fixed-period polish tolerance, max|R| <= 1e-12 (4 / h^2) max(1, U_c)."""
     return 1e-12 * (4.0 / system.h ** 2) * max(1.0, uc)
 

@@ -437,7 +437,8 @@ def test_an_integer_period_is_the_float_period():
     info = cylinder._coarse_landing.cache_info()
     again = find_delaunay(P32, NL32, 0.5 * uc, 7, kt=KT32, n_nodes=128)
     assert cylinder._coarse_landing.cache_info().hits == info.hits + 1
-    assert type(again.period) is float and again.steps == sol.steps
+    assert type(again.period) is type(again.steps[-1]["period"]) is float
+    assert again.steps == sol.steps
     assert np.array_equal(again.profile.values, sol.profile.values)
 
 
