@@ -412,13 +412,12 @@ class _HalfGridSystem:
     first term; A folds from a^ alike.  The fold is built by the cached
     cosine basis of that identity, (Phi g c^ / N) @ Phi g.  A bordered system
     also holds the symbols' forward differences in L, from the same Khat^
-    call, for R_L.  Once ``coarse`` holds the trace system and its folded
-    Jacobian at the coarse landing, a step is matrix-free instead: two-grid
-    sweeps (Hackbusch 1985) invert a^ on the modes the trace grid cannot
-    carry and the coarse Jacobian on the rest.
+    call, for R_L.  Once ``coarse`` holds the trace grid's folded Jacobian at
+    the coarse landing, a step is matrix-free: two-grid sweeps (Hackbusch
+    1985) invert a^ on the modes the trace grid cannot carry, coarse the rest.
     """
 
-    coarse = None   # (trace system, its folded Jacobian), set for the fine polish
+    coarse = None   # jc, the trace grid's folded Jacobian at the coarse landing
 
     def __init__(self, params, nl, kt, L, n_nodes, bordered=False):
         if n_nodes % 2:
@@ -492,8 +491,8 @@ class _HalfGridSystem:
         """The Newton step J^-1 g: dense, or two-grid sweeps once coarse is set."""
         if self.coarse is None:
             return solve(self.jacobian(x, conv), g)
-        trace, jc = self.coarse
-        k = trace.m
+        jc = self.coarse
+        k = jc.shape[0] - 1   # the trace grid's m; it has 2k nodes
         # a^ inverts the modes k >= M/2, half the bin at M/2; the coarse
         # Jacobian inverts what they leave on modes 0..M/2
         high_part = np.clip(np.arange(self.m + 1) - k + 0.5, 0.0, 1.0) / self.a_hat
@@ -502,12 +501,19 @@ class _HalfGridSystem:
             high = irfft(high_part * rfft(self.full_values(r)), self.N)[:self.m + 1]
             low = rfft(self.full_values(r - self._apply(x, conv, high)))[:k + 1]
             low[k] = 2.0 * low[k].real   # the modes +-M/2 alias to one coarse bin
-            low *= trace.N / self.N
-            d = d + high + _prolong(solve(jc, irfft(low, trace.N)[:k + 1]), self.N)
+            low *= 2 * k / self.N
+            d = d + high + _prolong(solve(jc, irfft(low, 2 * k)[:k + 1]), self.N)
             r = g - self._apply(x, conv, d)
             if np.max(np.abs(r)) <= 1e-6 * np.max(np.abs(g)):
                 return d
         raise LinAlgError("the two-grid sweeps do not contract")
+
+    def polish(self, x, L, tol, steps):
+        """Newton at fixed L from x to max|R| <= tol, logged to steps: (x, converged, max|R|)."""
+        x, _, ok, norm, its = _newton(lambda Lq: self, x, L, tol)
+        steps.append({"period": L, "nodes": self.N, "neck": float(x[0]),
+                      "polish_iterations": its, "converged": ok})
+        return x, ok, norm
 
     def full_values(self, x):
         return np.concatenate([x, x[-2:0:-1]])
@@ -570,33 +576,18 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
     return x, L, False, last, max_iter
 
 
-def _landing_tol(system, uc):
-    """The fixed-period polish tolerance, max|R| <= 1e-12 (4 / h^2) max(1, U_c)."""
-    return 1e-12 * (4.0 / system.h ** 2) * max(1.0, uc)
-
-
-def _polish(system, x, L, uc, steps):
-    """Newton at fixed L on system from x, logged to steps: (x, converged, max|R|)."""
-    x, _, ok, norm, its = _newton(lambda Lq: system, x, L, _landing_tol(system, uc))
-    steps.append({"period": L, "nodes": system.N, "neck": float(x[0]),
-                  "polish_iterations": its, "converged": ok})
-    return x, ok, norm
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _coarse_landing(params, nl, kt, L, M, continuation_steps):
     """The even branch traced on M nodes to period L and polished there: (landing, steps).
 
-    On M nodes U_c loses stability exactly where the dispersion function
-    vanishes, so the branch leaves it at L_0.  The first point is pinned at
-    cosine amplitude -0.06 U_c with L free, which fixes the side of L_0 the
-    branch lies on; later points are pseudo-arclength steps (Keller 1977) on
-    the secant tangent in (x / U_c, L / L_0), ds grown 1.5x after a
-    corrector of at most 2 iterations and halved after a failed one.
-    Correctors stop at max|R| <= 1e-4 max(1, U_c), which keeps them on the
-    branch.  landing is (trace system, the orbit at L (read-only),
-    converged, max|R|, the folded Jacobian there), or None if L is not
-    reached; steps is the log, a tuple.
+    U_c loses stability at L_0, where the dispersion function vanishes.  The
+    first point is pinned at cosine amplitude -0.06 U_c with L free, which
+    fixes the side of L_0 the branch takes; then pseudo-arclength steps
+    (Keller 1977) on the secant tangent in (x / U_c, L / L_0), ds grown 1.5x
+    after a corrector of at most 2 iterations and halved after a failed one,
+    each corrector stopped at max|R| <= 1e-4 max(1, U_c).  The secant point at
+    L is polished at fixed L.  landing is (orbit, converged, max|R|, folded
+    Jacobian), arrays read-only, or None if L is not reached; steps a tuple.
     """
     uc, Lc = dispersion_root(params, nl, kt)
     coarse = _HalfGridSystem(params, nl, kt, L, M)
@@ -638,10 +629,11 @@ def _coarse_landing(params, nl, kt, L, M, continuation_steps):
             ds *= 1.5
         if (prev[-1] - L) * (cur[-1] - L) <= 0.0:
             w = (L - prev[-1]) / (cur[-1] - prev[-1])
-            x, ok, norm = _polish(coarse, prev[:-1] + w * (cur[:-1] - prev[:-1]), L, uc, steps)
+            tol = 1e-12 * (4.0 / coarse.h ** 2) * max(1.0, uc)
+            x, ok, norm = coarse.polish(prev[:-1] + w * (cur[:-1] - prev[:-1]), L, tol, steps)
             jc = coarse.jacobian(x, coarse.residual(x)[1])
             x.flags.writeable = jc.flags.writeable = False
-            return (coarse, x, ok, norm, jc), tuple(steps)
+            return (x, ok, norm, jc), tuple(steps)
     return None, tuple(steps)
 
 
@@ -651,16 +643,12 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
                   n_nodes: int = 512) -> DelaunaySolution:
     """Trace the even periodic branch from its bifurcation to period L.
 
-    ``_coarse_landing`` traces and lands the branch on M = min(n_nodes,
-    _COARSE_NODES) nodes once per (params, nl, kt, L, M, continuation_steps):
-    the symbols are spectrally accurate on these analytic orbits.  Each call
-    prolongs that orbit to n_nodes by zero-padding its rfft and polishes it
-    there matrix-free, by two-grid sweeps around the trace grid's Jacobian.
-    A landing with min U <= 0 is no positive solution: converged=False.
-    epsilon_target only sets partial_result (the neck stayed above it).  If
-    L lies on the other side of L_0, or is not crossed within
-    continuation_steps correctors, the constant is returned with
-    converged=False and partial_result=True.
+    ``_coarse_landing`` lands it on M = min(n_nodes, _COARSE_NODES) nodes once
+    per (params, nl, kt, L, M, continuation_steps); each call prolongs that
+    orbit to n_nodes and polishes it there matrix-free, to max|R| <= 1e-12
+    (4 / h^2) max(1, U_c).  converged needs min U > 0; epsilon_target only
+    sets partial_result (the neck stayed above it).  With no orbit at L the
+    constant is returned, converged=False and partial_result=True.
     """
     L = float(L)
     if not 0.0 < L < math.inf:
@@ -677,6 +665,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             f"epsilon_target {epsilon_target} exceeds the constant solution {uc}")
 
     system = _HalfGridSystem(params, nl, kt, L, n_nodes)
+    tol = 1e-12 * (4.0 / system.h ** 2) * max(1.0, uc)
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)
@@ -690,7 +679,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
             residual_inf=norm_inf, amplitude=amp,
             converged=converged and bool(full.min() > 0.0),
             nontrivial=bool(amp > 1e-5 * uc), partial_result=partial,
-            solver_tol=_landing_tol(system, uc), steps=steps)
+            solver_tol=tol, steps=steps)
 
     const = np.full(system.m + 1, uc)
     if epsilon_target >= uc * (1.0 - 1e-9):
@@ -700,8 +689,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     steps = [dict(s) for s in trace_steps]
     if landing is None:   # no orbit at L: report the constant, flag the shortfall
         return make_solution(const, False, float("nan"), steps, True)
-    coarse, x, ok, norm, jc = landing
+    x, ok, norm, system.coarse = landing
     if M < n_nodes:
-        system.coarse = coarse, jc
-        x, ok, norm = _polish(system, _prolong(x, n_nodes), L, uc, steps)
+        x, ok, norm = system.polish(_prolong(x, n_nodes), L, tol, steps)
     return make_solution(x, ok, norm, steps, bool(x[0] > epsilon_target * (1.0 + 1e-6)))

@@ -616,13 +616,13 @@ def test_corrector_iteration_counts_stay_quadratic():
 
 
 def _fine_landing(P, factor, nodes):
-    """The fine system at factor L_0, its coarse pair set, at the prolonged landing."""
+    """The fine system at factor L_0, its coarse Jacobian set, at the prolonged landing."""
     nl, kt = nonlinearity_for(P), kernel_table(P)
     uc, l0 = dispersion_root(P, nl, kt)
     x = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=64).profile.values[:33]
     coarse = _HalfGridSystem(P, nl, kt, factor * l0, 64)
     system = _HalfGridSystem(P, nl, kt, factor * l0, nodes)
-    system.coarse = coarse, coarse.jacobian(x, coarse.residual(x)[1])
+    system.coarse = coarse.jacobian(x, coarse.residual(x)[1])
     return system, cylinder._prolong(x, nodes)
 
 
@@ -660,7 +660,7 @@ def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, fresh_trace,
 
 def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch, fresh_trace):
     system, x = _fine_landing(P32, 4.0, 512)
-    system.coarse = system.coarse[0], np.eye(33)
+    system.coarse = np.eye(33)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, converged, norm, its = cylinder._newton(
@@ -704,7 +704,7 @@ def test_cached_traces_land_as_fresh_ones(n, alpha):
         assert warm == cold
 
 
-def test_one_trace_serves_every_node_count_of_a_period():
+def test_one_trace_serves_every_node_count_of_a_period(fresh_trace):
     uc, l0 = dispersion_root(P32, NL32, KT32)
     info = cylinder._coarse_landing.cache_info
     find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
@@ -733,7 +733,7 @@ def test_a_returned_log_is_the_callers_own():
 def test_the_cached_landing_is_read_only():
     uc, l0 = dispersion_root(P32, NL32, KT32)
     landing, steps = cylinder._coarse_landing(P32, NL32, KT32, 1.05 * l0, 64, 40)
-    _, x, ok, _, jc = landing
+    x, ok, _, jc = landing
     assert ok and isinstance(steps, tuple)
     with pytest.raises(ValueError):
         x[0] = 0.0
@@ -741,7 +741,7 @@ def test_the_cached_landing_is_read_only():
         jc[0, 0] = 0.0
 
 
-def test_find_delaunay_reads_the_cached_bifurcation_frequency():
+def test_find_delaunay_reads_the_cached_bifurcation_frequency(fresh_trace):
     P = ProblemParams(4, 1.7)
     nl, kt = nonlinearity_for(P), kernel_table(P)
     uc, l0 = dispersion_root(P, nl, kt)
