@@ -30,6 +30,7 @@ from .params import ProblemParams
 
 _SPHERE_ORDER = 20   # product-quadrature order backing averages and extrema
 _SLOPE_FLOOR = 0.8   # the least symmetry-ratio slope certified as the O(r) rate
+_LATTICE, _STEP = 33, 1e-4   # profile fit: points per window, d/dtau difference step
 
 
 def default_radii(r_min: float, r_max: float) -> np.ndarray:
@@ -146,13 +147,12 @@ def symmetry_ratio(u: Field, radii, center=None) -> SymmetryRatio:
 
 
 def _symmetry(r: np.ndarray, table: np.ndarray) -> SymmetryRatio:
-    ratios = np.empty(r.size)
-    for i, (ri, vals) in enumerate(zip(r, table)):
-        lo = float(np.min(vals))
-        if lo <= 0.0:
-            raise ParameterDomainError(
-                f"symmetry ratio needs a positive field; min {lo} on |x|={ri}")
-        ratios[i] = float(np.max(vals)) / lo - 1.0
+    lo = table.min(axis=1)
+    bad = np.flatnonzero(lo <= 0.0)
+    if bad.size:
+        raise ParameterDomainError(
+            f"symmetry ratio needs a positive field; min {float(lo[bad[0]])} on |x|={r[bad[0]]}")
+    ratios = table.max(axis=1) / lo - 1.0
     last = _smallest_decade(r)
     positive = ratios[last] > 1e-14
     slope, certified, note = None, True, "oscillation at round-off; field is radial here"
@@ -243,28 +243,6 @@ def _candidate_profile(candidate, params: ProblemParams):
     raise ParameterDomainError(f"unknown profile-fit candidate {candidate!r}")
 
 
-def _golden_minimize(cost, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Golden-section search on every window [lo_i, hi_i] at once.
-
-    One ``cost`` call per round, one new point per window, every window
-    shrinking by 0.618 until all are narrower than tol; returns (costs,
-    points) at the best point of each.
-    """
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = np.split(cost(np.concatenate([c, d])), 2)
-    while np.max(b - a) > tol:
-        left = fc < fd   # the minimum lies in [a, d], and c becomes its d
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - g * (b - a), a + g * (b - a))
-        f_new = cost(new)
-        c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
-                        np.where(left, c, new), np.where(left, fc, f_new))
-    left = fc < fd
-    return np.where(left, fc, fd), np.where(left, c, d)
-
-
 def profile_fit(u: Field, candidate, radii, params: ProblemParams,
                 center=None) -> ProfileFit:
     """Fit one t-translation and report per-radius errors against the candidate.
@@ -273,11 +251,15 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
     RMS log-error over the smallest probed decade, where the asymptotics
     live; the errors at every radius are then reported at that single tau.
     Seven windows of width 8 about tau = -3..3 (periodic candidates: six
-    starts across the period, windows half a period wide) are searched
-    together by golden section to 1e-10; for periodic candidates the spread
-    of the minima doubles as a uniqueness check.  Like the other scans it
-    probes u about ``center`` (the origin by default): along e_1, or by the
-    exact profile for a radial field centered there.
+    starts across the period, windows half a period wide, and tau reported
+    in [-L/2, L/2)) are searched together.  One candidate call samples each
+    at 33 lattice points; Newton's method on the stationary condition, by
+    central differences of step 1e-4 in log W and one call a step, then
+    polishes every window's best point inside the lattice cells beside it.
+    For periodic candidates the spread of the minima doubles as a
+    uniqueness check.  Like the other scans it probes u about ``center``
+    (the origin by default): along e_1, or by the exact profile for a
+    radial field centered there.
     """
     r = _check_radii(radii)
     name, w_fun, period = _candidate_profile(candidate, params)
@@ -295,19 +277,32 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
     small = _smallest_decade(r)
     t_small, want = t[small], target[small]
 
-    def cost(taus):
-        w = np.asarray(w_fun(t_small + taus[:, None]), dtype=float)
-        ok = np.all(w > 0.0, axis=1)
-        mse = np.mean((np.log(np.where(ok[:, None], w, 1.0)) - want) ** 2, axis=1)
-        return np.where(ok, mse, 1e6)
+    def residual(taus):   # log W(t_j + tau) - want_j on a new last axis, +inf where W <= 0
+        w = np.asarray(w_fun(t_small + taus[..., None]), dtype=float)
+        return np.log(np.where(w > 0.0, w, np.inf)) - want
 
     starts, span = ((np.linspace(-3.0, 3.0, 7), 4.0) if period is None
                     else (period * np.arange(6) / 6.0, period / 4.0))
-    minima, taus = _golden_minimize(cost, starts - span, starts + span, 1e-10)
+    cell = 2.0 * span / (_LATTICE - 1)   # the lattice: _LATTICE points across each window
+    lattice = (starts - span)[:, None] + cell * np.arange(_LATTICE)
+    k = np.argmin(np.square(residual(lattice)).sum(axis=-1), axis=1)
+    taus = starts - span + cell * k
+    reach = cell * ((k > 0) & (k < _LATTICE - 1))   # a best end point stays
+    lo, hi = taus - reach, taus + reach
+    with np.errstate(divide="ignore", invalid="ignore"):   # W <= 0 or flat: tau stays
+        for _ in range(8):   # Newton on g = mean(residual * d_tau log W) = 0
+            lm, l0, lp = residual(np.add.outer([-_STEP, 0.0, _STEP], taus))
+            d1, d2 = (lp - lm) / (2.0 * _STEP), (lp - 2.0 * l0 + lm) / _STEP ** 2
+            step = -(l0 * d1).sum(axis=1) / np.abs((d1 * d1 + l0 * d2).sum(axis=1))
+            taus, old = np.clip(np.where(np.isnan(step), taus, taus + step), lo, hi), taus
+            if np.max(np.abs(taus - old)) <= 1e-9:   # what is left is about its square
+                break
+    minima = np.square(l0).mean(axis=1)   # at the last stencil's center, within 1e-9
     best = int(np.argmin(minima))
     best_cost, tau = float(minima[best]), float(taus[best])
     spread = None
     if period is not None:
+        tau -= period * math.floor(tau / period + 0.5)   # the copy in [-L/2, L/2)
         good = minima[minima <= best_cost * (1.0 + 1e-6) + 1e-14]
         spread = float(good.max() - best_cost)
 

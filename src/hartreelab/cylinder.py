@@ -655,8 +655,10 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
         raise ParameterRangeError(f"the period must be positive and finite, got {L}")
     if not math.isfinite(epsilon_target):
         raise ParameterRangeError(f"epsilon_target must be finite, got {epsilon_target}")
-    if continuation_steps < 1:
-        raise ParameterRangeError("need at least one continuation step")
+    steps_ok = isinstance(continuation_steps, (int, np.integer)) and continuation_steps >= 1
+    if not steps_ok or isinstance(continuation_steps, bool):
+        raise ParameterRangeError(
+            f"need a whole number of continuation steps, at least one; got {continuation_steps!r}")
     if kt is None:
         kt = kernel_table(params)
     uc = constant_solution(params, nl, kt)

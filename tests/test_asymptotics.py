@@ -8,6 +8,7 @@ periodic profiles pushed back to radial coordinates.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -175,8 +176,8 @@ def test_profile_fit_matches_the_bubble_limit():
     fit = profile_fit(make_bubble(P32), "cylinder_bubble",
                       default_radii(1e-4, 1.0), P32)
     assert fit.candidate == "cylinder_bubble"
-    assert abs(fit.tau) < 1e-6
-    assert fit.error_smallest < 1e-10
+    assert abs(fit.tau) <= 1e-15
+    assert fit.error_smallest <= 2e-15
     assert not fit.rejected
     assert fit.multistart_spread is None
 
@@ -199,8 +200,8 @@ def test_profile_fit_finds_the_dilation_translation():
     bub = make_bubble(P32, mu=mu)
     u = Field.radial(3, lambda r: mu ** 0.5 * bub.radial_fn(r), singular_center=False)
     fit = profile_fit(u, "cylinder_bubble", default_radii(1e-4, 1.0), P32)
-    assert fit.tau == pytest.approx(-math.log(mu), abs=1e-6)
-    assert fit.error_smallest < 1e-10
+    assert fit.tau == pytest.approx(-math.log(mu), abs=2e-15)
+    assert fit.error_smallest <= 5e-15
     assert not fit.rejected
 
 
@@ -233,6 +234,71 @@ def _delaunay_field(params, factor, nodes):
                              singular_center=True)
 
 
+def _perturbed_bubble(params):
+    """(1 + r) times the bubble: the benchmark's and the acceptance test's field."""
+    bub = make_bubble(params)
+    return Field(n=params.n, fn=lambda pts: (1.0 + np.linalg.norm(pts, axis=1)) * bub(pts))
+
+
+def _scaled_bubble(params):
+    bub = make_bubble(params)
+    return Field.radial(params.n, lambda r: 3.0 * bub.radial_fn(r), singular_center=False)
+
+
+def _lsq_minimizer(u, radii, params, tau0):
+    """The bubble fit's exact least-squares tau on profile_fit's own float samples.
+
+    The stationary condition sum_j (log W(t_j + tau) - want_j) tanh(t_j + tau)
+    = 0 of the mean square log error, with log W = log c_n - nu log(2 cosh),
+    solved at 40 digits next to tau0.
+    """
+    r = np.asarray(radii)
+    exact = u.radial_fn is not None and not np.any(u.center)
+    uvals = u.radial_fn(r) if exact else u(r[:, None] * np.eye(u.n)[0])
+    small = asymptotics._smallest_decade(r)
+    t, want = -np.log(r)[small], (np.log(uvals) + params.nu * np.log(r))[small]
+    with mp.workdps(40):
+        log_cn, nu = mp.log(mp.mpf(sharp_constants(params).c_n)), mp.mpf(params.nu)
+        pts = [(mp.mpf(float(a)), mp.mpf(float(b))) for a, b in zip(t, want)]
+
+        def g(tau):
+            return mp.fsum((log_cn - nu * mp.log(2 * mp.cosh(a + tau)) - b) * mp.tanh(a + tau)
+                           for a, b in pts)
+
+        return float(mp.findroot(g, mp.mpf(tau0)))
+
+
+@pytest.mark.parametrize("make, params, radii", [
+    (_perturbed_bubble, P32, default_radii(1e-3, 2.0)),
+    (_perturbed_bubble, ProblemParams(5, 3.0), default_radii(1e-3, 2.0)),
+    (lambda p: make_bubble(p, center=[0.5, 0.0, 0.0]), P32, default_radii(1e-3, 2.0)),
+    (_scaled_bubble, P32, default_radii(1e-4, 1.0)),
+], ids=["perturbed-n3a2", "perturbed-n5a3", "off-center", "scaled"])
+def test_profile_fit_lands_the_least_squares_minimum(make, params, radii):
+    u = make(params)
+    fit = profile_fit(u, "cylinder_bubble", radii, params)
+    assert abs(fit.tau - _lsq_minimizer(u, radii, params, fit.tau)) <= 1e-12
+
+
+def test_profile_fit_calls_its_candidate_at_most_twelve_times(monkeypatch):
+    # a lattice call, a few Newton steps and the errors at tau: a work count
+    # that no timing noise moves (a golden-section search to 1e-10 made 55)
+    calls = []
+    real = asymptotics._candidate_profile
+
+    def counting(candidate, params):
+        name, w_fun, period = real(candidate, params)
+        return name, lambda t: calls.append(np.size(t)) or w_fun(t), period
+
+    monkeypatch.setattr(asymptotics, "_candidate_profile", counting)
+    sol, orbit = _delaunay_field(P32, 1.05, 128)
+    for u, candidate, r_max in ((_perturbed_bubble(P32), "cylinder_bubble", 2.0),
+                                (orbit, sol, 1.0)):
+        calls.clear()
+        assert not profile_fit(u, candidate, default_radii(1e-3, r_max), P32).rejected
+        assert 3 <= len(calls) <= 12, calls
+
+
 def test_profile_fit_accepts_delaunay_candidates():
     for params in DELAUNAY_PAIRS:
         sol, u = _delaunay_field(params, 1.05, 128)
@@ -240,6 +306,8 @@ def test_profile_fit_accepts_delaunay_candidates():
         assert fit.candidate == "delaunay"
         assert fit.error_smallest < 1e-8, params.label()
         assert not fit.rejected
+        # its own orbit, untranslated: tau is reported in [-L/2, L/2)
+        assert abs(fit.tau) <= 1e-9, (params.label(), fit.tau)
 
 
 @pytest.mark.parametrize("params", DELAUNAY_PAIRS, ids=lambda p: p.label())

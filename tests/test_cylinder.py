@@ -431,6 +431,16 @@ def test_find_delaunay_refuses_non_finite_inputs(L, target):
     assert cylinder._coarse_landing.cache_info() == info
 
 
+@pytest.mark.parametrize("steps", [2.5, True, 30.0], ids=["half", "bool", "float"])
+def test_find_delaunay_refuses_a_non_integer_step_count(steps):
+    # 2.5 used to die in range() with a bare TypeError, after the guards
+    uc = constant_solution(P32, NL32, KT32)
+    info = cylinder._coarse_landing.cache_info()
+    with pytest.raises(ParameterRangeError, match="whole number of continuation steps"):
+        find_delaunay(P32, NL32, 0.5 * uc, 6.6, steps, kt=KT32, n_nodes=64)
+    assert cylinder._coarse_landing.cache_info() == info
+
+
 def test_an_integer_period_is_the_float_period():
     uc, _ = dispersion_root(P32, NL32, KT32)
     sol = find_delaunay(P32, NL32, 0.5 * uc, 7.0, kt=KT32, n_nodes=128)
