@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import artifacts, riesz
-from .constants import sharp_constants
+from .constants import omega, sharp_constants
 from .errors import AccuracyError, ConvergenceError, HartreelabError
 from .fields import Field, _row_norm, make_bubble, make_singular_power, sample_radial
 from .params import ProblemParams
@@ -313,7 +313,7 @@ def _cmd_kernel(cfg: dict) -> dict:
         "t_max": cfg["t_max"],
         "identity_pairs": cfg["pairs"],
         "identity_max_error": identity_err,
-        "decay_constant": cylinder.kernel_table(params).decay_constant,
+        "decay_constant": omega(params.n - 1),
         "tolerance": cfg["tolerance"],
     }
     em.json("kernel_check.json", doc)
@@ -330,12 +330,11 @@ def _cmd_delaunay(cfg: dict) -> dict:
     from . import cylinder
     params = _params(cfg)
     em = _Emitter("delaunay", cfg)
-    kt = cylinder.kernel_table(params)
     nl = riesz.nonlinearity_for(params)
-    u_c, l_0 = cylinder.dispersion_root(params, nl, kt)
+    u_c, l_0 = cylinder.dispersion_root(params, nl)
     period = cfg["period"] if cfg["period"] > 0.0 else cfg["period_factor"] * l_0
     sol = cylinder.find_delaunay(params, nl, cfg["epsilon_factor"] * u_c, period,
-                                 cfg["steps"], kt=kt, n_nodes=cfg["nodes"])
+                                 cfg["steps"], n_nodes=cfg["nodes"])
     doc = {"l_0": l_0, "u_c": u_c}
     doc.update(sol.summary())
     em.json("delaunay.json", doc)

@@ -23,8 +23,7 @@ QUADPACK reference of the radial module; the Gauss-Jacobi rules there stay
 the independent discretization, so the two routes cross-check each other.
 No solver samples it: Khat's Fourier transform, and with it the L1 norm, is
 a closed-form Gamma ratio, the same symbol the radial module's Riesz
-convolution multiplies by, and the ``KernelTable`` carries only these
-closed forms.
+convolution multiplies by.
 
 On uniform t-grids this module owns the discrete convolution and the ODE
 residual, both by Fourier symbols, Khat^(w) and -w^2: on a period at w =
@@ -59,6 +58,7 @@ from .riesz import (_DIGITS, NonlinearitySpec, _kernel_quad, _khat_convolve, _kh
 
 _ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
+_NEWTON_ITERATIONS = 8   # a Newton solve not done by then ends unconverged
 
 # ============================================================
 # cylinder profiles
@@ -210,39 +210,25 @@ def kernel_hat(params: ProblemParams, t):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Khat's closed forms at (n, alpha), for any 0 < alpha < n.
+    """The (n, alpha) of a kernel, as ``dispersion_root`` and ``find_delaunay`` accept it.
 
-    The L1 norm, the Fourier transform and the decay constant omega(n-1) =
-    lim Khat(t) e^{(n-alpha)|t|/2}; no samples, so building one costs
-    nothing and alpha <= 1, where Khat(0) is infinite but Khat is still
-    integrable, is served too.  Pointwise values come from ``kernel_hat``.
-    Cached in process by ``kernel_table``.
+    Those two read Khat from their params and only check that a table
+    passed with them carries the same pair.
     """
 
     n: int
     alpha: float
 
-    @property
-    def decay_constant(self) -> float:
-        return omega(self.n - 1)
-
-    @cached_property
-    def norm_l1(self) -> float:
-        return self.fourier(0.0)
-
-    def fourier(self, w: float) -> float:
-        """The closed-form Fourier transform 2 int_0^inf Khat(t) cos(w t) dt."""
-        return float(_khat_fourier(self.n, self.alpha, w))
-
 
 def kernel_table(params: ProblemParams) -> KernelTable:
-    """The process-cached KernelTable of params."""
-    return _kernel_table(params)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _kernel_table(params: ProblemParams) -> KernelTable:
+    """The table of params' (n, alpha)."""
     return KernelTable(params.n, params.alpha)
+
+
+def _check_table(params: ProblemParams, table) -> None:
+    """Refuse a kernel table whose (n, alpha) is not params'."""
+    if table is not None and (table.n, table.alpha) != (params.n, params.alpha):
+        raise ValueError(f"{table} does not match {params}")
 
 
 # ============================================================
@@ -255,7 +241,7 @@ def _frequencies(L: float, n_nodes: int) -> np.ndarray:
     return 2.0 * math.pi / L * np.arange(n_nodes // 2 + 1)
 
 
-def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
+def cylinder_convolution(g: np.ndarray, params: ProblemParams, h: float,
                          boundary: str) -> np.ndarray:
     """(Khat * g) on the uniform grid carrying g, boundary "line" or "periodic".
 
@@ -267,14 +253,14 @@ def cylinder_convolution(g: np.ndarray, kt: KernelTable, h: float,
     """
     m = g.size
     if boundary == "periodic":
-        symbol = _khat_fourier(kt.n, kt.alpha, _frequencies(m * h, m))
+        symbol = _khat_fourier(params.n, params.alpha, _frequencies(m * h, m))
         return irfft(symbol * rfft(g), m)
     if boundary != "line":
         raise GridError(f"unknown boundary {boundary!r}; use 'line' or 'periodic'")
-    return _khat_convolve(g, h * np.arange(m), h, kt.n, kt.alpha)
+    return _khat_convolve(g, h * np.arange(m), h, params.n, params.alpha)
 
 
-def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
+def ode_residual(U: CylinderProfile, params: ProblemParams, nl: NonlinearitySpec):
     """Residual of -U'' + nu^2 U = (Khat * F(U)) f(U) and its relative L2 norm.
 
     U'' is the symbol -w^2 by one rfft pair, on the period itself (the
@@ -285,7 +271,7 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     normalized by the pointwise term scale |U''| + nu^2 |U| + |rhs|; the
     return is (residual values at U's nodes, relative L2 norm over the grid).
     """
-    nu = (kt.n - 2) / 2.0
+    nu = params.nu
     h, v = U.spacing, U.values
     periodic = U.boundary == "periodic"
     size = v.size if periodic else _next_fast_len(v.size + 2 * math.ceil(_DIGITS / nu / h))
@@ -295,7 +281,7 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
     # as in _HalfGridSystem.residual, the mean skips the FFT
     d2 = irfft(-_frequencies(size * h, size) ** 2 * rfft(window - window.mean()),
                size)[left:left + v.size]
-    rhs = cylinder_convolution(nl.F(v), kt, h, "periodic" if periodic else "line") * nl.f(v)
+    rhs = cylinder_convolution(nl.F(v), params, h, "periodic" if periodic else "line") * nl.f(v)
     res = -d2 + nu * nu * v - rhs
     scale = np.abs(d2) + nu * nu * np.abs(v) + np.abs(rhs)
     return res, math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
@@ -306,15 +292,14 @@ def ode_residual(U: CylinderProfile, nl: NonlinearitySpec, kt: KernelTable):
 # ============================================================
 
 
-def constant_solution(params: ProblemParams, nl: NonlinearitySpec,
-                      kt: KernelTable) -> float:
+def constant_solution(params: ProblemParams, nl: NonlinearitySpec) -> float:
     """U_c solving nu^2 U = c_f |Khat|_1 U^{2p-1} (the balance equation)."""
     nu2 = params.nu ** 2
-    return (nu2 / (nl.c_f * kt.norm_l1)) ** (1.0 / (2.0 * nl.p - 2.0))
+    norm_l1 = float(_khat_fourier(params.n, params.alpha, 0.0))
+    return (nu2 / (nl.c_f * norm_l1)) ** (1.0 / (2.0 * nl.p - 2.0))
 
 
-def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
-                        kt: KernelTable, w):
+def dispersion_function(params: ProblemParams, nl: NonlinearitySpec, w):
     """D(w): the linearization of the ODE at U_c acting on e^{i w t}, for scalar or array w.
 
     D(w) = w^2 + nu^2 [2 - p - p Khat^(w)/|Khat|_1], with Khat^ in closed
@@ -326,18 +311,24 @@ def dispersion_function(params: ProblemParams, nl: NonlinearitySpec,
     """
     nu2 = params.nu ** 2
     p = nl.p
-    return w * w + nu2 * (2.0 - p - p * _khat_fourier(kt.n, kt.alpha, w) / kt.norm_l1)
+    n, alpha = params.n, params.alpha
+    norm_l1 = float(_khat_fourier(n, alpha, 0.0))
+    return w * w + nu2 * (2.0 - p - p * _khat_fourier(n, alpha, w) / norm_l1)
 
 
-def dispersion_root(params: ProblemParams, nl: NonlinearitySpec, kt: KernelTable):
-    """(U_c, L_0): the constant solution and its bifurcation period 2 pi / w_0."""
-    return (constant_solution(params, nl, kt),
-            2.0 * math.pi / _bifurcation_frequency(params, nl, kt))
+def dispersion_root(params: ProblemParams, nl: NonlinearitySpec,
+                    kt: Optional[KernelTable] = None):
+    """(U_c, L_0): the constant solution and its bifurcation period 2 pi / w_0.
+
+    A kernel table whose (n, alpha) is not params' raises ValueError.
+    """
+    _check_table(params, kt)
+    return (constant_solution(params, nl),
+            2.0 * math.pi / _bifurcation_frequency(params, nl))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _bifurcation_frequency(params: ProblemParams, nl: NonlinearitySpec,
-                           kt: KernelTable) -> float:
+def _bifurcation_frequency(params: ProblemParams, nl: NonlinearitySpec) -> float:
     """w_0, the one positive zero of ``dispersion_function``.
 
     D changes sign on [0, nu sqrt(2 (p - 1))] and strictly increases, so
@@ -349,7 +340,7 @@ def _bifurcation_frequency(params: ProblemParams, nl: NonlinearitySpec,
     lo, hi = 0.0, math.sqrt(nu2 * (2.0 * nl.p - 2.0))
     while hi - lo > 1e-15 * hi:
         w = np.linspace(lo, hi, 33)
-        d = dispersion_function(params, nl, kt, w)
+        d = dispersion_function(params, nl, w)
         k = min(max(int(np.count_nonzero(d <= 0.0)), 1), 32)
         lo, hi = float(w[k - 1]), float(w[k])
     return 0.5 * (lo + hi)
@@ -419,7 +410,7 @@ class _HalfGridSystem:
 
     coarse = None   # jc, the trace grid's folded Jacobian at the coarse landing
 
-    def __init__(self, params, nl, kt, L, n_nodes, bordered=False):
+    def __init__(self, params, nl, L, n_nodes, bordered=False):
         if n_nodes % 2:
             raise GridError("find_delaunay wants an even node count")
         if n_nodes < 8:
@@ -436,11 +427,11 @@ class _HalfGridSystem:
         if bordered:   # R_L's symbol differences: Khat^ at L + dL in the same call
             dL = 1e-7 * L
             wd = _frequencies(L + dL, n_nodes)
-            symbols = _khat_fourier(kt.n, kt.alpha, np.concatenate([w, wd]))
+            symbols = _khat_fourier(params.n, params.alpha, np.concatenate([w, wd]))
             self.c_hat, c_next = symbols.reshape(2, -1)
             self.da_hat, self.dc_hat = (wd * wd - w * w) / dL, (c_next - self.c_hat) / dL
         else:
-            self.c_hat = _khat_fourier(kt.n, kt.alpha, w)
+            self.c_hat = _khat_fourier(params.n, params.alpha, w)
 
     def _fold(self, symbol) -> np.ndarray:
         phi_g = _cosine_basis(self.m)
@@ -536,7 +527,7 @@ def _prolong(x: np.ndarray, n_nodes: int) -> np.ndarray:
     return irfft(_spectrum(coarse), n_nodes)[:n_nodes // 2 + 1] * (n_nodes / coarse.size)
 
 
-def _newton(build, x, L, tol, border=None, max_iter=8):
+def _newton(build, x, L, tol, border=None):
     """Newton on the folded system R(x, L) = 0 from (x, L).
 
     At fixed L (border None) the unknowns are x, and the iteration ends one
@@ -548,7 +539,7 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
     converged, the last max|R| evaluated, iterations).
     """
     last = math.inf
-    for it in range(max_iter):
+    for it in range(_NEWTON_ITERATIONS):
         system = build(L)
         g, conv = system.residual(x)
         norm = float(np.max(np.abs(g)))
@@ -573,11 +564,11 @@ def _newton(build, x, L, tol, border=None, max_iter=8):
             g, _ = system.residual(x)
             return x, L, True, float(np.max(np.abs(g))), it + 1
         last = norm
-    return x, L, False, last, max_iter
+    return x, L, False, last, _NEWTON_ITERATIONS
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _coarse_landing(params, nl, kt, L, M, continuation_steps):
+def _coarse_landing(params, nl, L, M, continuation_steps):
     """The even branch traced on M nodes to period L and polished there: (landing, steps).
 
     U_c loses stability at L_0, where the dispersion function vanishes.  The
@@ -589,8 +580,8 @@ def _coarse_landing(params, nl, kt, L, M, continuation_steps):
     L is polished at fixed L.  landing is (orbit, converged, max|R|, folded
     Jacobian), arrays read-only, or None if L is not reached; steps a tuple.
     """
-    uc, Lc = dispersion_root(params, nl, kt)
-    coarse = _HalfGridSystem(params, nl, kt, L, M)
+    uc, Lc = dispersion_root(params, nl)
+    coarse = _HalfGridSystem(params, nl, L, M)
     steps: list = []
     m = coarse.m
     # the x part as an RMS, so that ds does not grow with the node count
@@ -609,7 +600,7 @@ def _coarse_landing(params, nl, kt, L, M, continuation_steps):
             seed = cur + ds * tangent / scale
             border = (tangent * scale, float(tangent @ (seed * scale)))
         x, Lx, ok, _, its = _newton(
-            lambda Lq: _HalfGridSystem(params, nl, kt, Lq, M, bordered=True),
+            lambda Lq: _HalfGridSystem(params, nl, Lq, M, bordered=True),
             seed[:-1], seed[-1], 1e-4 * max(1.0, uc), border)
         pinned = ok and cur is None
         if pinned:
@@ -644,12 +635,14 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     """Trace the even periodic branch from its bifurcation to period L.
 
     ``_coarse_landing`` lands it on M = min(n_nodes, _COARSE_NODES) nodes once
-    per (params, nl, kt, L, M, continuation_steps); each call prolongs that
+    per (params, nl, L, M, continuation_steps); each call prolongs that
     orbit to n_nodes and polishes it there matrix-free, to max|R| <= 1e-12
     (4 / h^2) max(1, U_c).  converged needs min U > 0; epsilon_target only
     sets partial_result (the neck stayed above it).  With no orbit at L the
-    constant is returned, converged=False and partial_result=True.
+    constant is returned, converged=False and partial_result=True.  A kernel
+    table whose (n, alpha) is not params' raises ValueError before any work.
     """
+    _check_table(params, kt)
     L = float(L)
     if not 0.0 < L < math.inf:
         raise ParameterRangeError(f"the period must be positive and finite, got {L}")
@@ -659,21 +652,19 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     if not steps_ok or isinstance(continuation_steps, bool):
         raise ParameterRangeError(
             f"need a whole number of continuation steps, at least one; got {continuation_steps!r}")
-    if kt is None:
-        kt = kernel_table(params)
-    uc = constant_solution(params, nl, kt)
+    uc = constant_solution(params, nl)
     if epsilon_target > uc * (1.0 + 1e-9):
         raise ParameterRangeError(
             f"epsilon_target {epsilon_target} exceeds the constant solution {uc}")
 
-    system = _HalfGridSystem(params, nl, kt, L, n_nodes)
+    system = _HalfGridSystem(params, nl, L, n_nodes)
     tol = 1e-12 * (4.0 / system.h ** 2) * max(1.0, uc)
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)
         prof = CylinderProfile(system.h * np.arange(system.N), full,
                                boundary="periodic", period=L)
-        _, rel = ode_residual(prof, nl, kt)
+        _, rel = ode_residual(prof, params, nl)
         amp = float(full.max() - full.min())
         return DelaunaySolution(
             n=params.n, alpha=params.alpha, c_f=nl.c_f, period=L,
@@ -687,7 +678,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
     if epsilon_target >= uc * (1.0 - 1e-9):
         return make_solution(const, True, 0.0, [], False)
     M = min(n_nodes, _COARSE_NODES)
-    landing, trace_steps = _coarse_landing(params, nl, kt, L, M, continuation_steps)
+    landing, trace_steps = _coarse_landing(params, nl, L, M, continuation_steps)
     steps = [dict(s) for s in trace_steps]
     if landing is None:   # no orbit at L: report the constant, flag the shortfall
         return make_solution(const, False, float("nan"), steps, True)

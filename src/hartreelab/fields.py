@@ -224,8 +224,8 @@ def make_bubble(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
     return Field.radial(params.n, radial_fn, center=center, singular_center=False)
 
 
-def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Field:
-    """Extremal (mu/(mu^2 + |x - x0|^2))^((n+alpha)/2) of the Riesz bilinear inequality."""
+def make_hls_extremal(params: ProblemParams, mu: float = 1.0) -> Field:
+    """Extremal (mu/(mu^2 + |x|^2))^((n+alpha)/2) of the Riesz bilinear inequality."""
     if not (0.0 < mu < math.inf):
         raise SamplingError(f"extremal scale mu must be positive and finite, got {mu}")
     expo = (params.n + params.alpha) / 2.0
@@ -234,14 +234,12 @@ def make_hls_extremal(params: ProblemParams, center=None, mu: float = 1.0) -> Fi
         # mu / (mu^2 + r^2), with no mu^2 to overflow
         return (1.0 / (mu * (1.0 + (np.asarray(r) / mu) ** 2))) ** expo
 
-    return Field.radial(params.n, radial_fn, center=center, singular_center=False)
+    return Field.radial(params.n, radial_fn, singular_center=False)
 
 
-def make_singular_power(params: ProblemParams, exponent: Optional[float] = None) -> Field:
-    """The singular power field |x|^e, default e = -(n-2)/2 (the cylinder constant's shadow)."""
-    e = -params.nu if exponent is None else float(exponent)
-    if not math.isfinite(e):
-        raise SamplingError(f"singular power exponent must be finite, got {exponent}")
+def make_singular_power(params: ProblemParams) -> Field:
+    """The singular power field |x|^e, e = -(n-2)/2 (the cylinder constant's shadow)."""
+    e = -params.nu
 
     def radial_fn(r):
         return np.asarray(r, dtype=float) ** e
@@ -254,30 +252,15 @@ def make_singular_power(params: ProblemParams, exponent: Optional[float] = None)
 # ============================================================
 
 
-def sample_radial(field: Field, grid: RadialGrid, direction=None,
-                  estimate_tails: bool = True) -> RadialProfile:
-    """Restrict a field to a ray from its center and wrap as a RadialProfile.
+def sample_radial(field: Field, grid: RadialGrid, estimate_tails: bool = True) -> RadialProfile:
+    """A radial field's exact radial callable on grid, as a RadialProfile.
 
-    For radial fields the exact radial callable is used; otherwise the ray
-    direction (default e_1) matters and the caller owns that choice.
-    Tail exponents are estimated from the sampled end decades unless
-    disabled.
+    A field with no radial callable is refused.  Tail exponents are
+    estimated from the sampled end decades unless disabled.
     """
-    if field.radial_fn is not None and direction is None:
-        vals = np.asarray(field.radial_fn(grid.r), dtype=float)
-    else:
-        d = np.zeros(field.n)
-        d[0] = 1.0
-        if direction is not None:
-            d = np.asarray(direction, dtype=float)
-            nrm = np.linalg.norm(d)
-            if nrm == 0.0:
-                raise SamplingError("ray direction must be nonzero")
-            d = d / nrm
-        c = field.center if field.center is not None else np.zeros(field.n)
-        pts = c[None, :] + grid.r[:, None] * d[None, :]
-        vals = field(pts)
-    prof = RadialProfile(grid, vals)
+    if field.radial_fn is None:
+        raise SamplingError("sample_radial wants a radial field")
+    prof = RadialProfile(grid, np.asarray(field.radial_fn(grid.r), dtype=float))
     if estimate_tails:
         e_in, e_out = prof.estimate_exponents()
         prof = prof.with_exponents(e_in, e_out)
@@ -339,15 +322,15 @@ def _sphere_rule(n: int, order: int):
     return nodes, weights
 
 
-def spherical_average(field: Field, r: float, center=None, order: int = 14) -> float:
+def spherical_average(field: Field, r: float, center=None) -> float:
     """Mean of the field over the sphere of radius r about `center`.
 
     Product Gauss quadrature, exact for polynomial integrands of degree
-    <= order; the mean is the integral divided by omega(n-1).
+    <= 14; the mean is the integral divided by omega(n-1).
     """
     if not (0.0 < r < math.inf):
         raise SamplingError(f"sphere radius must be positive and finite, got {r}")
-    nodes, weights = sphere_quadrature(field.n, order)
+    nodes, weights = sphere_quadrature(field.n)
     c = np.zeros(field.n) if center is None else np.asarray(center, dtype=float)
     pts = c[None, :] + r * nodes
     vals = field(pts)

@@ -662,11 +662,9 @@ def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCa
                          rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
 
 
-def nonlinearity_for(params: ProblemParams, c_f: Optional[float] = None) -> NonlinearitySpec:
-    """The problem's nonlinearity; c_f defaults to the calibrated value."""
-    if c_f is None:
-        c_f = calibrate_cf(params).c_f
-    return NonlinearitySpec(p=params.p, c_f=c_f)
+def nonlinearity_for(params: ProblemParams) -> NonlinearitySpec:
+    """The problem's nonlinearity at the calibrated c_f."""
+    return NonlinearitySpec(p=params.p, c_f=calibrate_cf(params).c_f)
 
 
 def hartree_potential(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,

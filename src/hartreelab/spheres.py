@@ -30,6 +30,7 @@ from .params import CACHE_SIZE, ProblemParams
 
 _DEFICIT_TOL = 1e-8   # a deficit below -_DEFICIT_TOL (|u| + |u_{x,mu}|) is a violation
 _MU_LO = 1e-3         # the critical radius's bisection floor
+_PAIRS = 64           # random pairs per kernel positivity spot-check
 
 # shape of the deficit test set, radii in units of mu
 _N_SHELLS = 20        # concentric shells just outside the sphere
@@ -164,16 +165,16 @@ def comparison_kernel(inv: SphereInversion, z, y, exponent: float) -> np.ndarray
 
 
 def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float],
-                             rng: np.random.Generator, samples: int = 64) -> dict:
+                             rng: np.random.Generator) -> dict:
     """Spot-check kernel positivity on random admissible pairs.
 
     Radii are drawn log-uniformly in (mu, 40 mu]; a companion batch puts y
     exactly on the sphere, where both kernels must vanish.
     """
     def draw(radius_lo):
-        dirs = rng.normal(size=(samples, n))
+        dirs = rng.normal(size=(_PAIRS, n))
         dirs /= _row_norm(dirs)[:, None]
-        radii = inv.radius * np.exp(rng.uniform(math.log(radius_lo), math.log(40.0), samples))
+        radii = inv.radius * np.exp(rng.uniform(math.log(radius_lo), math.log(40.0), _PAIRS))
         return inv.center[None, :] + radii[:, None] * dirs
 
     z = draw(1.0 + 1e-6)
@@ -181,7 +182,7 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
     out = {"k2_min": float(np.min(comparison_kernel(inv, z, y, n - 2.0)))}
     if alpha is not None:
         out["kalpha_min"] = float(np.min(comparison_kernel(inv, z, y, n - float(alpha))))
-    dirs = rng.normal(size=(samples, n))
+    dirs = rng.normal(size=(_PAIRS, n))
     dirs /= _row_norm(dirs)[:, None]
     y_b = inv.center[None, :] + inv.radius * dirs
     scale = _row_norm(y_b - z) ** (-(n - 2.0))

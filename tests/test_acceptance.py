@@ -30,7 +30,6 @@ from hartreelab import (
     find_delaunay,
     kelvin_transform,
     kernel_hat,
-    kernel_table,
     make_bubble,
     make_singular_power,
     nonlinearity_for,
@@ -44,7 +43,7 @@ from hartreelab import (
 from hartreelab import cli, riesz
 from hartreelab.asymptotics import default_radii
 from hartreelab.cylinder import ode_residual
-from hartreelab.constants import k_identity_defect
+from hartreelab.constants import k_identity_defect, omega
 from hartreelab.spheres import TestSetSpec
 from hartreelab.riesz import AngularKernelSpec, angular_kernel
 
@@ -126,11 +125,10 @@ def test_kernel_identities_parity_and_decay():
         even_gap = np.abs(kernel_hat(params, tt) / kernel_hat(params, -tt) - 1.0)
         assert np.max(even_gap) <= 1e-6, params.label()
 
-        # exponential tail with the tabulated decay constant
-        kt = kernel_table(params)
+        # exponential tail with the decay constant omega(n-1)
         rate = (params.n - params.alpha) / 2.0
         tail = float(kernel_hat(params, 20.0)) * np.exp(rate * 20.0)
-        assert abs(tail / kt.decay_constant - 1.0) <= 1e-6, params.label()
+        assert abs(tail / omega(params.n - 1) - 1.0) <= 1e-6, params.label()
 
     assert time.perf_counter() - t0 < 30.0
 
@@ -149,9 +147,7 @@ def test_bubble_maps_to_the_cosh_profile_and_solves_the_ode(params):
     want = cn * (2.0 * np.cosh(prof.t)) ** (-params.nu)
     assert np.max(np.abs(prof.values / want - 1.0)) <= 1e-10
 
-    nl = nonlinearity_for(params)
-    kt = kernel_table(params)
-    _, rel = ode_residual(prof, nl, kt)
+    _, rel = ode_residual(prof, params, nonlinearity_for(params))
     assert rel <= 1e-10, rel
     assert time.perf_counter() - t0 < 60.0
 
@@ -287,21 +283,20 @@ def test_delaunay_branch_bifurcates_where_the_dispersion_says():
     t0 = time.perf_counter()
     params = ProblemParams(3, 2.0)
     nl = nonlinearity_for(params)
-    kt = kernel_table(params)
-    u_c, l_0 = dispersion_root(params, nl, kt)
+    u_c, l_0 = dispersion_root(params, nl)
     assert l_0 is not None
 
     # independent bracket: raw sign scan of D(w), then Brent to the root
     ws = np.linspace(1e-3, 3.0, 1501)
-    dvals = np.array([dispersion_function(params, nl, kt, w) for w in ws])
+    dvals = np.array([dispersion_function(params, nl, w) for w in ws])
     sign_flip = np.nonzero((dvals[:-1] < 0.0) & (dvals[1:] >= 0.0))[0]
     assert sign_flip.size >= 1
     i = sign_flip[0]
-    w0 = brentq(lambda w: dispersion_function(params, nl, kt, w),
+    w0 = brentq(lambda w: dispersion_function(params, nl, w),
                 ws[i], ws[i + 1], xtol=1e-12)
     assert abs(2.0 * np.pi / w0 - l_0) <= 1e-6
 
-    sol = find_delaunay(params, nl, 0.5 * u_c, 1.05 * l_0, kt=kt, n_nodes=512)
+    sol = find_delaunay(params, nl, 0.5 * u_c, 1.05 * l_0, n_nodes=512)
     v = sol.profile.values
     assert sol.converged
     assert sol.nontrivial

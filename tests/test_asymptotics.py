@@ -16,10 +16,9 @@ from hartreelab import (CylinderProfile, Field, GridError,
                         ParameterDomainError, ParameterRangeError,
                         ProblemParams, asymptotics_report, blowup_rescale,
                         critical_radius, default_radii, dispersion_root,
-                        find_delaunay, kernel_table,
-                        make_bubble, make_singular_power, nonlinearity_for,
-                        profile_fit, sharp_constants, symmetry_ratio,
-                        upper_bound_scan)
+                        find_delaunay, make_bubble, make_singular_power,
+                        nonlinearity_for, profile_fit, sharp_constants,
+                        symmetry_ratio, upper_bound_scan)
 from hartreelab import asymptotics
 
 P32 = ProblemParams(3, 2.0)
@@ -104,7 +103,7 @@ def test_scan_flags_the_critical_rate_violator(n, a):
     # |x|^-(n-2) turns s into r^(-(n-2)/2); in low dimension that grows
     # under 10x per decade, so the flag needs the whole-scan clause
     P = ProblemParams(n, a)
-    u = make_singular_power(P, exponent=-(n - 2.0))
+    u = Field.radial(n, lambda r: r ** -(n - 2.0))
     scan = upper_bound_scan(u, default_radii(1e-5, 1.0))
     assert scan.divergence
     assert scan.slope_last_decade == pytest.approx(-(n - 2.0) / 2.0, abs=1e-6)
@@ -227,9 +226,9 @@ DELAUNAY_PAIRS = (P32, ProblemParams(5, 3.0), ProblemParams(3, 0.5))
 
 def _delaunay_field(params, factor, nodes):
     """The orbit at factor L_0, and u = r^-nu U(-ln r), singular at the origin."""
-    nl, kt = nonlinearity_for(params), kernel_table(params)
-    uc, l0 = dispersion_root(params, nl, kt)
-    sol = find_delaunay(params, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=nodes)
+    nl = nonlinearity_for(params)
+    uc, l0 = dispersion_root(params, nl)
+    sol = find_delaunay(params, nl, 0.5 * uc, factor * l0, n_nodes=nodes)
     return sol, Field.radial(params.n, lambda r: r ** -params.nu * sol.profile(-np.log(r)),
                              singular_center=True)
 

@@ -18,8 +18,9 @@ import pytest
 from scipy.integrate import quad
 
 from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
-                        GridError, IntegrabilityError, ParameterRangeError,
-                        ProblemParams, RadialGrid, RadialProfile, SamplingError,
+                        GridError, IntegrabilityError, NonlinearitySpec,
+                        ParameterRangeError, ProblemParams, RadialGrid,
+                        RadialProfile, SamplingError,
                         angular_kernel, constant_solution,
                         cylinder_convolution, dispersion_function,
                         dispersion_root, find_delaunay, hls_ratio,
@@ -31,7 +32,7 @@ from hartreelab.cylinder import _HalfGridSystem
 
 P32 = ProblemParams(3, 2.0)
 NL32 = nonlinearity_for(P32)
-KT32 = kernel_table(P32)
+NORM32 = float(cylinder._khat_fourier(3, 2.0, 0.0))   # |Khat|_1 at (3, 2)
 
 # k_beta(1, s) and Khat(ln(1/s)) at 40 digits, from make_kernel_oracle.py
 KERNEL_ORACLE = json.loads((Path(__file__).parent / "fixtures"
@@ -120,13 +121,13 @@ def test_kernels_match_multiprecision_oracle(case):
 
 
 def test_kernel_table_invariants():
-    # the closed forms the table carries, and on kernel_hat the shape they
-    # rest on: positive, nonincreasing in |t|, settling on omega(n-1)
-    assert KT32.norm_l1 == pytest.approx(16.0 * math.pi, rel=1e-12)
-    assert KT32.decay_constant == pytest.approx(4.0 * math.pi, rel=1e-15)
+    # Khat's closed forms, and on kernel_hat the shape they rest on:
+    # positive, nonincreasing in |t|, settling on omega(n-1)
+    assert NORM32 == pytest.approx(16.0 * math.pi, rel=1e-12)
+    assert omega(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     for w in (0.0, 0.5, 1.0, 2.0):
-        assert KT32.fourier(w) == pytest.approx(16.0 * math.pi / (1.0 + 4.0 * w * w),
-                                                rel=1e-10)
+        assert float(cylinder._khat_fourier(3, 2.0, w)) == pytest.approx(
+            16.0 * math.pi / (1.0 + 4.0 * w * w), rel=1e-10)
     for n, alpha in [(3, 0.5), (3, 1.05), (3, 2.0), (4, 1.5), (5, 3.0), (5, 4.5)]:
         P = ProblemParams(n, alpha)
         t = np.concatenate([[0.0] if alpha > 1.0 else [], np.geomspace(1e-4, 0.1, 24),
@@ -135,7 +136,7 @@ def test_kernel_table_invariants():
         assert np.all(v > 0.0), P.label()
         assert np.all(np.diff(v) <= 0.0), P.label()
         tail = t >= 0.9 * t[-1]
-        ratio = v[tail] * np.exp((n - alpha) / 2.0 * t[tail]) / kernel_table(P).decay_constant
+        ratio = v[tail] * np.exp((n - alpha) / 2.0 * t[tail]) / omega(n - 1)
         assert np.max(np.abs(ratio - 1.0)) <= 1e-6, P.label()
 
 
@@ -161,10 +162,7 @@ def test_kernel_table_symbol_matches_quadrature(alpha, w):
                for lo, hi in zip(breaks[:-1], breaks[1:]))
     z = complex((3.0 - alpha) / 2.0, w)
     want = 2.0 * (core + omega(2) * (np.exp(-25.0 * z) / z).real)
-    kt = kernel_table(P)
-    assert abs(kt.fourier(w) / want - 1.0) <= 1e-12
-    if w == 0.0:
-        assert abs(kt.norm_l1 / want - 1.0) <= 1e-12
+    assert abs(float(cylinder._khat_fourier(3, alpha, w)) / want - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha,stirling", [(3.0, False), (0.7, True)])
@@ -172,7 +170,7 @@ def test_odd_alpha_symbol_takes_no_stirling_series(monkeypatch, fresh_trace, alp
     # a call count, not a timing: at (5, 3) the reflected symbol serves both
     # the Riesz bilinear check and a bordered Delaunay system
     P = ProblemParams(5, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
+    nl = nonlinearity_for(P)
     calls = []
     log_gamma_ratio = riesz._log_gamma_ratio
     monkeypatch.setattr(riesz, "_log_gamma_ratio",
@@ -180,7 +178,7 @@ def test_odd_alpha_symbol_takes_no_stirling_series(monkeypatch, fresh_trace, alp
     hls_ratio(P, per_decade=16)
     assert bool(calls) == stirling
     calls.clear()
-    _HalfGridSystem(P, nl, kt, 2.0 * math.pi, 64, bordered=True)
+    _HalfGridSystem(P, nl, 2.0 * math.pi, 64, bordered=True)
     assert bool(calls) == stirling
 
 
@@ -203,9 +201,8 @@ def test_kernel_table_serves_unbounded_kernels(alpha):
     # Khat(0) is infinite for alpha <= 1, but Khat is integrable and its
     # closed forms exist; only the pointwise value at t = 0 is refused
     P = ProblemParams(3, alpha)
-    kt = kernel_table(P)
-    assert math.isfinite(kt.norm_l1) and kt.norm_l1 > kt.fourier(1.0) > 0.0
-    assert kt.decay_constant == omega(2)
+    norm = float(cylinder._khat_fourier(3, alpha, 0.0))
+    assert math.isfinite(norm) and norm > float(cylinder._khat_fourier(3, alpha, 1.0)) > 0.0
     with pytest.raises(IntegrabilityError):
         kernel_hat(P, 0.0)
 
@@ -293,8 +290,8 @@ def test_periodized_weights_mass():
     # the periodic rule's weights sum to the zero mode of Khat's symbol,
     # which is |Khat|_1 itself
     for N in (64, 65, 512):
-        conv = cylinder_convolution(np.ones(N), KT32, 6.6 / N, "periodic")
-        assert np.max(np.abs(conv / KT32.norm_l1 - 1.0)) <= 1e-14
+        conv = cylinder_convolution(np.ones(N), P32, 6.6 / N, "periodic")
+        assert np.max(np.abs(conv / NORM32 - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("N", [64, 65, 512])
@@ -306,9 +303,9 @@ def test_periodized_weights_closed_form(N, L):
     t = 0.3 + L / N * np.arange(N)
     for k in (1, 3, N // 2 - 1, N // 2):
         w = 2.0 * np.pi * k / L
-        got = cylinder_convolution(np.cos(w * t), KT32, L / N, "periodic")
+        got = cylinder_convolution(np.cos(w * t), P32, L / N, "periodic")
         want = 16.0 * np.pi / (1.0 + 4.0 * w * w) * np.cos(w * t)
-        assert np.max(np.abs(got - want)) <= 1e-14 * KT32.norm_l1
+        assert np.max(np.abs(got - want)) <= 1e-14 * NORM32
 
 
 def test_periodic_convolution_of_an_even_profile_is_even():
@@ -316,7 +313,7 @@ def test_periodic_convolution_of_an_even_profile_is_even():
     t = 6.6 / N * np.arange(N)
     g = 1.0 + 0.3 * np.cos(2.0 * np.pi * t / 6.6) + 0.1 * np.sin(np.pi * t / 6.6) ** 4
     g[N // 2 + 1:] = g[N // 2 - 1:0:-1]
-    conv = cylinder_convolution(g, KT32, 6.6 / N, "periodic")
+    conv = cylinder_convolution(g, P32, 6.6 / N, "periodic")
     assert np.max(np.abs(conv[1:] - conv[:0:-1])) <= 1e-15 * np.max(np.abs(conv))
 
 
@@ -335,19 +332,19 @@ def test_line_convolution_closed_form(n, alpha, h):
     const = (omega(n - 1) * math.gamma(alpha / 2.0) * math.gamma(n / 2.0)
              / (2.0 * math.gamma(s)))
     want = const * (2.0 * np.cosh(t)) ** (-(n - alpha) / 2.0)
-    got = cylinder_convolution((2.0 * np.cosh(t)) ** -s, kernel_table(ProblemParams(n, alpha)),
+    got = cylinder_convolution((2.0 * np.cosh(t)) ** -s, ProblemParams(n, alpha),
                                h, "line")
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def test_cylinder_convolution_rejects_an_unknown_boundary():
     with pytest.raises(GridError):
-        cylinder_convolution(np.ones(64), KT32, 0.1, "periodc")
+        cylinder_convolution(np.ones(64), P32, 0.1, "periodc")
 
 
 def test_ode_residual_on_cylinder_bubble():
     U = to_cylinder(make_bubble(P32), P32)
-    res, rel = ode_residual(U, NL32, KT32)
+    res, rel = ode_residual(U, P32, NL32)
     assert rel < 1e-3
     assert res.shape == U.t.shape
 
@@ -359,17 +356,17 @@ def test_ode_residual_of_the_cylinder_bubble_is_rounding(n, alpha, h):
     # is Khat's symbol: both are exact for the analytic (2 cosh t)^(-nu)
     params = ProblemParams(n, alpha)
     U = to_cylinder(make_bubble(params), params, spacing=h)
-    _, rel = ode_residual(U, nonlinearity_for(params), kernel_table(params))
+    _, rel = ode_residual(U, params, nonlinearity_for(params))
     assert rel <= 1e-10, rel
 
 
 def test_ode_residual_on_constant_solution():
-    uc = constant_solution(P32, NL32, KT32)
+    uc = constant_solution(P32, NL32)
     L = 2.0 * math.pi
     N = 256
     t = L / N * np.arange(N)
     U = CylinderProfile(t, np.full(N, uc), boundary="periodic", period=L)
-    _, rel = ode_residual(U, NL32, KT32)
+    _, rel = ode_residual(U, P32, NL32)
     assert rel < 1e-13
 
 
@@ -381,7 +378,7 @@ def test_ode_residual_on_constant_solution():
 def test_dispersion_closed_form():
     for w in (0.3, 1.0, 2.4):
         want = w * w + 0.25 * (2.0 - 5.0 - 5.0 / (1.0 + 4.0 * w * w))
-        assert dispersion_function(P32, NL32, KT32, w) == pytest.approx(
+        assert dispersion_function(P32, NL32, w) == pytest.approx(
             want, abs=1e-12)
 
 
@@ -392,30 +389,45 @@ def test_bifurcation_period_at_alpha_two_in_closed_form(n):
     P = ProblemParams(n, 2.0)
     nl = nonlinearity_for(P)
     want = 2.0 * math.pi / (P.nu * math.sqrt(nl.p - 1.0))
-    assert abs(dispersion_root(P, nl, kernel_table(P))[1] / want - 1.0) <= 1e-15
+    assert abs(dispersion_root(P, nl)[1] / want - 1.0) <= 1e-15
 
 
 def test_dispersion_root_is_two_pi():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
+    uc, l0 = dispersion_root(P32, NL32)
     assert l0 == pytest.approx(2.0 * math.pi, abs=1e-10)
     # the balance equation pins U_c
-    want = (0.25 / (NL32.c_f * KT32.norm_l1)) ** 0.125
+    want = (0.25 / (NL32.c_f * NORM32)) ** 0.125
     assert uc == pytest.approx(want, rel=1e-14)
 
 
 def test_find_delaunay_guards():
-    uc = constant_solution(P32, NL32, KT32)
+    uc = constant_solution(P32, NL32)
     with pytest.raises(ParameterRangeError):
-        find_delaunay(P32, NL32, 0.5 * uc, -1.0, kt=KT32)
+        find_delaunay(P32, NL32, 0.5 * uc, -1.0)
     with pytest.raises(ParameterRangeError):
-        find_delaunay(P32, NL32, 2.0 * uc, 6.6, kt=KT32)
+        find_delaunay(P32, NL32, 2.0 * uc, 6.6)
     with pytest.raises(ParameterRangeError):
-        find_delaunay(P32, NL32, 0.5 * uc, 6.6, 0, kt=KT32)
+        find_delaunay(P32, NL32, 0.5 * uc, 6.6, 0)
     for nodes in (255, 4, 0, -2):
         with pytest.raises(GridError):
-            find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=nodes)
+            find_delaunay(P32, NL32, 0.5 * uc, 6.6, n_nodes=nodes)
     with pytest.raises(ParameterRangeError):
-        find_delaunay(P32, NL32, 0.5 * uc, 6.6, kt=KT32, n_nodes=4096)
+        find_delaunay(P32, NL32, 0.5 * uc, 6.6, n_nodes=4096)
+
+
+def test_a_mismatched_kernel_table_is_refused():
+    # params alone fix (n, alpha): a table of another pair is a wrong call,
+    # refused before any work and before either cache is read
+    uc, l0 = dispersion_root(P32, NL32)
+    assert dispersion_root(P32, NL32, kernel_table(P32)) == (uc, l0)
+    other = kernel_table(ProblemParams(5, 3.0))
+    caches = (cylinder._coarse_landing.cache_info, cylinder._bifurcation_frequency.cache_info)
+    before = [info() for info in caches]
+    with pytest.raises(ValueError):
+        dispersion_root(P32, NL32, other)
+    with pytest.raises(ValueError):
+        find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=other, n_nodes=128)
+    assert [info() for info in caches] == before
 
 
 @pytest.mark.parametrize("L, target", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
@@ -424,28 +436,28 @@ def test_find_delaunay_guards():
 def test_find_delaunay_refuses_non_finite_inputs(L, target):
     # a NaN or infinite period once ran the whole trace and died as a
     # GridError, and a NaN target returned converged=True
-    uc = constant_solution(P32, NL32, KT32)
+    uc = constant_solution(P32, NL32)
     info = cylinder._coarse_landing.cache_info()
     with pytest.raises(ParameterRangeError):
-        find_delaunay(P32, NL32, target * uc, L, kt=KT32, n_nodes=64)
+        find_delaunay(P32, NL32, target * uc, L, n_nodes=64)
     assert cylinder._coarse_landing.cache_info() == info
 
 
 @pytest.mark.parametrize("steps", [2.5, True, 30.0], ids=["half", "bool", "float"])
 def test_find_delaunay_refuses_a_non_integer_step_count(steps):
     # 2.5 used to die in range() with a bare TypeError, after the guards
-    uc = constant_solution(P32, NL32, KT32)
+    uc = constant_solution(P32, NL32)
     info = cylinder._coarse_landing.cache_info()
     with pytest.raises(ParameterRangeError, match="whole number of continuation steps"):
-        find_delaunay(P32, NL32, 0.5 * uc, 6.6, steps, kt=KT32, n_nodes=64)
+        find_delaunay(P32, NL32, 0.5 * uc, 6.6, steps, n_nodes=64)
     assert cylinder._coarse_landing.cache_info() == info
 
 
 def test_an_integer_period_is_the_float_period():
-    uc, _ = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 7.0, kt=KT32, n_nodes=128)
+    uc, _ = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 7.0, n_nodes=128)
     info = cylinder._coarse_landing.cache_info()
-    again = find_delaunay(P32, NL32, 0.5 * uc, 7, kt=KT32, n_nodes=128)
+    again = find_delaunay(P32, NL32, 0.5 * uc, 7, n_nodes=128)
     assert cylinder._coarse_landing.cache_info().hits == info.hits + 1
     assert type(again.period) is type(again.steps[-1]["period"]) is float
     assert again.steps == sol.steps
@@ -453,16 +465,16 @@ def test_an_integer_period_is_the_float_period():
 
 
 def test_find_delaunay_constant_branch():
-    uc = constant_solution(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, uc, 6.6, kt=KT32, n_nodes=64)
+    uc = constant_solution(P32, NL32)
+    sol = find_delaunay(P32, NL32, uc, 6.6, n_nodes=64)
     assert sol.converged and not sol.nontrivial and not sol.partial_result
     assert sol.epsilon == pytest.approx(uc, rel=1e-12)
     assert sol.amplitude == 0.0
 
 
 def test_find_delaunay_nontrivial_orbit():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=256)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=256)
     assert sol.converged and sol.nontrivial
     assert sol.residual_norm < 1e-6
     v = sol.profile.values
@@ -487,8 +499,8 @@ def test_find_delaunay_necks(factor, nodes, neck):
     # each within 1e-9 of the Richardson extrapolation of the second-order
     # product-integration scheme this solver replaced, from 1024 and 2048
     # nodes: 0.8057654611, 0.9178554323 and 0.4947910192
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=nodes)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, n_nodes=nodes)
     assert sol.converged and sol.nontrivial
     assert abs(sol.epsilon / uc - neck) <= 1e-9
     assert sol.profile.values[0] == sol.profile.values.min()
@@ -498,9 +510,9 @@ def test_find_delaunay_necks(factor, nodes, neck):
 def test_find_delaunay_necks_do_not_depend_on_the_node_count(n, alpha):
     # the symbols resolve these orbits to rounding on the 64-node trace grid
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
-    necks = [find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=N).epsilon
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
+    necks = [find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, n_nodes=N).epsilon
              for N in (64, 512, 1024, 2048)]
     assert max(necks) - min(necks) <= 1e-12 * uc
 
@@ -510,11 +522,11 @@ def test_find_delaunay_necks_do_not_depend_on_the_node_count(n, alpha):
 def test_orbits_read_between_their_nodes_as_the_finer_orbit(n, alpha, factor):
     # the half-nodes of N <= 512 nodes are nodes of the 1024-node orbit
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
-    truth = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=1024).profile.values
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
+    truth = find_delaunay(P, nl, 0.5 * uc, factor * l0, n_nodes=1024).profile.values
     for N in (64, 128, 256, 512):
-        U = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=N).profile
+        U = find_delaunay(P, nl, 0.5 * uc, factor * l0, n_nodes=N).profile
         k = 1024 // N
         err = np.max(np.abs(U(U.t + 0.5 * U.spacing) - truth[k // 2::k]))
         assert err <= 1e-11 * uc, (N, err / uc)
@@ -526,9 +538,9 @@ def test_long_period_necks_follow_the_bubble_chain(n, alpha):
     # t)^(-nu), neighbours meeting at the neck, so eps(L) = 2 c_n e^{-nu L/2}
     # (1 + o(1)); c_n is the closed-form constant, independent of the solver
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
-    sol = find_delaunay(P, nl, 0.5 * uc, 8.0 * l0, kt=kt, n_nodes=512)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
+    sol = find_delaunay(P, nl, 0.5 * uc, 8.0 * l0, n_nodes=512)
     law = 2.0 * sharp_constants(P).c_n * math.exp(-P.nu * 4.0 * l0)
     assert sol.converged
     assert abs(sol.epsilon / law - 1.0) <= 1e-9
@@ -537,8 +549,8 @@ def test_long_period_necks_follow_the_bubble_chain(n, alpha):
 @pytest.mark.parametrize("nodes", [128, 512])
 def test_find_delaunay_lands_only_positive_orbits(nodes):
     # at 12 L_0 the neck is 2.4e-8 U_c; 128 nodes land it at -1.7e-7 U_c
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 12.0 * l0, kt=KT32, n_nodes=nodes)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 12.0 * l0, n_nodes=nodes)
     positive = nodes == 512
     assert bool(sol.profile.values.min() > 0.0) is positive
     assert sol.converged is positive
@@ -546,8 +558,8 @@ def test_find_delaunay_lands_only_positive_orbits(nodes):
 
 def test_find_delaunay_orbit_solves_its_own_check():
     # ode_residual applies the symbols the solver inverted
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512)
     assert sol.residual_norm <= 1e-11
     # the log counts every Newton iteration: correctors, then the polishes,
     # the last of them at the requested node count
@@ -573,8 +585,8 @@ def test_find_delaunay_polishes_the_fine_grid_without_a_matrix(monkeypatch, fres
 
     monkeypatch.setattr(cylinder, "solve", counted)
     monkeypatch.setattr(_HalfGridSystem, "_fold", recorded)
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=1024)
     assert sol.converged
     # only the coarse bordered system, 33 values and L, is ever factored
     assert max(sizes) <= 34
@@ -587,8 +599,8 @@ def test_cosine_fold_is_the_folded_circulant(n, alpha, nodes):
     # the definition: C[i, j] = c[(i - j) % N] + c[(i + j) % N], c = irfft(s),
     # where columns 0 and m, which have no mirror node, keep only the first term
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    system = _HalfGridSystem(P, nl, kt, 1.05 * dispersion_root(P, nl, kt)[1], nodes)
+    nl = nonlinearity_for(P)
+    system = _HalfGridSystem(P, nl, 1.05 * dispersion_root(P, nl)[1], nodes)
     m = system.m
     i, j = np.arange(m + 1)[:, None], np.arange(m + 1)[None, :]
     for symbol in (system.a_hat, system.c_hat):
@@ -607,31 +619,31 @@ def test_bordered_column_is_the_period_derivative_of_the_residual(n, alpha, fact
     # R_L by the symbols' forward differences, against a central difference
     # of two residuals, at the coarse landing
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
     L = factor * l0
-    x = find_delaunay(P, nl, 0.5 * uc, L, kt=kt, n_nodes=64).profile.values[:33]
-    column = _HalfGridSystem(P, nl, kt, L, 64, bordered=True).residual_l(x)
-    ends = [_HalfGridSystem(P, nl, kt, (1.0 + e) * L, 64).residual(x)[0] for e in (1e-4, -1e-4)]
+    x = find_delaunay(P, nl, 0.5 * uc, L, n_nodes=64).profile.values[:33]
+    column = _HalfGridSystem(P, nl, L, 64, bordered=True).residual_l(x)
+    ends = [_HalfGridSystem(P, nl, (1.0 + e) * L, 64).residual(x)[0] for e in (1e-4, -1e-4)]
     central = (ends[0] - ends[1]) / (2e-4 * L)
     assert np.max(np.abs(column - central)) <= 1e-6 * np.max(np.abs(central))
 
 
 def test_corrector_iteration_counts_stay_quadratic():
     # two correctors of 2 iterations, one of 3, then the coarse and fine polishes
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512)
     its = [s.get("pinned_iterations", s.get("polish_iterations")) for s in sol.steps]
     assert its == [2, 2, 3, 4, 1]
 
 
 def _fine_landing(P, factor, nodes):
     """The fine system at factor L_0, its coarse Jacobian set, at the prolonged landing."""
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
-    x = find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=64).profile.values[:33]
-    coarse = _HalfGridSystem(P, nl, kt, factor * l0, 64)
-    system = _HalfGridSystem(P, nl, kt, factor * l0, nodes)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
+    x = find_delaunay(P, nl, 0.5 * uc, factor * l0, n_nodes=64).profile.values[:33]
+    coarse = _HalfGridSystem(P, nl, factor * l0, 64)
+    system = _HalfGridSystem(P, nl, factor * l0, nodes)
     system.coarse = coarse.jacobian(x, coarse.residual(x)[1])
     return system, cylinder._prolong(x, nodes)
 
@@ -653,10 +665,10 @@ def test_two_grid_step_is_the_dense_newton_step(n, alpha, factor, nodes):
 @pytest.mark.parametrize("factor", [4.0, 16.0])
 def test_fine_polish_lands_where_the_dense_polish_does(monkeypatch, fresh_trace, factor):
     # at 16 L_0 a sweep contracts by only 0.2-0.5, so a step takes up to 12
-    uc, l0 = dispersion_root(P32, NL32, KT32)
+    uc, l0 = dispersion_root(P32, NL32)
 
     def polish():
-        sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, kt=KT32, n_nodes=512)
+        sol = find_delaunay(P32, NL32, 0.5 * uc, factor * l0, n_nodes=512)
         return sol.converged, sol.epsilon, sol.steps[-1]["polish_iterations"]
 
     swept = polish()
@@ -681,8 +693,8 @@ def test_non_contracting_two_grid_sweeps_leave_newton_unconverged(monkeypatch, f
     apply = _HalfGridSystem._apply
     monkeypatch.setattr(_HalfGridSystem, "_apply",
                         lambda self, x, conv, v: 2.0 * apply(self, x, conv, v))
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512)
     assert not sol.converged
     assert sol.steps[-1] == {"period": sol.period, "nodes": 512, "neck": sol.epsilon,
                              "polish_iterations": 0, "converged": False}
@@ -698,16 +710,16 @@ def _result_bits(sol):
 def test_cached_traces_land_as_fresh_ones(n, alpha):
     # below, near and past the bifurcation; node counts on and above the trace grid
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
     for factor in (0.9, 1.05, 1.5, 2.0):
         cold = []
         for N in (16, 64, 128, 512, 2048):
             cylinder._coarse_landing.cache_clear()
-            cold.append(_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt,
+            cold.append(_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0,
                                                    n_nodes=N)))
         info = cylinder._coarse_landing.cache_info()
-        warm = [_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0, kt=kt, n_nodes=N))
+        warm = [_result_bits(find_delaunay(P, nl, 0.5 * uc, factor * l0, n_nodes=N))
                 for N in (16, 64, 128, 512, 2048)]
         # 16 nodes trace on their own grid, the rest share the 64-node trace
         assert cylinder._coarse_landing.cache_info().hits == info.hits + 4
@@ -715,34 +727,34 @@ def test_cached_traces_land_as_fresh_ones(n, alpha):
 
 
 def test_one_trace_serves_every_node_count_of_a_period(fresh_trace):
-    uc, l0 = dispersion_root(P32, NL32, KT32)
+    uc, l0 = dispersion_root(P32, NL32)
     info = cylinder._coarse_landing.cache_info
-    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512)
     before = info()
-    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=1024)
+    find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=1024)
     assert (info().hits, info().misses) == (before.hits + 1, before.misses)
     # a new period, c_f or step budget is a new trace
-    other = nonlinearity_for(P32, c_f=2.0 * NL32.c_f)
-    for call in (lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.06 * l0, kt=KT32),
-                 lambda: find_delaunay(P32, other, 0.1 * uc, 1.05 * l0, kt=KT32),
-                 lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, 39, kt=KT32)):
+    other = NonlinearitySpec(p=P32.p, c_f=2.0 * NL32.c_f)
+    for call in (lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.06 * l0),
+                 lambda: find_delaunay(P32, other, 0.1 * uc, 1.05 * l0),
+                 lambda: find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, 39)):
         before = info()
         call()
         assert (info().hits, info().misses) == (before.hits, before.misses + 1)
 
 
 def test_a_returned_log_is_the_callers_own():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512)
     want = [dict(s) for s in sol.steps]
     sol.steps[0]["neck"] = -1.0
     sol.steps.clear()
-    assert find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, kt=KT32, n_nodes=512).steps == want
+    assert find_delaunay(P32, NL32, 0.5 * uc, 1.05 * l0, n_nodes=512).steps == want
 
 
 def test_the_cached_landing_is_read_only():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    landing, steps = cylinder._coarse_landing(P32, NL32, KT32, 1.05 * l0, 64, 40)
+    uc, l0 = dispersion_root(P32, NL32)
+    landing, steps = cylinder._coarse_landing(P32, NL32, 1.05 * l0, 64, 40)
     x, ok, _, jc = landing
     assert ok and isinstance(steps, tuple)
     with pytest.raises(ValueError):
@@ -753,28 +765,28 @@ def test_the_cached_landing_is_read_only():
 
 def test_find_delaunay_reads_the_cached_bifurcation_frequency(fresh_trace):
     P = ProblemParams(4, 1.7)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
     info = cylinder._bifurcation_frequency.cache_info
-    find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, kt=kt, n_nodes=64)
+    find_delaunay(P, nl, 0.5 * uc, 1.05 * l0, n_nodes=64)
     before = info()
     # a second period: its trace is not cached, so it reads the frequency
-    find_delaunay(P, nl, 0.5 * uc, 1.1 * l0, kt=kt, n_nodes=128)
+    find_delaunay(P, nl, 0.5 * uc, 1.1 * l0, n_nodes=128)
     after = info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 1
 
 
 def test_find_delaunay_traces_far_from_the_bifurcation():
-    uc, l0 = dispersion_root(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 2.0 * l0, kt=KT32, n_nodes=128)
+    uc, l0 = dispersion_root(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 2.0 * l0, n_nodes=128)
     assert sol.converged and sol.nontrivial and not sol.partial_result
     assert sol.epsilon / uc == pytest.approx(0.161, abs=1e-3)
 
 
 def test_find_delaunay_below_the_bifurcation_returns_the_constant():
-    uc = constant_solution(P32, NL32, KT32)
-    sol = find_delaunay(P32, NL32, 0.5 * uc, 5.0, 8, kt=KT32, n_nodes=64)
+    uc = constant_solution(P32, NL32)
+    sol = find_delaunay(P32, NL32, 0.5 * uc, 5.0, 8, n_nodes=64)
     assert not sol.converged and sol.partial_result and not sol.nontrivial
     assert sol.epsilon == uc
     # the pinned first point shows the branch leaving L_0 = 2 pi upwards
@@ -788,9 +800,9 @@ def test_newton_returns_unconverged_on_a_singular_jacobian(monkeypatch, fresh_tr
         return J
 
     monkeypatch.setattr(cylinder._HalfGridSystem, "jacobian", singular)
-    uc, l0 = dispersion_root(P32, NL32, KT32)
+    uc, l0 = dispersion_root(P32, NL32)
     # bordered: the L-free case reads its symbols' differences for R_L
-    system = cylinder._HalfGridSystem(P32, NL32, KT32, 1.05 * l0, 64, bordered=True)
+    system = cylinder._HalfGridSystem(P32, NL32, 1.05 * l0, 64, bordered=True)
     x = uc * (1.0 - 0.1 * np.cos(np.pi * np.arange(33) / 32))
     pin = np.append(np.ones(33), 0.0)
     # at fixed L and bordered with L free; no LinAlgWarning escapes
@@ -808,9 +820,9 @@ def test_discrete_bifurcation_is_the_dispersion_root(n, alpha):
     # the folded operator at U_c acts on cos(2 pi t / L) by D(2 pi / L) on any
     # grid, so 16 nodes, where the dense Jacobian rounds least, show it
     P = ProblemParams(n, alpha)
-    nl, kt = nonlinearity_for(P), kernel_table(P)
-    uc, l0 = dispersion_root(P, nl, kt)
-    system = _HalfGridSystem(P, nl, kt, l0, 16)
+    nl = nonlinearity_for(P)
+    uc, l0 = dispersion_root(P, nl)
+    system = _HalfGridSystem(P, nl, l0, 16)
     x = np.full(system.m + 1, uc)
     _, conv = system.residual(x)
     cos1 = np.cos(np.pi * np.arange(system.m + 1) / system.m)

@@ -265,6 +265,39 @@ def test_every_export_has_a_caller():
     assert uncalled == sorted(_UNCALLED)
 
 
+def _defaulted(fn):
+    """The names of fn's parameters that have a default."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    names = positional[len(positional) - len(fn.args.defaults):]
+    return names + [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None]
+
+
+def test_every_keyword_has_a_caller():
+    # a default that no call outside its own function overrides is a
+    # constant with a settable name: every one needs a caller in src/ or
+    # perfbench/, by keyword or by position
+    perfbench = Path(hartreelab.__file__).parents[2] / "perfbench"
+    trees = [ast.parse(p.read_text()) for p in MODULES + sorted(perfbench.rglob("*.py"))]
+    exported = set(hartreelab.__all__) - set(_UNCALLED)
+    defs = {node.name: node for tree in trees[:len(MODULES)] for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported}
+    own = {name: {id(node) for node in ast.walk(fn)} for name, fn in defs.items()}
+    passed = set()
+    for call in (node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name not in defs or id(call) in own[name]:
+            continue
+        fn = defs[name]
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        passed.update((name, p) for p in positional[:len(call.args)])
+        passed.update((name, kw.arg) for kw in call.keywords)
+    unset = sorted(f"{name}.{p}" for name, fn in defs.items() for p in _defaulted(fn)
+                   if (name, p) not in passed)
+    assert unset == []
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from hartreelab import *", namespace)
