@@ -114,6 +114,9 @@ SCHEMAS = {
 # keys that do not change computed numbers and stay out of the config hash
 _NON_SEMANTIC = ("out", "plot")
 
+# the least value of each count or seed key, in every command that has it
+_INT_FLOORS = {"points": 0, "pairs": 1, "seed": 0}
+
 
 # ============================================================
 # config resolution
@@ -128,6 +131,9 @@ def _coerce(command: str, key: str, value, kind: type):
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{command}.{key}: expected an integer, got {value!r}")
+        if value < _INT_FLOORS.get(key, value):
+            raise ConfigError(
+                f"{command}.{key}: expected an integer >= {_INT_FLOORS[key]}, got {value!r}")
         return value
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -241,7 +247,7 @@ def _cmd_constants(cfg: dict) -> dict:
     doc = {
         "n": params.n,
         "alpha": params.alpha,
-        "p": sc.p,
+        "p": params.p,
         "nu": params.nu,
         "s_n": sc.s_n,
         "h_n": sc.h_n,

@@ -30,7 +30,8 @@ The stored quantities, for p = (n + alpha)/(n - 2):
           s_n^((n-a)(2-n)/(4(n-a+2))) k_n^((2-n)/(2(n-a+2))) (n(n-2))^((n-2)/4)
     c_f : the F = c_f |u|^p under which the bubble solves the equation,
           n(n-2) / (c_n^(2p-2) C), C = pi^(n/2) Gamma(a/2) / Gamma((n+a)/2)
-          the conformal constant: R_a * (1+r^2)^(-(n+a)/2) = C (1+r^2)^(-(n-a)/2)
+          the conformal constant: R_a * (1+r^2)^(-(n+a)/2) = C (1+r^2)^(-(n-a)/2);
+          every solver uses this c_f, and the bubble check measures it
 """
 
 from __future__ import annotations
@@ -77,23 +78,18 @@ def newton_constant_alt(n: int) -> float:
 
 @dataclass(frozen=True)
 class SharpConstants:
-    p: float               # critical exponent (n + alpha)/(n - 2)
-    p_minus_1: float       # (2 + alpha)/(n - 2)
     s_n: float             # Sobolev constant, quotient calibration s_n^(-2)
     h_n: float             # sharp Riesz/convolution constant
     k_n: float             # s_n * h_n^((2-n)/(n+alpha))
     c_n: float             # bubble amplitude
     c_f: float             # F-normalization that makes the bubble an exact solution
-    omega: float           # surface measure of S^(n-1), the sphere in R^n
-    omega_n: float         # surface measure of S^n (enters s_n)
-    omega_n_minus_2: float  # surface measure of S^(n-2) (enters angular kernels)
 
 
 def _exp_checked(log_value: float, name: str) -> float:
-    if log_value > math.log(math.sqrt(3.4e308)):
-        raise ParameterRangeError(
-            f"exp({name}) overflows double precision (log value {log_value:.3g})")
-    value = math.exp(log_value)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
     if value == 0.0 or not math.isfinite(value):
         raise ParameterRangeError(
             f"exp({name}) left the floating-point range (log value {log_value:.3g})")
@@ -115,6 +111,7 @@ def sharp_constants(params: ProblemParams) -> SharpConstants:
              + ((n - a) / n - 1.0) * math.lgamma(n / 2.0))
     h_n = _exp_checked(log_h, "log h_n")
 
+    # omega(n), the measure of S^n, in log space
     log_omega_n = math.log(2.0) + (n + 1) / 2.0 * math.log(math.pi) - math.lgamma((n + 1) / 2.0)
     log_s = 0.5 * (math.log(4.0) - math.log(n) - math.log(n - 2.0)
                    - (2.0 / n) * log_omega_n)
@@ -132,16 +129,11 @@ def sharp_constants(params: ProblemParams) -> SharpConstants:
     log_cf = math.log(n * (n - 2.0)) - 2.0 * params.p_minus_1 * log_c - log_conformal
 
     return SharpConstants(
-        p=params.p,
-        p_minus_1=params.p_minus_1,
         s_n=s_n,
         h_n=h_n,
         k_n=k_n,
         c_n=c_n,
         c_f=_exp_checked(log_cf, "log c_f"),
-        omega=omega(n - 1),
-        omega_n=_exp_checked(log_omega_n, "log omega_n"),
-        omega_n_minus_2=omega(n - 2),
     )
 
 

@@ -34,7 +34,9 @@ Weideman, SIAM Review 56, 2014).
 
 Residual bookkeeping for -Lap u = (R_alpha * F(u)) f(u) lives here too:
 the differential form by the symbols of d/dt on one mid-tilt window, the
-integral form via the Green convolution u = c2 R_2 * rhs.  Relative
+integral form via the Green convolution u = c2 R_2 * rhs.  F carries the
+closed-form c_f of ``sharp_constants``; ``calibrate_cf`` fits c_f on the
+bubble, so its distance from that closed form measures the pipeline.  Relative
 residuals are normalized by the pointwise *term* scale (|u''| and
 |(n-2)u'|/r^2 separately, not their nearly-cancelling sum) because at
 large r the equation's sides are exponentially smaller than the terms
@@ -83,9 +85,10 @@ class NonlinearitySpec:
     """Power nonlinearity pair f(xi) = |xi|^(p-2) xi, F(xi) = c_f |xi|^p.
 
     The amplitude convention of the explicit bubble and the normalization
-    of F cannot both be taken at face value; c_f is the single calibration
-    constant that absorbs the mismatch, fitted once per (n, alpha) by
-    :func:`calibrate_cf` and reported rather than hidden.
+    of F cannot both be taken at face value; c_f is the single constant that
+    absorbs the mismatch.  Its closed form is ``SharpConstants.c_f``, which
+    :func:`nonlinearity_for` passes to every solver; :func:`calibrate_cf`
+    measures it on the bubble as a check.
     """
 
     p: float
@@ -614,29 +617,21 @@ def default_grid(per_decade: int = 96) -> RadialGrid:
 class CfCalibration:
     c_f: float              # fitted normalization of F
     residual_norm: float    # relative L2 residual of the bubble at the fit
-    window: tuple           # radial window of the fit
-    per_decade: int         # grid density used
-    n: int
-    alpha: float
     rhs: RadialProfile = field(compare=False)  # the bubble's rhs at the fitted c_f
 
 
 def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
                  per_decade: int = 96) -> CfCalibration:
-    """Fit the F-normalization c_f on the explicit bubble, once per (n, alpha).
+    """Measure c_f on the explicit bubble: a check of the radial pipeline.
 
     The bubble residual is linear in c_f, so the least-squares optimum over
     the window is a single ratio of weighted inner products between the
     bubble's exact (closed-form) Laplacian and the convolution side
     evaluated at c_f = 1.  The fitted value and the leftover residual are
-    both reported; nothing is silently absorbed.  The convolution side,
-    rescaled to the fitted c_f, is kept as ``rhs`` for :func:`residual`.
+    both reported, to be held against ``SharpConstants.c_f``, the closed
+    form every solver uses.  The convolution side, rescaled to the fitted
+    c_f, is kept as ``rhs`` for :func:`residual`.
     """
-    return _calibrate_cf(params, (float(window[0]), float(window[1])), per_decade)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCalibration:
     n = params.n
     amp = sharp_constants(params).c_n
     grid = default_grid(per_decade)
@@ -657,14 +652,13 @@ def _calibrate_cf(params: ProblemParams, window: tuple, per_decade: int) -> CfCa
     res = b - c_f * m
     rel = float(math.sqrt(np.dot(wq, res ** 2) / np.dot(wq, b ** 2)))
 
-    return CfCalibration(c_f=c_f, residual_norm=rel, window=window,
-                         per_decade=per_decade, n=n, alpha=params.alpha,
+    return CfCalibration(c_f=c_f, residual_norm=rel,
                          rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
 
 
 def nonlinearity_for(params: ProblemParams) -> NonlinearitySpec:
-    """The problem's nonlinearity at the calibrated c_f."""
-    return NonlinearitySpec(p=params.p, c_f=calibrate_cf(params).c_f)
+    """The problem's nonlinearity at the closed-form ``SharpConstants.c_f``."""
+    return NonlinearitySpec(p=params.p, c_f=sharp_constants(params).c_f)
 
 
 def hartree_potential(u: RadialProfile, params: ProblemParams, nl: NonlinearitySpec,

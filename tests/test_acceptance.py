@@ -65,9 +65,11 @@ def test_sharp_constants_match_multiprecision_oracle():
     for case in cases:
         params = ProblemParams(case["n"], case["alpha"])
         sc = sharp_constants(params)
-        for name in ("p", "s_n", "h_n", "k_n", "c_n"):
+        got = {name: getattr(sc, name) for name in ("s_n", "h_n", "k_n", "c_n")}
+        got["p"] = params.p
+        for name, value in got.items():
             want = float(case[name])
-            assert abs(getattr(sc, name) - want) <= 1e-12 * abs(want), \
+            assert abs(value - want) <= 1e-12 * abs(want), \
                 f"{name} at (n, alpha) = ({params.n}, {params.alpha})"
         # the product identity tying k_n to s_n and h_n is definitional
         assert k_identity_defect(sc, params) < 1e-14

@@ -292,9 +292,9 @@ def test_bubble_check_small_alpha_calibrates_exactly(capsys):
     assert abs(json.loads(stdout)["c_f"] / analytic - 1.0) <= 1e-12
 
 
-def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
-    # R_alpha * F(u) for the calibration and rhs, R_2 * rhs, R_2 * (-Lap u - rhs)
-    calls = {"riesz_convolve": 0, "hartree_rhs": 0}
+def _count_riesz_calls(monkeypatch, *names):
+    """{name: 0} for each named ``riesz`` function, counted from here on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(riesz, name)
@@ -304,13 +304,27 @@ def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    riesz._calibrate_cf.cache_clear()
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(riesz, name, counted(name))
+    return calls
+
+
+def test_bubble_check_runs_each_distinct_convolution_once(capsys, monkeypatch):
+    # R_alpha * F(u) for the calibration and rhs, R_2 * rhs, R_2 * (-Lap u - rhs)
+    calls = _count_riesz_calls(monkeypatch, "riesz_convolve", "hartree_rhs")
     # only the call count is under test, so the accuracy gate is opened
     rc, _, _ = run(capsys, "bubble-check", "--per-decade", "16", "--tolerance", "1")
     assert rc == 0
     assert calls == {"riesz_convolve": 3, "hartree_rhs": 1}
+
+
+def test_delaunay_reads_the_closed_form_cf(capsys, monkeypatch):
+    # the solver takes SharpConstants.c_f: no fit and no Riesz convolution
+    calls = _count_riesz_calls(monkeypatch, "riesz_convolve", "calibrate_cf")
+    rc, stdout, _ = run(capsys, "delaunay", "--nodes", "64")
+    assert rc == 0
+    assert json.loads(stdout)["c_f"] == sharp_constants(ProblemParams(3, 2.0)).c_f
+    assert calls == {"riesz_convolve": 0, "calibrate_cf": 0}
 
 
 # ============================================================
@@ -440,6 +454,26 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, body):
     assert err["error"] == "ConfigError" and "expected a finite number" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--pairs", "0"],
+    ["kernel", "--pairs", "-1"],
+    ["kernel", "--points", "-1"],
+    ["kernel", "--seed", "-1"],
+    ["moving-spheres", "--seed", "-1"],
+], ids=["pairs-0", "pairs-neg", "points-neg", "kernel-seed", "spheres-seed"])
+def test_counts_and_seeds_below_their_floor_exit_two(tmp_path, capsys, argv):
+    command, flag, value = argv
+    key = flag[2:]
+    (tmp_path / "c.json").write_text(json.dumps({key: int(value)}))
+    for words in ([flag, value], ["--config", str(tmp_path / "c.json")]):
+        rc, stdout, stderr = run(capsys, command, *words)
+        assert rc == 2 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (f"{command}.{key}: expected an integer >= "
+                                  f"{cli._INT_FLOORS[key]}, got {int(value)}")
+
+
 def test_both_flag_forms_read_alike(capsys):
     _, spaced, _ = run(capsys, "constants", "--n", "4", "--alpha", "2")
     _, joined, _ = run(capsys, "constants", "--n=4", "--alpha=2")
@@ -448,13 +482,14 @@ def test_both_flag_forms_read_alike(capsys):
 
 def _config_rows(command):
     """Every key away from its default, then 30 rows from one Philox stream:
-    ints in +-1e6, floats across 10^+-300 and -0.0, bools, and strings."""
+    ints in +-1e6 and not below the key's floor, floats across 10^+-300 and
+    -0.0, bools, and strings."""
     rng = np.random.Generator(np.random.Philox(sorted(cli.SCHEMAS).index(command)))
     letters = list("ab=- _.é/")
 
-    def draw(kind):
+    def draw(key, kind):
         if kind is int:
-            return int(rng.integers(-10 ** 6, 10 ** 6 + 1))
+            return int(rng.integers(cli._INT_FLOORS.get(key, -10 ** 6), 10 ** 6 + 1))
         if kind is float:
             if rng.random() < 0.1:
                 return -0.0
@@ -466,7 +501,7 @@ def _config_rows(command):
     schema = cli.SCHEMAS[command]
     rows = [{key: {bool: True, int: 7, float: 0.375, str: "x"}[opt.kind]
              for key, opt in schema.items()}]
-    rows += [{key: draw(opt.kind) for key, opt in schema.items()} for _ in range(30)]
+    rows += [{key: draw(key, opt.kind) for key, opt in schema.items()} for _ in range(30)]
     return rows
 
 
@@ -515,6 +550,14 @@ def test_moving_spheres_bisection_ends_at_every_xtol(xtol, code):
         assert abs(json.loads(out.stdout)["critical_radius"] - 0.5) <= 1e-4
     else:
         assert out.stdout == "" and json.loads(out.stderr)["error"] == "ParameterRangeError"
+
+
+def test_constants_past_the_double_range_exit_three(capsys):
+    rc, stdout, stderr = run(capsys, "constants", "--n", "250")
+    assert rc == 3 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterRangeError"
+    assert "left the floating-point range" in err["message"]
 
 
 def test_unattainable_tolerance_exits_three(capsys):

@@ -17,18 +17,21 @@ from scipy.integrate import quad
 from hartreelab import ProblemParams, sharp_constants
 from hartreelab.constants import (k_identity_defect, newton_constant,
                                   newton_constant_alt, omega)
-from hartreelab.errors import ParameterDomainError
+from hartreelab.errors import ParameterDomainError, ParameterRangeError
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sharp_constants_oracle.json"
 ORACLE = json.loads(FIXTURE.read_text())["cases"]
-FIELDS = ("p", "s_n", "h_n", "k_n", "c_n", "omega", "omega_n", "omega_n_minus_2")
+FIELDS = ("s_n", "h_n", "k_n", "c_n")
 
 
 @pytest.mark.parametrize("case", ORACLE, ids=lambda c: f"n{c['n']}a{c['alpha']:g}")
 def test_constants_match_oracle(case):
-    sc = sharp_constants(ProblemParams(case["n"], case["alpha"]))
-    for key in FIELDS:
-        assert getattr(sc, key) == pytest.approx(float(case[key]), rel=1e-12), key
+    n, params = case["n"], ProblemParams(case["n"], case["alpha"])
+    sc = sharp_constants(params)
+    got = {key: getattr(sc, key) for key in FIELDS}
+    got.update(p=params.p, omega=omega(n - 1), omega_n=omega(n), omega_n_minus_2=omega(n - 2))
+    for key, value in got.items():
+        assert value == pytest.approx(float(case[key]), rel=1e-12), key
 
 
 def test_sphere_measures():
@@ -44,14 +47,20 @@ def test_exponents():
     assert P.p == 5.0
     assert P.p_minus_1 == 4.0
     assert P.nu == 0.5
-    sc = sharp_constants(P)
-    assert sc.p == 5.0 and sc.p_minus_1 == 4.0
 
 
 @pytest.mark.parametrize("n,alpha", [(3, 1.0), (3, 2.0), (4, 2.0), (5, 3.0)])
 def test_k_identity_holds_to_roundoff(n, alpha):
     P = ProblemParams(n, alpha)
     assert k_identity_defect(sharp_constants(P), P) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [242, 250, 300, 400, 455])
+def test_constants_past_the_double_range_are_refused(n, alpha):
+    # a log-space constant whose exp overflows is named, not a bare OverflowError
+    with pytest.raises(ParameterRangeError, match=r"exp\(log \w+\) left the floating-point"):
+        sharp_constants(ProblemParams(n, alpha))
 
 
 def test_newton_constant_conventions():
