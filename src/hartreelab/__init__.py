@@ -45,8 +45,7 @@ _EXPORTS = {
     "spheres": ("BubbleImage", "ComparisonReport", "CriticalRadiusValue",
                 "EqualityFit", "SphereInversion", "TestSetSpec", "bubble_image",
                 "comparison_deficit", "comparison_kernel", "critical_radius",
-                "deficit_test_set", "equality_fit", "fd_laplacian",
-                "invert_point", "kelvin_transform"),
+                "equality_fit", "fd_laplacian", "invert_point", "kelvin_transform"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -230,8 +230,8 @@ def _candidate_profile(candidate, params: ProblemParams):
     if isinstance(candidate, DelaunaySolution):
         return "delaunay", candidate.profile, candidate.period
     if isinstance(candidate, CylinderProfile):
-        if candidate.boundary == "periodic":
-            return "cylinder_profile", candidate, candidate.period
+        if candidate.periodic:
+            return "cylinder_profile", candidate, candidate.span
 
         def w_fun(t, prof=candidate):
             t = np.asarray(t, dtype=float)

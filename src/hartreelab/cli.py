@@ -28,7 +28,7 @@ import numpy as np
 from . import artifacts, riesz
 from .constants import omega, sharp_constants
 from .errors import AccuracyError, ConvergenceError, HartreelabError
-from .fields import Field, _row_norm, make_bubble, make_singular_power, sample_radial
+from .fields import Field, _row_norm, make_bubble, make_singular_power
 from .params import ProblemParams
 
 
@@ -263,9 +263,7 @@ def _cmd_bubble_check(cfg: dict) -> dict:
     em = _Emitter("bubble-check", cfg)
     window = (cfg["window_lo"], cfg["window_hi"])
     cal = riesz.calibrate_cf(params, window=window, per_decade=cfg["per_decade"])
-    prof = sample_radial(make_bubble(params), cal.rhs.grid,   # with its exact tails
-                         estimate_tails=False).with_exponents(0.0, 2.0 - params.n)
-    diff, integ, gap = riesz.residual(prof, cal.rhs, params, window, c_f=cal.c_f)
+    diff, integ, gap = riesz.residual(cal.bubble, cal.rhs, params, window, c_f=cal.c_f)
     cf_error = abs(cal.c_f / sharp_constants(params).c_f - 1.0)
     reports = {"differential": diff, "integral": integ}
     for form, rep in reports.items():
@@ -385,10 +383,7 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
     spec = spheres.TestSetSpec(seed=cfg["seed"])
     mu_bar = spheres.critical_radius(u, x, spec, mu_hi=cfg["mu_hi"],
                                      xtol=cfg["xtol"], alpha=params.alpha)
-    inv = spheres.SphereInversion(x, cfg["mu"])
-    report = spheres.comparison_deficit(
-        u, inv, spheres.deficit_test_set(params.n, x, cfg["mu"], spec),
-        alpha=params.alpha)
+    report = spheres.comparison_deficit(u, x, cfg["mu"], spec, alpha=params.alpha)
     fit_doc = None
     if cfg["field"] == "bubble":
         rng = np.random.Generator(np.random.Philox([cfg["seed"], 1]))

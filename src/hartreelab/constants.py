@@ -51,7 +51,11 @@ def omega(k: int) -> float:
     """Surface measure of the unit k-sphere S^k in R^(k+1)."""
     if k < 0:
         raise ValueError(f"sphere dimension must be >= 0, got {k}")
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    except OverflowError:
+        raise ParameterRangeError(
+            f"Gamma((k+1)/2) in omega({k}) left the floating-point range") from None
 
 
 def newton_constant(n: int) -> float:

@@ -67,20 +67,19 @@ _NEWTON_ITERATIONS = 8   # a Newton solve not done by then ends unconverged
 
 @dataclass(frozen=True)
 class CylinderProfile:
-    """Values on a uniform t-grid: decaying on the line, or L-periodic.
+    """Values on a uniform t-grid: decaying on the line, or periodic.
 
     Decaying profiles promise |U| <= 1e-8 at both grid ends (so that
-    zero-extension beyond the grid is harmless in convolutions); periodic
-    profiles cover exactly one period, nodes at t_0 + j h for j = 0..N-1
-    with N h = L.  Between its nodes a profile is its trigonometric
-    interpolant: over the period, or over the span N h for a decaying one,
-    which reads 0 beyond its grid.
+    zero-extension beyond the grid is harmless in convolutions); a periodic
+    profile covers one period, nodes at t_0 + j h for j = 0..N-1, and its
+    period is its span N h.  Between its nodes a profile is its
+    trigonometric interpolant over the span N h: periodic, or reading 0
+    beyond the grid for a decaying one.
     """
 
     t: np.ndarray
     values: np.ndarray
-    boundary: str = "decaying"       # "decaying" or "periodic"
-    period: Optional[float] = None   # required iff periodic
+    periodic: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -95,38 +94,30 @@ class CylinderProfile:
         h = dt[0]
         if h <= 0 or not np.allclose(dt, h, rtol=1e-9, atol=0.0):
             raise GridError("cylinder grids must be uniformly spaced")
-        if self.boundary == "periodic":
-            if self.period is None or self.period <= 0:
-                raise GridError("periodic profiles need a positive period")
-            if not math.isclose(t.size * h, self.period, rel_tol=1e-9):
-                raise GridError(
-                    f"periodic span {t.size * h:.6g} (N h) must equal the period "
-                    f"{self.period:.6g}")
-        elif self.boundary == "decaying":
-            if self.period is not None:
-                raise GridError("decaying profiles take no period")
+        if not self.periodic:
             end = max(abs(v[0]), abs(v[-1]))
             if end > 1e-8:
                 raise GridError(
                     f"decaying profiles must be below 1e-8 at the grid ends, got {end:.3e}; "
                     "widen the t-range")
-        else:
-            raise GridError(f"unknown boundary {self.boundary!r}")
 
     @property
     def spacing(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    @property
+    def span(self) -> float:
+        """N h: the period of a periodic profile."""
+        return self.t.size * self.spacing
+
     def __call__(self, tq):
         """The trigonometric interpolant of the nodes, by Horner in e^{2 pi i (t - t_0)/span}."""
         tq = np.asarray(tq, dtype=float)
-        periodic = self.boundary == "periodic"
-        span = self.period if periodic else self.t.size * self.spacing
         c = _spectrum(self.values) / self.t.size
-        z = np.exp(2j * math.pi / span * (tq - self.t[0]))
+        z = np.exp(2j * math.pi / self.span * (tq - self.t[0]))
         # real nodes: U = c_0 + 2 Re sum_{k >= 1} c_k z^k
         out = 2.0 * np.polyval(c[::-1], z).real - c[0].real
-        if not periodic:
+        if not self.periodic:
             out = np.where((tq >= self.t[0]) & (tq <= self.t[-1]), out, 0.0)
         return out if out.ndim else float(out)
 
@@ -164,7 +155,7 @@ def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> Cy
     t = np.arange(-m, m + 1, dtype=float) * spacing
     r = np.exp(-t)
     vals = r ** nu * ufun(r)
-    return CylinderProfile(t, vals, boundary="decaying")
+    return CylinderProfile(t, vals)
 
 
 # ============================================================
@@ -242,21 +233,19 @@ def _frequencies(L: float, n_nodes: int) -> np.ndarray:
 
 
 def cylinder_convolution(g: np.ndarray, params: ProblemParams, h: float,
-                         boundary: str) -> np.ndarray:
-    """(Khat * g) on the uniform grid carrying g, boundary "line" or "periodic".
+                         periodic: bool) -> np.ndarray:
+    """(Khat * g) on the uniform grid carrying g, on the line or periodic.
 
-    Both multiply an rfft of g by Khat's closed-form symbol.  Line mode
-    zero-extends g beyond the grid (callers owe the decaying-end contract):
-    it is the padded FFT convolution ``riesz_convolve`` runs per tilt, here
-    untilted.  Periodic mode takes g as one period, L = g.size h, and the
-    symbol at w = 2 pi k / L.
+    Both multiply an rfft of g by Khat's closed-form symbol.  On the line
+    g is zero-extended beyond the grid (callers owe the decaying-end
+    contract): it is the padded FFT convolution ``riesz_convolve`` runs per
+    tilt, here untilted.  Periodic g is one period, L = g.size h, and takes
+    the symbol at w = 2 pi k / L.
     """
     m = g.size
-    if boundary == "periodic":
+    if periodic:
         symbol = _khat_fourier(params.n, params.alpha, _frequencies(m * h, m))
         return irfft(symbol * rfft(g), m)
-    if boundary != "line":
-        raise GridError(f"unknown boundary {boundary!r}; use 'line' or 'periodic'")
     return _khat_convolve(g, h * np.arange(m), h, params.n, params.alpha)
 
 
@@ -273,15 +262,14 @@ def ode_residual(U: CylinderProfile, params: ProblemParams, nl: NonlinearitySpec
     """
     nu = params.nu
     h, v = U.spacing, U.values
-    periodic = U.boundary == "periodic"
-    size = v.size if periodic else _next_fast_len(v.size + 2 * math.ceil(_DIGITS / nu / h))
+    size = v.size if U.periodic else _next_fast_len(v.size + 2 * math.ceil(_DIGITS / nu / h))
     left = (size - v.size) // 2
     decay = np.exp(-nu * h * np.arange(1, size - v.size - left + 1))
     window = np.concatenate([v[0] * decay[:left][::-1], v, v[-1] * decay])
     # as in _HalfGridSystem.residual, the mean skips the FFT
     d2 = irfft(-_frequencies(size * h, size) ** 2 * rfft(window - window.mean()),
                size)[left:left + v.size]
-    rhs = cylinder_convolution(nl.F(v), params, h, "periodic" if periodic else "line") * nl.f(v)
+    rhs = cylinder_convolution(nl.F(v), params, h, U.periodic) * nl.f(v)
     res = -d2 + nu * nu * v - rhs
     scale = np.abs(d2) + nu * nu * np.abs(v) + np.abs(rhs)
     return res, math.sqrt(float(np.sum(res ** 2)) / float(np.sum(scale ** 2)))
@@ -662,8 +650,7 @@ def find_delaunay(params: ProblemParams, nl: NonlinearitySpec,
 
     def make_solution(x, converged, norm_inf, steps, partial):
         full = system.full_values(x)
-        prof = CylinderProfile(system.h * np.arange(system.N), full,
-                               boundary="periodic", period=L)
+        prof = CylinderProfile(system.h * np.arange(system.N), full, periodic=True)
         _, rel = ode_residual(prof, params, nl)
         amp = float(full.max() - full.min())
         return DelaunaySolution(

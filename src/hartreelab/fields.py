@@ -73,14 +73,6 @@ class RadialGrid:
         return cls(np.geomspace(r_min, r_max, num))
 
     @property
-    def r_min(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
-
-    @property
     def log_r(self) -> np.ndarray:
         return np.log(self.r)
 
@@ -252,19 +244,16 @@ def make_singular_power(params: ProblemParams) -> Field:
 # ============================================================
 
 
-def sample_radial(field: Field, grid: RadialGrid, estimate_tails: bool = True) -> RadialProfile:
+def sample_radial(field: Field, grid: RadialGrid) -> RadialProfile:
     """A radial field's exact radial callable on grid, as a RadialProfile.
 
     A field with no radial callable is refused.  Tail exponents are
-    estimated from the sampled end decades unless disabled.
+    estimated from the sampled end decades.
     """
     if field.radial_fn is None:
         raise SamplingError("sample_radial wants a radial field")
     prof = RadialProfile(grid, np.asarray(field.radial_fn(grid.r), dtype=float))
-    if estimate_tails:
-        e_in, e_out = prof.estimate_exponents()
-        prof = prof.with_exponents(e_in, e_out)
-    return prof
+    return prof.with_exponents(*prof.estimate_exponents())
 
 
 # ============================================================

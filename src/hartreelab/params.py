@@ -48,8 +48,3 @@ class ProblemParams:
     def nu(self) -> float:
         """Decay rate (n - 2)/2 of the bubble and of the cylinder profile weight."""
         return (self.n - 2) / 2.0
-
-    def label(self) -> str:
-        a = self.alpha
-        a_str = str(int(a)) if a == int(a) else f"{a:g}"
-        return f"n{self.n}a{a_str}"

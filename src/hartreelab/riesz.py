@@ -56,7 +56,7 @@ from numpy.fft import irfft, rfft
 
 from .constants import newton_constant, newton_constant_alt, omega, sharp_constants
 from .errors import (AccuracyError, GridError, IntegrabilityError,
-                     ParameterDomainError, SamplingError)
+                     ParameterDomainError, ParameterRangeError, SamplingError)
 from .fields import RadialGrid, RadialProfile, make_bubble, make_hls_extremal
 from .params import CACHE_SIZE, ProblemParams
 
@@ -265,6 +265,10 @@ class _KernelFamily:
             got = self._eval_rule(self.rules[-1], np.array([d]), np.array([1.0]),
                                   np.array([d]))[0]
             want, err = _kernel_quad(self.n, self.beta, d)
+            if not 0.0 < want < math.inf:
+                raise ParameterRangeError(
+                    f"the QUADPACK reference of the angular kernel for (n, beta)=({self.n}, "
+                    f"{self.beta}) left the floating-point range at d={d}: {want}")
             achieved = abs(got - want) / abs(want)
             # written so that a NaN anywhere fails
             if not achieved <= max(1e-10, 5.0 * abs(err / want)):
@@ -617,7 +621,8 @@ def default_grid(per_decade: int = 96) -> RadialGrid:
 class CfCalibration:
     c_f: float              # fitted normalization of F
     residual_norm: float    # relative L2 residual of the bubble at the fit
-    rhs: RadialProfile = field(compare=False)  # the bubble's rhs at the fitted c_f
+    rhs: RadialProfile = field(compare=False)     # the bubble's rhs at the fitted c_f
+    bubble: RadialProfile = field(compare=False)  # the bubble fitted on, with its exact tails
 
 
 def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
@@ -630,7 +635,8 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
     evaluated at c_f = 1.  The fitted value and the leftover residual are
     both reported, to be held against ``SharpConstants.c_f``, the closed
     form every solver uses.  The convolution side, rescaled to the fitted
-    c_f, is kept as ``rhs`` for :func:`residual`.
+    c_f, is kept as ``rhs`` for :func:`residual`, and the bubble it was
+    computed from as ``bubble``.
     """
     n = params.n
     amp = sharp_constants(params).c_n
@@ -653,7 +659,7 @@ def calibrate_cf(params: ProblemParams, *, window=(0.05, 20.0),
     rel = float(math.sqrt(np.dot(wq, res ** 2) / np.dot(wq, b ** 2)))
 
     return CfCalibration(c_f=c_f, residual_norm=rel,
-                         rhs=replace(unit_rhs, values=c_f * unit_rhs.values))
+                         rhs=replace(unit_rhs, values=c_f * unit_rhs.values), bubble=bubble)
 
 
 def nonlinearity_for(params: ProblemParams) -> NonlinearitySpec:

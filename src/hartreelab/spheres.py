@@ -11,7 +11,10 @@ every mu below a critical radius is the engine behind radial-symmetry
 proofs; this module evaluates deficits directly, locates the critical
 radius by bisection, spot-checks the positivity of the comparison kernels
 that power the arguments, and recognizes the equality case (an exact
-bubble) by least-squares fit.
+bubble) by least-squares fit.  One probe serves both deficit paths: the
+sphere (x, mu) is tested at x + mu U against x + mu U/|U|^2 with weight
+|U|^-(n-2), for one unit test set U, so ``comparison_deficit``'s report at
+mu is the bisection's predicate at mu.
 """
 
 from __future__ import annotations
@@ -164,8 +167,8 @@ def comparison_kernel(inv: SphereInversion, z, y, exponent: float) -> np.ndarray
     return direct - mirror
 
 
-def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float],
-                             rng: np.random.Generator) -> dict:
+def _kernel_positivity_check(n: int, inv: SphereInversion, rng: np.random.Generator,
+                             *, alpha: float) -> dict:
     """Spot-check kernel positivity on random admissible pairs.
 
     Radii are drawn log-uniformly in (mu, 40 mu]; a companion batch puts y
@@ -179,9 +182,8 @@ def _kernel_positivity_check(n: int, inv: SphereInversion, alpha: Optional[float
 
     z = draw(1.0 + 1e-6)
     y = draw(1.0 + 1e-6)
-    out = {"k2_min": float(np.min(comparison_kernel(inv, z, y, n - 2.0)))}
-    if alpha is not None:
-        out["kalpha_min"] = float(np.min(comparison_kernel(inv, z, y, n - float(alpha))))
+    out = {"k2_min": float(np.min(comparison_kernel(inv, z, y, n - 2.0))),
+           "kalpha_min": float(np.min(comparison_kernel(inv, z, y, n - float(alpha))))}
     dirs = rng.normal(size=(_PAIRS, n))
     dirs /= _row_norm(dirs)[:, None]
     y_b = inv.center[None, :] + inv.radius * dirs
@@ -204,24 +206,13 @@ class TestSetSpec:
     seed: int = 20240817
 
 
-def deficit_test_set(n: int, x, mu: float, spec: TestSetSpec = TestSetSpec()) -> np.ndarray:
-    """Admissible test points for comparison_deficit around the sphere (x, mu).
+def _unit_probe(n: int, x: np.ndarray, spec: TestSetSpec):
+    """The unit test set U about the unit sphere at 0, its images U/|U|^2 and weights |U|^-(n-2).
 
-    Shells concentrate geometrically toward the sphere where the deficit
+    Shells concentrate geometrically toward the sphere, where the deficit
     degenerates; the ray through the origin and x (e_1 when x = 0) catches
-    image singularities emerging on the far side.  The set is x + mu U for
-    the unit test set U; points closer than 1e-9 to the origin are dropped
-    to honor the y != 0 contract.
+    image singularities emerging on the far side.
     """
-    x = np.asarray(x, dtype=float)
-    if not (np.all(np.isfinite(x)) and 0.0 < mu < math.inf):
-        raise ParameterRangeError(f"need a finite center and 0 < mu < inf, got {x} and {mu}")
-    out = x + mu * _unit_test_set(n, x, spec)
-    return out[_row_norm(out) > 1e-9]
-
-
-def _unit_test_set(n: int, x: np.ndarray, spec: TestSetSpec) -> np.ndarray:
-    """The test set about the unit sphere at 0, its ray along x (e_1 when x = 0)."""
     shells = (1.0 + np.geomspace(1e-6, _SHELL_SPAN - 1.0, _N_SHELLS))[:, None, None] \
         * _shell_directions(spec.seed, n)
     axis = np.zeros(n)
@@ -230,7 +221,22 @@ def _unit_test_set(n: int, x: np.ndarray, spec: TestSetSpec) -> np.ndarray:
     else:
         axis[0] = 1.0
     ray = (1.0 + np.geomspace(1e-7, _RAY_SPAN - 1.0, _RAY_POINTS // 2))[:, None] * axis
-    return np.vstack([shells.reshape(-1, n), -ray, ray])
+    unit = np.vstack([shells.reshape(-1, n), -ray, ray])
+    norm2 = _row_norm(unit, squared=True)
+    return unit, unit / norm2[:, None], norm2 ** (-(n - 2.0) / 2.0)
+
+
+def _probe(x: np.ndarray, mu: float, unit, image, weights):
+    """The sphere (x, mu)'s test points x + mu U, their images x + mu U/|U|^2 and weights.
+
+    Points within 1e-9 of the origin are dropped; the arrays are copied
+    only then.
+    """
+    pts, images = x + mu * unit, x + mu * image
+    keep = _row_norm(pts) > 1e-9
+    if keep.all():
+        return pts, images, weights
+    return pts[keep], images[keep], weights[keep]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -273,34 +279,26 @@ class ComparisonReport:
         }
 
 
-def comparison_deficit(u: Field, inv: SphereInversion, test_points,
-                       *, alpha: Optional[float] = None) -> ComparisonReport:
-    """Evaluate u - u_{x,mu} pointwise over the test set.
+def comparison_deficit(u: Field, x, mu: float, spec: TestSetSpec = TestSetSpec(),
+                       *, alpha: float) -> ComparisonReport:
+    """Evaluate u - u_{x,mu} pointwise over the deficit test set of the sphere (x, mu).
 
-    Deficits come from direct field evaluation, never from the kernel
-    integral identity; the kernels enter only as positivity spot-checks.
-    A test point inside the sphere or at the origin is a caller error.
+    The test points, images and Kelvin weights are those of the probe that
+    ``critical_radius`` bisects on, so the report at mu is that probe's
+    arithmetic.  Deficits come from direct field evaluation, never from the
+    kernel integral identity; the kernels enter only as positivity
+    spot-checks.
     """
-    pts = np.atleast_2d(np.asarray(test_points, dtype=float))
-    x, mu = inv.center, inv.radius
-    dist = _row_norm(pts, x)
-    inside = dist < mu * (1.0 - 1e-12)
-    if np.any(inside):
-        k = int(np.argmax(inside))
-        raise SamplingError(
-            f"test point {pts[k]} lies inside the comparison sphere "
-            f"(|y-x| = {dist[k]:.6g} < mu = {mu:.6g})")
-    if np.any(_row_norm(pts, squared=True) == 0.0):
-        raise SamplingError("the origin is never an admissible test point")
-    deficits, scales, bad = _deficits(u, pts, invert_point(inv, pts),
-                                      (mu / dist) ** (u.n - 2.0))
+    inv = SphereInversion(x, mu)
+    pts, images, weights = _probe(inv.center, inv.radius, *_unit_probe(u.n, inv.center, spec))
+    deficits, scales, bad = _deficits(u, pts, images, weights)
     rng = np.random.Generator(np.random.Philox(987654321))
     return ComparisonReport(
         inversion=inv, test_points=pts, deficits=deficits, scales=scales,
         min_deficit=float(np.min(deficits)),
         min_normalized=float(np.min(deficits / np.maximum(scales, 1e-300))),
         violations=pts[bad], violation_deficits=deficits[bad],
-        kernel_checks=_kernel_positivity_check(u.n, inv, alpha, rng))
+        kernel_checks=_kernel_positivity_check(u.n, inv, rng, alpha=alpha))
 
 
 def _deficits(u: Field, pts: np.ndarray, images: np.ndarray, weights: np.ndarray):
@@ -346,19 +344,12 @@ def critical_radius(u: Field, x, spec: TestSetSpec = TestSetSpec(), *,
         raise ParameterRangeError(
             f"need 0 < xtol < inf and {_MU_LO} < mu_hi < inf, got {xtol} and {mu_hi}")
     probes = 0
-    # the sphere (x, mu) maps x + mu U to x + mu U / |U|^2 with weight |U|^-(n-2)
-    unit = _unit_test_set(u.n, x, spec)
-    norm2 = _row_norm(unit, squared=True)
-    image, weights = unit / norm2[:, None], norm2 ** (-(u.n - 2.0) / 2.0)
+    unit_probe = _unit_probe(u.n, x, spec)
 
     def holds(mu):
         nonlocal probes
         probes += 1
-        pts, images, w = x + mu * unit, x + mu * image, weights
-        keep = _row_norm(pts) > 1e-9
-        if not keep.all():      # a point at the origin is dropped; copy only then
-            pts, images, w = pts[keep], images[keep], w[keep]
-        return not np.any(_deficits(u, pts, images, w)[2])
+        return not np.any(_deficits(u, *_probe(x, mu, *unit_probe))[2])
 
     if not holds(_MU_LO):
         return CriticalRadiusValue(0.0, note=f"deficit already negative at mu={_MU_LO}",

@@ -22,7 +22,6 @@ from hartreelab import (
     bubble_image,
     comparison_deficit,
     critical_radius,
-    deficit_test_set,
     dispersion_function,
     dispersion_root,
     equality_fit,
@@ -50,6 +49,10 @@ from hartreelab.riesz import AngularKernelSpec, angular_kernel
 ORACLE = Path(__file__).parent / "fixtures" / "sharp_constants_oracle.json"
 
 PAIRS = (ProblemParams(3, 2.0), ProblemParams(4, 2.0), ProblemParams(5, 3.0))
+
+
+def _label(params):
+    return f"n{params.n}a{params.alpha:g}"
 
 
 # ============================================================
@@ -81,14 +84,14 @@ def test_sharp_constants_match_multiprecision_oracle():
 # ============================================================
 
 
-@pytest.mark.parametrize("params", PAIRS, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", PAIRS, ids=_label)
 def test_bubble_residuals_small_in_both_equation_forms(params):
     t0 = time.perf_counter()
     window = (0.05, 20.0)
     cal = riesz.calibrate_cf(params, window=window, per_decade=96)
     # the bubble with its exact tails: bounded at 0, r^(2-n) at infinity
-    prof = sample_radial(make_bubble(params), riesz.default_grid(96),
-                         estimate_tails=False).with_exponents(0.0, 2.0 - params.n)
+    prof = sample_radial(make_bubble(params),
+                         riesz.default_grid(96)).with_exponents(0.0, 2.0 - params.n)
     *reports, gap = riesz.residual(prof, cal.rhs, params, window, c_f=cal.c_f)
     norms = {rep.form: rep.rel_norm for rep in reports}
     for form, rel_norm in norms.items():
@@ -120,17 +123,17 @@ def test_kernel_identities_parity_and_decay():
         lhs = (r * s) ** ((params.n - params.alpha) / 2.0) \
             * angular_kernel(spec, r, s)
         rhs = kernel_hat(params, np.log(r / s))
-        assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-8, params.label()
+        assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-8, params
 
         # evenness in t
         tt = np.linspace(0.1, 20.0, 40)
         even_gap = np.abs(kernel_hat(params, tt) / kernel_hat(params, -tt) - 1.0)
-        assert np.max(even_gap) <= 1e-6, params.label()
+        assert np.max(even_gap) <= 1e-6, params
 
         # exponential tail with the decay constant omega(n-1)
         rate = (params.n - params.alpha) / 2.0
         tail = float(kernel_hat(params, 20.0)) * np.exp(rate * 20.0)
-        assert abs(tail / omega(params.n - 1) - 1.0) <= 1e-6, params.label()
+        assert abs(tail / omega(params.n - 1) - 1.0) <= 1e-6, params
 
     assert time.perf_counter() - t0 < 30.0
 
@@ -140,7 +143,7 @@ def test_kernel_identities_parity_and_decay():
 # ============================================================
 
 
-@pytest.mark.parametrize("params", PAIRS, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", PAIRS, ids=_label)
 def test_bubble_maps_to_the_cosh_profile_and_solves_the_ode(params):
     t0 = time.perf_counter()
     bub = make_bubble(params)
@@ -216,9 +219,7 @@ def test_moving_spheres_invariance_critical_radius_and_equality_case():
     # |y|^(-(n-2)/2) is invariant under every inversion about its axis point
     origin = np.zeros(3)
     for mu in (0.3, 1.0, 2.7):
-        pts = deficit_test_set(3, origin, mu, spec)
-        rep = comparison_deficit(u_inf, SphereInversion(origin, mu), pts,
-                                 alpha=params.alpha)
+        rep = comparison_deficit(u_inf, origin, mu, spec, alpha=params.alpha)
         assert rep.ok
         assert np.max(np.abs(rep.deficits) / rep.scales) <= 1e-10, mu
 

@@ -208,8 +208,7 @@ def test_profile_fit_recovers_periodic_translation():
     L = 3.0
     tau_true = 0.8
     tgrid = L / 128 * np.arange(128)
-    W = CylinderProfile(tgrid, 0.7 + 0.1 * np.cos(2.0 * np.pi * tgrid / L),
-                        boundary="periodic", period=L)
+    W = CylinderProfile(tgrid, 0.7 + 0.1 * np.cos(2.0 * np.pi * tgrid / L), periodic=True)
     u = Field.radial(3, lambda r: r ** -0.5 * W(-np.log(r) + tau_true),
                      singular_center=True)
     fit = profile_fit(u, W, default_radii(1e-4, 1.0), P32)
@@ -222,6 +221,10 @@ def test_profile_fit_recovers_periodic_translation():
 
 
 DELAUNAY_PAIRS = (P32, ProblemParams(5, 3.0), ProblemParams(3, 0.5))
+
+
+def _label(params):
+    return f"n{params.n}a{params.alpha:g}"
 
 
 def _delaunay_field(params, factor, nodes):
@@ -303,13 +306,13 @@ def test_profile_fit_accepts_delaunay_candidates():
         sol, u = _delaunay_field(params, 1.05, 128)
         fit = profile_fit(u, sol, default_radii(1e-3, 1.0), params)
         assert fit.candidate == "delaunay"
-        assert fit.error_smallest < 1e-8, params.label()
+        assert fit.error_smallest < 1e-8, params
         assert not fit.rejected
         # its own orbit, untranslated: tau is reported in [-L/2, L/2)
-        assert abs(fit.tau) <= 1e-9, (params.label(), fit.tau)
+        assert abs(fit.tau) <= 1e-9, (params, fit.tau)
 
 
-@pytest.mark.parametrize("params", DELAUNAY_PAIRS, ids=lambda p: p.label())
+@pytest.mark.parametrize("params", DELAUNAY_PAIRS, ids=_label)
 def test_delaunay_fields_are_radial_about_their_singularity(params):
     # spheres about x stay comparable until they reach the singularity, so
     # the critical radius of a singular radial solution is |x|

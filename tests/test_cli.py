@@ -560,6 +560,18 @@ def test_constants_past_the_double_range_exit_three(capsys):
     assert "left the floating-point range" in err["message"]
 
 
+@pytest.mark.parametrize("n", ["270", "280", "300", "400"])
+def test_kernel_past_the_double_range_exits_three(capsys, n):
+    # the angular kernel's QUADPACK reference underflows to 0 at these n,
+    # and omega(k)'s Gamma overflows from k = 343: each is named, where a
+    # ZeroDivisionError or an OverflowError used to exit 1
+    rc, stdout, stderr = run(capsys, "kernel", "--n", n, "--pairs", "2", "--points", "3")
+    assert rc == 3 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterRangeError"
+    assert "left the floating-point range" in err["message"]
+
+
 def test_unattainable_tolerance_exits_three(capsys):
     rc, _, stderr = run(capsys, "kernel", "--points", "11", "--pairs", "10",
                         "--tolerance", "1e-30")

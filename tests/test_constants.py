@@ -63,6 +63,13 @@ def test_constants_past_the_double_range_are_refused(n, alpha):
         sharp_constants(ProblemParams(n, alpha))
 
 
+def test_omega_past_the_double_range_is_refused():
+    # Gamma((k+1)/2) overflows from k = 343; below that omega keeps its formula
+    assert omega(342) == 2.0 * math.pi ** 171.5 / math.gamma(171.5)
+    with pytest.raises(ParameterRangeError, match=r"omega\(343\) left the floating-point"):
+        omega(343)
+
+
 def test_newton_constant_conventions():
     assert newton_constant(3) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
     for n in (3, 4, 5):

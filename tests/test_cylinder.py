@@ -133,11 +133,11 @@ def test_kernel_table_invariants():
         t = np.concatenate([[0.0] if alpha > 1.0 else [], np.geomspace(1e-4, 0.1, 24),
                             np.arange(0.15, 25.0 + 1e-9, 0.05)])
         v = kernel_hat(P, t)
-        assert np.all(v > 0.0), P.label()
-        assert np.all(np.diff(v) <= 0.0), P.label()
+        assert np.all(v > 0.0), P
+        assert np.all(np.diff(v) <= 0.0), P
         tail = t >= 0.9 * t[-1]
         ratio = v[tail] * np.exp((n - alpha) / 2.0 * t[tail]) / omega(n - 1)
-        assert np.max(np.abs(ratio - 1.0)) <= 1e-6, P.label()
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-6, P
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -220,20 +220,11 @@ def test_cylinder_profile_contracts():
     with pytest.raises(GridError):
         CylinderProfile(t, smooth[:32])                          # shape mismatch
     with pytest.raises(GridError):
-        CylinderProfile(t, smooth, boundary="reflecting")        # unknown kind
-    with pytest.raises(GridError):
         CylinderProfile(np.geomspace(0.1, 1.0, 64), smooth)      # nonuniform
     with pytest.raises(GridError):
         CylinderProfile(t, np.exp(-t * t))                       # ends too large
-    with pytest.raises(GridError):
-        CylinderProfile(t, smooth, boundary="periodic")          # no period
-    with pytest.raises(GridError):
-        CylinderProfile(t, smooth, boundary="periodic", period=1.0)  # N h != L
-    with pytest.raises(GridError):
-        CylinderProfile(t, smooth, period=2.0)                   # decaying + period
     span = t[1] - t[0]
-    per = CylinderProfile(t, np.cos(2.0 * np.pi * t / (64 * span)),
-                          boundary="periodic", period=64 * span)
+    per = CylinderProfile(t, np.cos(2.0 * np.pi * t / (64 * span)), periodic=True)
     # periodic evaluation wraps around
     assert per(t[0] + 64 * span + 0.1) == pytest.approx(per(t[0] + 0.1), rel=1e-9)
     # a scalar query returns a float on every kind of profile, an array an array
@@ -248,7 +239,7 @@ def test_to_cylinder_maps_bubble_to_sech_power():
     cn = sharp_constants(P32).c_n
     want = cn * (2.0 * np.cosh(U.t)) ** -0.5
     assert np.max(np.abs(U.values / want - 1.0)) < 1e-13
-    assert U.boundary == "decaying"
+    assert not U.periodic
     assert abs(U.values[0]) <= 1e-8 and abs(U.values[-1]) <= 1e-8
 
 
@@ -290,7 +281,7 @@ def test_periodized_weights_mass():
     # the periodic rule's weights sum to the zero mode of Khat's symbol,
     # which is |Khat|_1 itself
     for N in (64, 65, 512):
-        conv = cylinder_convolution(np.ones(N), P32, 6.6 / N, "periodic")
+        conv = cylinder_convolution(np.ones(N), P32, 6.6 / N, periodic=True)
         assert np.max(np.abs(conv / NORM32 - 1.0)) <= 1e-14
 
 
@@ -303,7 +294,7 @@ def test_periodized_weights_closed_form(N, L):
     t = 0.3 + L / N * np.arange(N)
     for k in (1, 3, N // 2 - 1, N // 2):
         w = 2.0 * np.pi * k / L
-        got = cylinder_convolution(np.cos(w * t), P32, L / N, "periodic")
+        got = cylinder_convolution(np.cos(w * t), P32, L / N, periodic=True)
         want = 16.0 * np.pi / (1.0 + 4.0 * w * w) * np.cos(w * t)
         assert np.max(np.abs(got - want)) <= 1e-14 * NORM32
 
@@ -313,7 +304,7 @@ def test_periodic_convolution_of_an_even_profile_is_even():
     t = 6.6 / N * np.arange(N)
     g = 1.0 + 0.3 * np.cos(2.0 * np.pi * t / 6.6) + 0.1 * np.sin(np.pi * t / 6.6) ** 4
     g[N // 2 + 1:] = g[N // 2 - 1:0:-1]
-    conv = cylinder_convolution(g, P32, 6.6 / N, "periodic")
+    conv = cylinder_convolution(g, P32, 6.6 / N, periodic=True)
     assert np.max(np.abs(conv[1:] - conv[:0:-1])) <= 1e-15 * np.max(np.abs(conv))
 
 
@@ -333,13 +324,8 @@ def test_line_convolution_closed_form(n, alpha, h):
              / (2.0 * math.gamma(s)))
     want = const * (2.0 * np.cosh(t)) ** (-(n - alpha) / 2.0)
     got = cylinder_convolution((2.0 * np.cosh(t)) ** -s, ProblemParams(n, alpha),
-                               h, "line")
+                               h, periodic=False)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
-
-
-def test_cylinder_convolution_rejects_an_unknown_boundary():
-    with pytest.raises(GridError):
-        cylinder_convolution(np.ones(64), P32, 0.1, "periodc")
 
 
 def test_ode_residual_on_cylinder_bubble():
@@ -365,7 +351,7 @@ def test_ode_residual_on_constant_solution():
     L = 2.0 * math.pi
     N = 256
     t = L / N * np.arange(N)
-    U = CylinderProfile(t, np.full(N, uc), boundary="periodic", period=L)
+    U = CylinderProfile(t, np.full(N, uc), periodic=True)
     _, rel = ode_residual(U, P32, NL32)
     assert rel < 1e-13
 

@@ -34,7 +34,7 @@ def test_grid_contracts():
     with pytest.raises(GridError):
         RadialGrid.geometric(2.0, 1.0)
     g = RadialGrid.geometric(1e-2, 1e2, 32)
-    assert g.r_min == pytest.approx(1e-2) and g.r_max == pytest.approx(1e2)
+    assert g.r[0] == pytest.approx(1e-2) and g.r[-1] == pytest.approx(1e2)
     assert len(g) == 4 * 32 + 1
 
 

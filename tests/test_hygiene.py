@@ -162,8 +162,7 @@ import json, sys
 import numpy as np
 from hartreelab import CylinderProfile
 t = 0.1 * np.arange(-100, 100)
-profiles = (CylinderProfile(t, 0.7 + 0.1 * np.cos(np.pi * t / 10.0),
-                            boundary="periodic", period=20.0),
+profiles = (CylinderProfile(t, 0.7 + 0.1 * np.cos(np.pi * t / 10.0), periodic=True),
             CylinderProfile(t, np.exp(-t * t)))
 values = [float(U(np.array([0.05, 3.33]))[1]) for U in profiles]
 print(json.dumps({"values": values, "scipy": [m for m in sys.modules

@@ -15,8 +15,7 @@ from hartreelab import spheres
 from hartreelab import (Field, ParameterDomainError, ParameterRangeError,
                         ProblemParams, SamplingError, SphereInversion,
                         TestSetSpec, bubble_image, comparison_deficit,
-                        comparison_kernel, critical_radius, deficit_test_set,
-                        equality_fit, fd_laplacian, invert_point,
+                        comparison_kernel, critical_radius, equality_fit, fd_laplacian, invert_point,
                         kelvin_transform, make_bubble, make_singular_power,
                         sharp_constants)
 
@@ -166,17 +165,22 @@ def test_comparison_kernel_sign_and_boundary():
 # ============================================================
 
 
+def _test_points(x, mu, spec=TestSetSpec()):
+    """The deficit test set of the sphere (x, mu), as comparison_deficit reports it."""
+    return comparison_deficit(make_bubble(P32), x, mu, spec, alpha=2.0).test_points
+
+
 def test_deficit_test_set_is_admissible_and_reproducible():
     x = np.array([0.5, 0.0, 0.0])
-    pts = deficit_test_set(3, x, 0.5)
+    pts = _test_points(x, 0.5)
     assert pts.shape[1] == 3
     assert pts.shape[0] <= spheres._N_SHELLS * spheres._PER_SHELL + spheres._RAY_POINTS
     dist = np.linalg.norm(pts - x, axis=1)
     assert np.min(dist) >= 0.5
     assert np.min(np.linalg.norm(pts, axis=1)) > 1e-9
-    np.testing.assert_array_equal(pts, deficit_test_set(3, x, 0.5))
+    np.testing.assert_array_equal(pts, _test_points(x, 0.5))
     # a different seed moves the shell directions
-    assert not np.array_equal(pts, deficit_test_set(3, x, 0.5, TestSetSpec(seed=1)))
+    assert not np.array_equal(pts, _test_points(x, 0.5, TestSetSpec(seed=1)))
 
 
 def _fresh_test_set(n, x, mu, spec):
@@ -197,10 +201,9 @@ def _fresh_test_set(n, x, mu, spec):
 def test_deficit_test_set_draws_its_directions_once():
     x, spec = np.array([0.5, 0.0, 0.0]), TestSetSpec(seed=77)
     for mu in (0.1, 0.5, 3.3):
-        assert np.array_equal(deficit_test_set(3, x, mu, spec),
-                              _fresh_test_set(3, x, mu, spec))
+        assert np.array_equal(_test_points(x, mu, spec), _fresh_test_set(3, x, mu, spec))
     info = spheres._shell_directions.cache_info()
-    deficit_test_set(3, x, 1.7, spec)
+    _test_points(x, 1.7, spec)
     assert spheres._shell_directions.cache_info().hits == info.hits + 1
     # the cached directions cannot be written through
     with pytest.raises(ValueError):
@@ -213,8 +216,7 @@ def test_singular_power_is_inversion_invariant(mu):
     # every origin-centered sphere leaves the power invariant, so the
     # deficit vanishes identically and only round-off remains
     u = make_singular_power(P32)
-    pts = deficit_test_set(3, np.zeros(3), mu)
-    rep = comparison_deficit(u, SphereInversion(np.zeros(3), mu), pts, alpha=2.0)
+    rep = comparison_deficit(u, np.zeros(3), mu, alpha=2.0)
     assert rep.ok
     assert rep.min_normalized > -1e-12
     assert rep.kernel_checks["k2_min"] > 0.0
@@ -223,13 +225,30 @@ def test_singular_power_is_inversion_invariant(mu):
     assert rep.summary()["violations"] == 0
 
 
-def test_comparison_deficit_rejects_bad_points():
-    u = make_bubble(P32)
-    inv = SphereInversion(np.array([2.0, 0.0, 0.0]), 1.0)
-    with pytest.raises(SamplingError):
-        comparison_deficit(u, inv, np.array([[2.0, 0.1, 0.0]]))
-    with pytest.raises(SamplingError):
-        comparison_deficit(u, inv, np.array([[0.0, 0.0, 0.0]]))
+def test_comparison_deficit_runs_the_critical_radius_probe(monkeypatch):
+    # the report at mu is the bisection's predicate at mu: the same points,
+    # images and Kelvin weights, bit for bit, so the report at the returned
+    # radius holds as the probe there did
+    calls = []
+    deficits = spheres._deficits
+
+    def record(u, pts, images, weights):
+        calls.append((pts, images, weights))
+        return deficits(u, pts, images, weights)
+
+    monkeypatch.setattr(spheres, "_deficits", record)
+    u, x = make_singular_power(P32), np.array([0.5, 0.0, 0.0])
+    cr = critical_radius(u, x, alpha=2.0)
+    probes = calls[:]
+    assert len(probes) == cr.probes
+    rep = comparison_deficit(u, x, float(cr), alpha=2.0)
+    (pts, images, weights), = calls[len(probes):]
+    np.testing.assert_array_equal(pts, rep.test_points)
+    same = [k for k, probe in enumerate(probes) if np.array_equal(probe[0], pts)]
+    assert len(same) == 1
+    np.testing.assert_array_equal(images, probes[same[0]][1])
+    np.testing.assert_array_equal(weights, probes[same[0]][2])
+    assert rep.ok
 
 
 # ============================================================
@@ -295,8 +314,8 @@ _X = np.array([0.5, 0.0, 0.0])
     lambda u: critical_radius(u, _X, mu_hi=math.inf),
     lambda u: critical_radius(u, _X, mu_hi=1e-3),
     lambda u: SphereInversion(np.array([math.nan, 0.0, 0.0]), 0.4),
-    lambda u: deficit_test_set(3, np.array([math.inf, 0.0, 0.0]), 0.4),
-    lambda u: deficit_test_set(3, _X, math.nan),
+    lambda u: comparison_deficit(u, np.array([math.inf, 0.0, 0.0]), 0.4, alpha=2.0),
+    lambda u: comparison_deficit(u, _X, math.nan, alpha=2.0),
     lambda u: kelvin_transform(u, SphereInversion(np.zeros(3), 1.0), math.nan),
 ], ids=["radius-x-nan", "radius-x-inf", "xtol-nan", "xtol-inf", "mu_hi-nan", "mu_hi-inf",
         "mu_hi-floor", "inversion-nan", "test-set-x-inf", "test-set-mu-nan", "kelvin-nan"])
@@ -314,7 +333,7 @@ def test_critical_radius_drops_the_points_at_the_origin():
     # of 0 are dropped, never evaluated
     x = np.array([spheres._MU_LO * (1.0 + 1e-7), 0.0, 0.0])
     full = spheres._N_SHELLS * spheres._PER_SHELL + spheres._RAY_POINTS
-    assert deficit_test_set(3, x, spheres._MU_LO).shape[0] == full - 15
+    assert _test_points(x, spheres._MU_LO).shape[0] == full - 15
     cr = critical_radius(make_singular_power(P32), x, xtol=1e-4)
     assert abs(float(cr) - np.linalg.norm(x)) <= 1e-4
     assert cr.probes == 19
