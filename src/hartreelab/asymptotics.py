@@ -25,10 +25,9 @@ import numpy as np
 from .constants import omega, sharp_constants
 from .cylinder import CylinderProfile, DelaunaySolution
 from .errors import GridError, ParameterDomainError, ParameterRangeError
-from .fields import Field, sphere_quadrature
+from .fields import Field, sphere_quadrature, sphere_values
 from .params import ProblemParams
 
-_SPHERE_ORDER = 20   # product-quadrature order backing averages and extrema
 _SLOPE_FLOOR = 0.8   # the least symmetry-ratio slope certified as the O(r) rate
 _LATTICE, _STEP = 33, 1e-4   # profile fit: points per window, d/dtau difference step
 
@@ -60,13 +59,9 @@ def _smallest_decade(r: np.ndarray) -> np.ndarray:
 
 
 def _sphere_sample(u: Field, radii, center):
-    """(radii, u at c + r_i nodes, a row per radius): one Field call per chunk of about 1 MB."""
+    """(radii, u on the sphere rule's nodes about center, a row per radius)."""
     r = _check_radii(radii)
-    nodes, _ = sphere_quadrature(u.n, _SPHERE_ORDER)
-    c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
-    chunk = max(1, 2 ** 17 // nodes.size)   # 2^17 coordinates of 8 bytes
-    return r, np.concatenate([u((c + r[i:i + chunk, None, None] * nodes).reshape(-1, u.n))
-                              for i in range(0, r.size, chunk)]).reshape(r.size, -1)
+    return r, sphere_values(u, r, center, sphere_quadrature(u.n)[0])
 
 
 # ============================================================
@@ -103,7 +98,7 @@ def upper_bound_scan(u: Field, radii, center=None) -> UpperBoundScan:
 
 
 def _upper_bound(n: int, r: np.ndarray, table: np.ndarray) -> UpperBoundScan:
-    nu, (_, weights) = (n - 2.0) / 2.0, sphere_quadrature(n, _SPHERE_ORDER)
+    nu, (_, weights) = (n - 2.0) / 2.0, sphere_quadrature(n)
     # each sphere's own dot and scalar r^nu: the bits of spherical_average
     s = np.array([ri ** nu * float(np.dot(weights, row) / omega(n - 1))
                   for ri, row in zip(r, table)])
@@ -263,14 +258,8 @@ def profile_fit(u: Field, candidate, radii, params: ProblemParams,
     """
     r = _check_radii(radii)
     name, w_fun, period = _candidate_profile(candidate, params)
-    nu = params.nu
-    t = -np.log(r)
-    c = np.zeros(u.n) if center is None else np.asarray(center, dtype=float)
-    if u.radial_fn is not None and np.array_equal(u.center, c):
-        uvals = u.radial_fn(r)   # the profile about the center, exactly
-    else:
-        uvals = u(c + r[:, None] * np.eye(u.n)[0])
-    uvals = np.asarray(uvals, dtype=float)
+    nu, t = params.nu, -np.log(r)
+    uvals = sphere_values(u, r, center, np.eye(u.n)[:1])[:, 0]   # along e_1
     if np.any(uvals <= 0.0):
         raise ParameterDomainError("profile fit needs positive samples")
     target = np.log(uvals) + nu * np.log(r)   # log of r^nu u = log W(t + tau) wanted

@@ -11,8 +11,9 @@ config hash, and re-running from a recorded config reproduces the artifacts
 byte for byte; all randomness flows from the single `seed` through
 counter-based Philox streams.
 
-Exit codes: 0 success (and --help), 2 config or flag error, 3
-numerical-accuracy failure, 4 non-convergence.
+Exit codes: 0 success (and --help), 2 a config or flag error, 4 a
+ConvergenceError, 3 every other HartreelabError: a missed accuracy tolerance
+or a refused input (UnsupportedDimensionError, ParameterRangeError, ...).
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ SCHEMAS = {
     "moving-spheres": _common(
         field=_Opt("singular", str,
                    "test field: singular | bubble | constant | perturbed_bubble"),
-        field_mu=_Opt(1.0, float, "bubble shape parameter (field=bubble)"),
-        field_center=_Opt(0.0, float, "bubble center offset along e_1 (field=bubble)"),
+        field_mu=_Opt(1.0, float, "bubble shape parameter (field=bubble, perturbed_bubble)"),
+        field_center=_Opt(0.0, float, "center offset along e_1 (field=bubble, perturbed_bubble)"),
         field_value=_Opt(1.0, float, "constant value (field=constant)"),
         x_offset=_Opt(0.5, float, "inversion center x = x_offset * e_1"),
         mu=_Opt(0.4, float, "sphere radius for the single deficit report"),
@@ -98,8 +99,8 @@ SCHEMAS = {
     "asymptotics": _common(
         field=_Opt("bubble", str,
                    "test field: bubble | singular | perturbed_bubble | constant (value 1)"),
-        field_mu=_Opt(1.0, float, "bubble shape parameter"),
-        field_center=_Opt(0.0, float, "field center offset along e_1"),
+        field_mu=_Opt(1.0, float, "bubble shape parameter (field=bubble, perturbed_bubble)"),
+        field_center=_Opt(0.0, float, "center offset along e_1 (field=bubble, perturbed_bubble)"),
         r_min=_Opt(1e-3, float, "smallest probe radius"),
         r_max=_Opt(2.0, float, "largest probe radius"),
         plot=_Opt(False, bool, "write an SVG of the scans"),
@@ -187,7 +188,7 @@ def _hash(command: str, cfg: dict) -> str:
 
 
 class _Emitter:
-    """Collects artifacts for one run: config stamp, JSON, CSV, SVG."""
+    """One run's artifacts (config stamp, JSON, CSV, SVG), made once its computation is done."""
 
     def __init__(self, command: str, cfg: dict):
         self.command = command
@@ -199,9 +200,9 @@ class _Emitter:
             self.out.mkdir(parents=True, exist_ok=True)
             doc = {"command": command, "config_hash": self.hash}
             doc.update(cfg)
-            self._write_json("config.json", doc, stamp=False)
+            self.json("config.json", doc, stamp=False)
 
-    def _write_json(self, name, doc, stamp=True):
+    def json(self, name, doc, stamp=True):
         if self.out is None:
             return
         if stamp:
@@ -209,9 +210,6 @@ class _Emitter:
             doc["config_hash"] = self.hash
         artifacts.write_json(self.out / name, doc)
         self.written.append(name)
-
-    def json(self, name, doc):
-        self._write_json(name, doc)
 
     def csv(self, name, columns, header=()):
         if self.out is None:
@@ -242,8 +240,8 @@ class _Emitter:
 
 def _cmd_constants(cfg: dict) -> dict:
     params = _params(cfg)
-    em = _Emitter("constants", cfg)
     sc = sharp_constants(params)
+    em = _Emitter("constants", cfg)
     doc = {
         "n": params.n,
         "alpha": params.alpha,
@@ -260,12 +258,12 @@ def _cmd_constants(cfg: dict) -> dict:
 
 def _cmd_bubble_check(cfg: dict) -> dict:
     params = _params(cfg)
-    em = _Emitter("bubble-check", cfg)
     window = (cfg["window_lo"], cfg["window_hi"])
     cal = riesz.calibrate_cf(params, window=window, per_decade=cfg["per_decade"])
     diff, integ, gap = riesz.residual(cal.bubble, cal.rhs, params, window, c_f=cal.c_f)
     cf_error = abs(cal.c_f / sharp_constants(params).c_f - 1.0)
     reports = {"differential": diff, "integral": integ}
+    em = _Emitter("bubble-check", cfg)
     for form, rep in reports.items():
         em.csv(f"residual_{form}.csv",
                {"r": rep.residual.grid.r, "residual": rep.residual.values,
@@ -299,11 +297,9 @@ def _cmd_bubble_check(cfg: dict) -> dict:
 def _cmd_kernel(cfg: dict) -> dict:
     from . import cylinder
     params = _params(cfg)
-    em = _Emitter("kernel", cfg)
     t = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["points"])
     t = t[t != 0.0] if params.alpha <= 1.0 else t   # Khat(0) is infinite for alpha <= 1
     khat = cylinder.kernel_hat(params, t)
-    em.csv("kernel_hat.csv", {"t": t, "khat": khat})
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     r = np.exp(rng.uniform(-3.0, 3.0, cfg["pairs"]))
     s = np.exp(rng.uniform(-3.0, 3.0, cfg["pairs"]))
@@ -320,9 +316,10 @@ def _cmd_kernel(cfg: dict) -> dict:
         "decay_constant": omega(params.n - 1),
         "tolerance": cfg["tolerance"],
     }
+    em = _Emitter("kernel", cfg)
+    em.csv("kernel_hat.csv", {"t": t, "khat": khat})
     em.json("kernel_check.json", doc)
-    em.svg("kernel_hat.svg", [("khat", t, khat)], xlabel="t", ylabel="Khat",
-           logy=True)
+    em.svg("kernel_hat.svg", [("khat", t, khat)], xlabel="t", ylabel="Khat", logy=True)
     if identity_err > cfg["tolerance"]:
         raise AccuracyError(
             f"kernel identity mismatch {identity_err:.3e} exceeds {cfg['tolerance']:.1e}",
@@ -333,12 +330,12 @@ def _cmd_kernel(cfg: dict) -> dict:
 def _cmd_delaunay(cfg: dict) -> dict:
     from . import cylinder
     params = _params(cfg)
-    em = _Emitter("delaunay", cfg)
     nl = riesz.nonlinearity_for(params)
     u_c, l_0 = cylinder.dispersion_root(params, nl)
     period = cfg["period"] if cfg["period"] > 0.0 else cfg["period_factor"] * l_0
     sol = cylinder.find_delaunay(params, nl, cfg["epsilon_factor"] * u_c, period,
                                  cfg["steps"], n_nodes=cfg["nodes"])
+    em = _Emitter("delaunay", cfg)
     doc = {"l_0": l_0, "u_c": u_c}
     doc.update(sol.summary())
     em.json("delaunay.json", doc)
@@ -356,27 +353,30 @@ def _cmd_delaunay(cfg: dict) -> dict:
 
 
 def _make_field(cfg: dict, params: ProblemParams) -> Field:
-    kind = cfg["field"]
+    """The test field cfg names, refusing a field flag off its default that it does not read."""
+    kind, bubble_reads = cfg["field"], ("field_mu", "field_center")
+    reads = {"bubble": bubble_reads, "perturbed_bubble": bubble_reads, "constant": ("field_value",)}
+    for key in ("field_mu", "field_center", "field_value"):
+        default = SCHEMAS["moving-spheres"][key].default
+        if key not in reads.get(kind, ()) and cfg.get(key, default) != default:
+            raise ConfigError(f"{key}: field={kind} does not read it")
     center = np.zeros(params.n)
-    center[0] = cfg.get("field_center", 0.0)
+    center[0] = cfg["field_center"]
     if kind == "singular":
         return make_singular_power(params)
     if kind == "bubble":
-        return make_bubble(params, center=center, mu=cfg.get("field_mu", 1.0))
+        return make_bubble(params, center=center, mu=cfg["field_mu"])
     if kind == "constant":
-        value = cfg.get("field_value", 1.0)
-        return Field(n=params.n, fn=lambda pts: np.full(pts.shape[0], float(value)))
+        return Field(n=params.n, fn=lambda pts, v=cfg.get("field_value", 1.0): np.full(len(pts), v))
     if kind == "perturbed_bubble":
-        bub = make_bubble(params, center=center, mu=cfg.get("field_mu", 1.0))
-        return Field(n=params.n,
-                     fn=lambda pts: (1.0 + _row_norm(pts)) * bub(pts))
+        bub = make_bubble(params, center=center, mu=cfg["field_mu"])
+        return Field(n=params.n, fn=lambda pts: (1.0 + _row_norm(pts)) * bub(pts))
     raise ConfigError(f"field: unknown kind {kind!r}")
 
 
 def _cmd_moving_spheres(cfg: dict) -> dict:
     from . import spheres
     params = _params(cfg)
-    em = _Emitter("moving-spheres", cfg)
     u = _make_field(cfg, params)
     x = np.zeros(params.n)
     x[0] = cfg["x_offset"]
@@ -387,9 +387,7 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
     fit_doc = None
     if cfg["field"] == "bubble":
         rng = np.random.Generator(np.random.Philox([cfg["seed"], 1]))
-        center = np.zeros(params.n)
-        center[0] = cfg["field_center"]
-        cloud = center[None, :] + rng.normal(size=(400, params.n)) * 1.5
+        cloud = u.center[None, :] + rng.normal(size=(400, params.n)) * 1.5
         fit = spheres.equality_fit(u, cloud)
         fit_doc = {
             "x0": [float(v) for v in fit.x0],
@@ -409,6 +407,7 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
         "deficit": report.summary(),
         "equality_fit": fit_doc,
     }
+    em = _Emitter("moving-spheres", cfg)
     em.json("moving_spheres.json", doc)
     if not report.ok:
         columns = {f"y{i + 1}": col for i, col in enumerate(report.violations.T)}
@@ -420,14 +419,11 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
 def _cmd_asymptotics(cfg: dict) -> dict:
     from . import asymptotics
     params = _params(cfg)
-    em = _Emitter("asymptotics", cfg)
     u = _make_field(cfg, params)
     radii = asymptotics.default_radii(cfg["r_min"], cfg["r_max"])
-    center = np.zeros(params.n)
-    rep = asymptotics.asymptotics_report(u, radii, params,
-                                         candidates=("cylinder_bubble",),
-                                         center=center)
+    rep = asymptotics.asymptotics_report(u, radii, params)   # the cylinder bubble, about 0
     doc = rep.summary()
+    em = _Emitter("asymptotics", cfg)
     em.json("asymptotics.json", doc)
     em.csv("upper_bound_scan.csv", rep.upper.rows())
     em.csv("symmetry_ratio.csv", rep.symmetry.rows())
@@ -441,8 +437,8 @@ def _cmd_asymptotics(cfg: dict) -> dict:
 
 def _cmd_hls_check(cfg: dict) -> dict:
     params = _params(cfg)
-    em = _Emitter("hls-check", cfg)
     check = riesz.hls_ratio(params, mu=cfg["mu"], per_decade=cfg["per_decade"])
+    em = _Emitter("hls-check", cfg)
     doc = check.summary()
     doc.update(mu=cfg["mu"], tolerance=cfg["tolerance"])
     em.json("hls_check.json", doc)

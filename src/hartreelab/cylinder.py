@@ -177,7 +177,8 @@ def kernel_hat(params: ProblemParams, t):
     The shared QUADPACK reference at d = cosh t - 1 for |t| < 25, the
     exact exponential tail beyond; independent of the Gauss-Jacobi rules
     in the radial module.  Raises an accuracy error if QUADPACK cannot
-    certify 1e-10, and an integrability error at t = 0 when alpha <= 1.
+    certify 1e-10, an integrability error at t = 0 when alpha <= 1, and a
+    range error where a sample underflows to 0.
     """
     n, alpha = params.n, params.alpha
     arr = np.asarray(t, dtype=float)
@@ -191,6 +192,9 @@ def kernel_hat(params: ProblemParams, t):
                 f"kernel_hat at t={flat[i]} certified only {abs(err) / val:.2e}",
                 achieved=abs(err) / val)
         out[i] = 2.0 ** ((alpha - n) / 2.0) * val
+    if np.any(out == 0.0):   # out >= 0, so argmin is the first zero
+        raise ParameterRangeError(f"kernel_hat for (n, alpha)=({n}, {alpha}) left the "
+                                  f"floating-point range at t={arr.ravel()[np.argmin(out)]}")
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -260,17 +260,17 @@ def sample_radial(field: Field, grid: RadialGrid) -> RadialProfile:
 # sphere quadrature (n = 3, 4, 5)
 # ============================================================
 
-def sphere_quadrature(n: int, order: int = 14):
+def sphere_quadrature(n: int):
     """Product Gauss nodes and weights on the unit sphere S^(n-1) in R^n.
 
-    Exact for polynomials of total degree <= order.  Weights sum to
+    Exact for polynomials of total degree <= 20.  Weights sum to
     omega(n-1).  Supported for n in {3, 4, 5}; anything larger is outside
     this toolkit's scope by design and raises.
     """
     if n not in (3, 4, 5):
         raise UnsupportedDimensionError(
             f"sphere quadrature implemented for n in {{3, 4, 5}}, got n={n}")
-    return _sphere_rule(n, order)
+    return _sphere_rule(n, 20)
 
 
 def _gauss_jacobi(m: int, a: float):
@@ -293,9 +293,7 @@ def _sphere_rule(n: int, order: int):
     if n == 2:
         m = max(order + 1, 4)
         phi = 2.0 * np.pi * np.arange(m) / m
-        nodes = np.column_stack([np.cos(phi), np.sin(phi)])
-        weights = np.full(m, 2.0 * np.pi / m)
-        return nodes, weights
+        return np.column_stack([np.cos(phi), np.sin(phi)]), np.full(m, 2.0 * np.pi / m)
     m_t = max((order + 2) // 2, 2)
     a = (n - 3) / 2.0
     t, w_t = _gauss_jacobi(m_t, a)
@@ -311,16 +309,29 @@ def _sphere_rule(n: int, order: int):
     return nodes, weights
 
 
+def sphere_values(field: Field, radii, center, nodes) -> np.ndarray:
+    """The field at center + r_i nodes, a row per radius: every sphere scan's one route.
+
+    A field radial about center (the origin by default) broadcasts its exact
+    radial_fn(r_i) across row i; any other is evaluated, one call per chunk of about 1 MB.
+    """
+    r = np.asarray(radii, dtype=float)
+    c = np.zeros(field.n) if center is None else np.asarray(center, dtype=float)
+    if field.radial_fn is not None and np.array_equal(field.center, c):
+        return np.broadcast_to(np.asarray(field.radial_fn(r), dtype=float)[:, None],
+                               (r.size, len(nodes)))
+    chunk = max(1, 2 ** 17 // nodes.size)   # 2^17 coordinates of 8 bytes
+    return np.concatenate([field((c + r[i:i + chunk, None, None] * nodes).reshape(-1, field.n))
+                           for i in range(0, r.size, chunk)]).reshape(r.size, -1)
+
+
 def spherical_average(field: Field, r: float, center=None) -> float:
     """Mean of the field over the sphere of radius r about `center`.
 
     Product Gauss quadrature, exact for polynomial integrands of degree
-    <= 14; the mean is the integral divided by omega(n-1).
+    <= 20; the mean is the integral divided by omega(n-1).
     """
     if not (0.0 < r < math.inf):
         raise SamplingError(f"sphere radius must be positive and finite, got {r}")
     nodes, weights = sphere_quadrature(field.n)
-    c = np.zeros(field.n) if center is None else np.asarray(center, dtype=float)
-    pts = c[None, :] + r * nodes
-    vals = field(pts)
-    return float(np.dot(weights, vals) / omega(field.n - 1))
+    return float(np.dot(weights, sphere_values(field, [r], center, nodes)[0]) / omega(field.n - 1))

@@ -6,6 +6,7 @@ the cylinder-limit profile after one log translation), and synthetic
 periodic profiles pushed back to radial coordinates.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -18,8 +19,8 @@ from hartreelab import (CylinderProfile, Field, GridError,
                         critical_radius, default_radii, dispersion_root,
                         find_delaunay, make_bubble, make_singular_power,
                         nonlinearity_for, profile_fit, sharp_constants,
-                        symmetry_ratio, upper_bound_scan)
-from hartreelab import asymptotics
+                        spherical_average, symmetry_ratio, upper_bound_scan)
+from hartreelab import asymptotics, cli
 
 P32 = ProblemParams(3, 2.0)
 
@@ -321,9 +322,9 @@ def test_delaunay_fields_are_radial_about_their_singularity(params):
         point = np.zeros(params.n)
         point[0] = x
         assert abs(float(critical_radius(u, point)) - x) <= 2e-4
-    if params.n == 3:   # at n = 5 the sphere rule has 27,951 points, about 1 s
-        rep = asymptotics_report(u, default_radii(1e-3, 1.0), params)
-        assert not rep.upper.divergence and rep.symmetry.certified
+    # radial about the probe center, so every n is read by its profile alone
+    rep = asymptotics_report(u, default_radii(1e-3, 1.0), params)
+    assert not rep.upper.divergence and rep.symmetry.certified
 
 
 def test_profile_fit_rejects_wrong_shapes():
@@ -386,3 +387,39 @@ def test_asymptotics_report_fits_the_profile_about_its_center():
     pointwise = profile_fit(Field(n=3, fn=u.fn), "cylinder_bubble",
                             default_radii(1e-3, 2.0), P32, center=c)
     assert abs(pointwise.tau) < 1e-6 and pointwise.error_smallest <= 1e-10
+
+
+# ============================================================
+# the sphere sampler
+# ============================================================
+
+
+@pytest.mark.parametrize("params", [P32, ProblemParams(4, 2.0)], ids=_label)
+@pytest.mark.parametrize("kind", ["bubble", "perturbed_bubble"])
+def test_scan_is_the_spherical_average_bit_for_bit(params, kind):
+    # the scan and the paper's spherical mean read the field by one route
+    u = cli._make_field(cli.resolve_config("asymptotics", None, {"field": kind}), params)
+    radii = default_radii(1e-3, 2.0)
+    want = [r ** ((params.n - 2.0) / 2.0) * spherical_average(u, r) for r in radii]
+    assert np.array_equal(upper_bound_scan(u, radii).s_values, want)
+
+
+def _counted(u):
+    """u whose pointwise evaluations are logged, and the log."""
+    calls = []
+
+    def fn(pts):
+        calls.append(len(pts))
+        return u.fn(pts)
+
+    return dataclasses.replace(u, fn=fn), calls
+
+
+@pytest.mark.parametrize("params", [P32, ProblemParams(5, 3.0)], ids=_label)
+def test_a_radial_field_about_the_center_is_read_by_its_profile_alone(params):
+    u, calls = _counted(make_bubble(params))
+    rep = asymptotics_report(u, default_radii(1e-3, 2.0), params)
+    assert calls == [] and np.all(rep.symmetry.ratios == 0.0)
+    if params.n == 3:   # about another center, the same field is evaluated at points
+        asymptotics_report(u, default_radii(1e-3, 2.0), params, center=[0.1, 0.0, 0.0])
+        assert calls

@@ -400,6 +400,53 @@ def test_field_help_lists_every_kind_the_command_runs(capsys, command):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("asymptotics", "--field", "singular", "--field-center", "0.5"),
+    ("asymptotics", "--field", "singular", "--field-mu", "3"),
+    ("asymptotics", "--field", "constant", "--field-center", "0.5"),
+    ("moving-spheres", "--field", "singular", "--field-value", "2"),
+    ("moving-spheres", "--field", "bubble", "--field-value", "2"),
+    ("moving-spheres", "--field", "perturbed_bubble", "--field-value", "2"),
+    ("moving-spheres", "--field", "constant", "--field-mu", "3"),
+])
+def test_a_field_flag_its_kind_does_not_read_is_refused(capsys, tmp_path, argv):
+    # one computation under several config hashes is refused, before any artifact
+    rc, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert rc == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ConfigError" and "does not read it" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["moving-spheres", "asymptotics"])
+def test_the_bubble_kinds_read_the_field_flags(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    lines = [text for text in capsys.readouterr().out.splitlines()
+             if text.lstrip().startswith(("--field-mu ", "--field-center "))]
+    assert len(lines) == 2 and all("bubble, perturbed_bubble" in text for text in lines)
+    if command == "asymptotics":
+        rc, _, stderr = run(capsys, command, "--field", "perturbed_bubble",
+                            "--field-center", "0.3", "--field-mu", "2")
+        assert rc == 0, stderr
+
+
+def test_a_refused_run_writes_no_data_and_a_failed_check_its_whole_set(capsys, tmp_path):
+    # the kernel table underflows at n = 270, the constants at n = 250: nothing is written
+    rc, _, _ = run(capsys, "kernel", "--n", "270", "--pairs", "2", "--points", "3",
+                   "--out", str(tmp_path / "kernel"))
+    assert rc == 3 and not (tmp_path / "kernel" / "kernel_hat.csv").exists()
+    assert not (tmp_path / "kernel").exists()
+    rc, _, _ = run(capsys, "constants", "--n", "250", "--out", str(tmp_path / "constants"))
+    assert rc == 3 and not (tmp_path / "constants").exists()
+    # a check that misses its tolerance still records everything it measured
+    rc, _, stderr = run(capsys, "bubble-check", "--tolerance", "1e-12",
+                        "--out", str(tmp_path / "bubble"))
+    assert rc == 3 and json.loads(stderr)["error"] == "AccuracyError"
+    assert sorted(p.name for p in (tmp_path / "bubble").iterdir()) == [
+        "bubble_check.json", "config.json", "residual_differential.csv",
+        "residual_integral.csv"]
+
+
 def test_no_command_prints_usage(capsys):
     rc = cli.main([])
     cap = capsys.readouterr()

@@ -87,6 +87,14 @@ def test_kernel_hat_guards():
         kernel_hat(P31, 0.0)
 
 
+@pytest.mark.parametrize("n, t, first", [(200, [-6.0, 0.0, 3.0, 6.0], "-6.0"),
+                                         (268, 3.0, "3.0")])
+def test_kernel_hat_refuses_a_sample_that_underflows(n, t, first):
+    # a zero is not a sample of a positive kernel
+    with pytest.raises(ParameterRangeError, match=f"floating-point range at t={first}$"):
+        kernel_hat(ProblemParams(n, 2.0), t)
+
+
 def test_kernel_hat_certifies_the_error_magnitude(monkeypatch):
     # QUADPACK's error estimate is a magnitude; a negative one certifies nothing
     monkeypatch.setattr(cylinder, "_kernel_quad", lambda n, beta, d: (1.0, -1e-3))

@@ -221,7 +221,7 @@ def test_hls_extremal_shape():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_sphere_rule_moments(n):
-    nodes, weights = sphere_quadrature(n, order=14)
+    nodes, weights = sphere_quadrature(n)
     om = omega(n - 1)
     assert np.sum(weights) == pytest.approx(om, rel=1e-13)
     assert np.abs(np.dot(weights, nodes[:, 0])) < 1e-13 * om
@@ -232,7 +232,7 @@ def test_sphere_rule_moments(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("order", [14, 20])   # spherical_average's default; the scans'
+@pytest.mark.parametrize("order", [14, 20])   # the recursion at two orders; 20 is the rule
 def test_sphere_rule_matches_scipy_gauss_jacobi(n, order):
     from scipy.special import roots_jacobi
     m, a = (order + 2) // 2, (n - 3) / 2.0
@@ -248,6 +248,18 @@ def test_sphere_rule_matches_scipy_gauss_jacobi(n, order):
 def test_sphere_rule_dimension_guard():
     with pytest.raises(UnsupportedDimensionError):
         sphere_quadrature(6)
+
+
+def test_sphere_values_reads_a_radial_field_about_its_center_by_its_profile():
+    c = np.array([0.2, 0.0, 0.0])
+    u, (nodes, _) = make_bubble(P32, center=c), sphere_quadrature(3)
+    r = np.array([0.5, 0.1])
+    exact = fields.sphere_values(u, r, c, nodes)
+    assert exact.shape == (2, len(nodes))
+    assert np.array_equal(exact, np.broadcast_to(u.radial_fn(r)[:, None], exact.shape))
+    # about any other center the field is evaluated at the points
+    about_0 = fields.sphere_values(u, r, None, nodes)
+    assert np.array_equal(about_0, u((r[:, None, None] * nodes).reshape(-1, 3)).reshape(2, -1))
 
 
 def test_spherical_average():
