@@ -30,13 +30,14 @@ from .params import ProblemParams
 
 _SLOPE_FLOOR = 0.8   # the least symmetry-ratio slope certified as the O(r) rate
 _LATTICE, _STEP = 33, 1e-4   # profile fit: points per window, d/dtau difference step
+_REACH = 1e-4   # default_radii's ladder stops at r_max * _REACH: four decades
 
 
 def default_radii(r_min: float, r_max: float) -> np.ndarray:
     """Descending geometric ladder, ratio 2^(1/4), clipped to four decades."""
     if not (0.0 < r_min < r_max < math.inf):
         raise ParameterRangeError("need 0 < r_min < r_max < inf")
-    r_min = max(r_min, r_max * 1e-4)
+    r_min = max(r_min, r_max * _REACH)
     count = int(math.floor(math.log(r_max / r_min) / math.log(2.0 ** 0.25))) + 1
     return r_max * (2.0 ** -0.25) ** np.arange(count)
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import artifacts, riesz
-from .constants import omega, sharp_constants
+from .constants import k_identity_defect, omega, sharp_constants
 from .errors import AccuracyError, ConvergenceError, HartreelabError
 from .fields import Field, _row_norm, make_bubble, make_singular_power
 from .params import ProblemParams
@@ -101,7 +101,7 @@ SCHEMAS = {
                    "test field: bubble | singular | perturbed_bubble | constant (value 1)"),
         field_mu=_Opt(1.0, float, "bubble shape parameter (field=bubble, perturbed_bubble)"),
         field_center=_Opt(0.0, float, "center offset along e_1 (field=bubble, perturbed_bubble)"),
-        r_min=_Opt(1e-3, float, "smallest probe radius"),
+        r_min=_Opt(1e-3, float, "smallest probe radius, at least r_max * 1e-4"),
         r_max=_Opt(2.0, float, "largest probe radius"),
         plot=_Opt(False, bool, "write an SVG of the scans"),
     ),
@@ -251,6 +251,7 @@ def _cmd_constants(cfg: dict) -> dict:
         "h_n": sc.h_n,
         "k_n": sc.k_n,
         "c_n": sc.c_n,
+        "k_identity_defect": k_identity_defect(sc, params),
     }
     em.json("constants.json", doc)
     return em.summary(doc)
@@ -419,6 +420,8 @@ def _cmd_moving_spheres(cfg: dict) -> dict:
 def _cmd_asymptotics(cfg: dict) -> dict:
     from . import asymptotics
     params = _params(cfg)
+    if cfg["r_min"] < cfg["r_max"] * asymptotics._REACH:
+        raise ConfigError(f"r_min: below r_max * {asymptotics._REACH:g}, where the ladder stops")
     u = _make_field(cfg, params)
     radii = asymptotics.default_radii(cfg["r_min"], cfg["r_max"])
     rep = asymptotics.asymptotics_report(u, radii, params)   # the cylinder bubble, about 0

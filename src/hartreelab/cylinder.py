@@ -51,7 +51,7 @@ from numpy.linalg import LinAlgError, solve
 
 from .constants import omega
 from .errors import AccuracyError, GridError, ParameterRangeError, SamplingError
-from .fields import Field
+from .fields import Field, _radial_about
 from .params import CACHE_SIZE, ProblemParams
 from .riesz import (_DIGITS, NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier,
                     _next_fast_len)
@@ -143,7 +143,7 @@ def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> Cy
         raise GridError(f"cylinder spacing must be positive and finite, got {spacing}")
     if not isinstance(u, Field):
         raise SamplingError(f"cannot map {type(u).__name__} to the cylinder")
-    if u.radial_fn is None or np.any(u.center != 0.0):
+    if not _radial_about(u, np.zeros(u.n)):
         raise SamplingError("to_cylinder wants a radial field about the origin")
     ufun = lambda r: np.asarray(u.radial_fn(r), dtype=float)
     amp = float(ufun(np.array([1.0]))[0])
@@ -175,7 +175,7 @@ def kernel_hat(params: ProblemParams, t):
     """The cylinder kernel Khat at t (scalar or array), to relative 1e-10.
 
     The shared QUADPACK reference at d = cosh t - 1 for |t| < 25, the
-    exact exponential tail beyond; independent of the Gauss-Jacobi rules
+    exact exponential tail beyond; independent of the Gauss-Jacobi rule
     in the radial module.  Raises an accuracy error if QUADPACK cannot
     certify 1e-10, an integrability error at t = 0 when alpha <= 1, and a
     range error where a sample underflows to 0.

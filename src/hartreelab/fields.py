@@ -309,6 +309,11 @@ def _sphere_rule(n: int, order: int):
     return nodes, weights
 
 
+def _radial_about(field: Field, c: np.ndarray) -> bool:
+    """Whether field is radial about the point c, so that its radial_fn serves there."""
+    return field.radial_fn is not None and np.array_equal(field.center, c)
+
+
 def sphere_values(field: Field, radii, center, nodes) -> np.ndarray:
     """The field at center + r_i nodes, a row per radius: every sphere scan's one route.
 
@@ -317,7 +322,7 @@ def sphere_values(field: Field, radii, center, nodes) -> np.ndarray:
     """
     r = np.asarray(radii, dtype=float)
     c = np.zeros(field.n) if center is None else np.asarray(center, dtype=float)
-    if field.radial_fn is not None and np.array_equal(field.center, c):
+    if _radial_about(field, c):
         return np.broadcast_to(np.asarray(field.radial_fn(r), dtype=float)[:, None],
                                (r.size, len(nodes)))
     chunk = max(1, 2 ** 17 // nodes.size)   # 2^17 coordinates of 8 bytes

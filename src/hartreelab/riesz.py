@@ -18,10 +18,10 @@ block on [-1, 0], dyadically graded Gauss-Legendre panels accumulating at
 tau = 1, and a Gauss-Jacobi tip panel whose weight exponent switches to
 the combined (n-3)/2 + (beta-n)/2 on the diagonal r = s.  Everything is
 expressed in the stable variable 1 - tau so that r ~ s costs no
-significant digits.  Rules of three depths are kept per (n, beta), and
-each evaluation sends its points to the shallowest rule that serves their d.
+significant digits.  There is one rule per (n, beta), graded deep enough
+for the closest distinct radii, checked once against QUADPACK.
 
-The convolution itself never touches those rules.  In t = ln r the
+The convolution itself never touches that rule.  In t = ln r the
 kernel (r s)^((n-beta)/2) k_beta(r, s) depends on t - ln s only, so the
 potential is a convolution on the line (the Mellin convolution theorem;
 Titchmarsh, Introduction to the Theory of Fourier Integrals, 1937) whose
@@ -112,50 +112,20 @@ class NonlinearitySpec:
 
 
 # ============================================================
-# angular kernel: graded Gauss-Jacobi rules in 1 - tau
+# angular kernel: a graded Gauss-Jacobi rule in 1 - tau
 # ============================================================
 
 
-class _KernelRule:
-    """One composite tau-rule: main nodes plus the two tip treatments.
-
-    Stored in the variable omt = 1 - tau.  The kernel value is
-
-      omega(n-2) * [ sum_i W_i (2 r s + (r-s)^2 / omt_i)^q  (main + generic tip)
-                     or  ... + (2 r s)^q * tip_diag          (diagonal tip)   ]
-
-    with q = (beta - n)/2.  Each weight W_i carries its node's omt_i^q,
-    formed as one scaled product, so no power of a tiny omt (which would
-    overflow) meets a tiny weight (which would underflow).  The rule is
-    valid for d >= d_min with the generic tip; the diagonal tip covers
-    d < d_min at an error bounded by the tip panel's mass, which the depth
-    was chosen to make negligible.
-    """
-
-    __slots__ = ("omt", "w", "tip_omt", "tip_w", "tip_diag", "d_min")
-
-    def __init__(self, omt, w, tip_omt, tip_w, tip_diag, depth):
-        self.omt = omt
-        self.w = w
-        self.tip_omt = tip_omt
-        self.tip_w = tip_w
-        self.tip_diag = tip_diag
-        self.d_min = 2.0 ** (-depth)
-
-
-def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
+def _build_rule(n: int, beta: float, depth: int):
+    """(omt, w, tip_omt, tip_w, tip_diag): the composite tau-rule graded to 2^-depth."""
     from scipy.special import roots_jacobi, roots_legendre
     a = (n - 3) / 2.0
     q = (beta - n) / 2.0
 
-    omt_blocks = []
-    w_blocks = []
-
     # [-1, 0]: Gauss-Jacobi in (1 + tau); the (1 - tau)^a factor is smooth here
     xj, wj = roots_jacobi(20, 0.0, a)
-    omt = (3.0 - xj) / 2.0
-    omt_blocks.append(omt)
-    w_blocks.append(wj * omt ** (a + q) * 2.0 ** (-a - 1.0))
+    omt_left = (3.0 - xj) / 2.0
+    w_left = wj * omt_left ** (a + q) * 2.0 ** (-a - 1.0)
 
     # dyadic panels [1 - 2^-j, 1 - 2^-(j+1)] in omt coordinates: [2^-(j+1), 2^-j],
     # that is 2^-(j+1) unit with unit in [1, 2]; the panel's half-width and its
@@ -164,9 +134,8 @@ def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
     unit = 1.5 + 0.5 * xg
     scale = 2.0 ** -np.arange(1.0, depth + 1.0)[:, None]
     omt = scale * unit
-    omt_blocks.append(omt.ravel())
-    w_blocks.append((0.5 * wg * unit ** (a + q) * scale ** (a + q + 1.0)
-                     * (2.0 - omt) ** a).ravel())
+    w = 0.5 * wg * unit ** (a + q) * scale ** (a + q + 1.0) * (2.0 - omt) ** a
+    omt, w = np.concatenate([omt_left, omt.ravel()]), np.concatenate([w_left, w.ravel()])
 
     # tip [1 - 2^-depth, 1]: Gauss-Jacobi absorbing (1 - tau)^a ...
     eps = 2.0 ** (-depth)
@@ -183,98 +152,80 @@ def _build_rule(n: int, beta: float, depth: int) -> _KernelRule:
     else:
         tip_diag = math.inf  # non-integrable diagonal (beta <= 1)
 
-    return _KernelRule(
-        omt=np.concatenate(omt_blocks),
-        w=np.concatenate(w_blocks),
-        tip_omt=tip_omt,
-        tip_w=tip_w,
-        tip_diag=tip_diag,
-        depth=depth,
-    )
+    return omt, w, tip_omt, tip_w, tip_diag
 
 
-class _KernelFamily:
-    """The three-depth rule family for one (n, beta), with a one-time self-check."""
+class _KernelRule:
+    """The composite tau-rule of one (n, beta), checked once against QUADPACK.
+
+    Stored in the variable omt = 1 - tau.  The kernel value is
+
+      omega(n-2) * [ sum_i W_i (2 r s + (r-s)^2 / omt_i)^q  (main + generic tip)
+                     or  ... + (2 r s)^q * tip_diag          (diagonal tip)   ]
+
+    with q = (beta - n)/2.  Each weight W_i carries its node's omt_i^q,
+    formed as one scaled product, so no power of a tiny omt (which would
+    overflow) meets a tiny weight (which would underflow).  The generic tip
+    serves d >= d_min = 2^-depth; the diagonal tip covers d < d_min at an
+    error bounded by the tip panel's mass, which the depth makes negligible.
+    """
 
     def __init__(self, n: int, beta: float):
-        self.n = n
         self.beta = beta
         self.q = (beta - n) / 2.0
         self.front = omega(n - 2)
         if beta > 1.0:
             # distinct doubles r, s have d >= 2^-107, so with panels down to
             # 2^-110 only d = 0, where it is exact, ever uses the diagonal tip
-            full_depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 110)
+            depth = min(max(int(math.ceil(93.0 / (beta - 1.0))), 64), 110)
         else:
             # the diagonal integral diverges; grade deep enough that callers
             # who stay a relative 2^-40 away from it are still served
-            full_depth = 96
-        self.rules = (_build_rule(n, beta, 6),
-                      _build_rule(n, beta, 26),
-                      _build_rule(n, beta, full_depth))
-        self._validate()
-
-    # ---------- evaluation ----------
-
-    def evaluate(self, r, s):
-        """k_beta at broadcast arrays r, s (elementwise), r, s >= 0, not both 0."""
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        r, s = np.broadcast_arrays(r, s)
-        out = np.empty(r.shape, dtype=float)
-        flat_r = r.ravel()
-        flat_s = s.ravel()
-        flat_o = out.ravel()
-        gap2 = (flat_r - flat_s) ** 2
-        b = 2.0 * flat_r * flat_s
-        if np.any((flat_r == 0.0) & (flat_s == 0.0)):
-            raise SamplingError("angular kernel undefined at r = s = 0")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(b > 0.0, gap2 / b, np.inf)
-
-        cut0, cut1 = 2.0 ** -4, 2.0 ** -24
-        buckets = (d >= cut0, (d < cut0) & (d >= cut1), d < cut1)
-        for rule, mask in zip(self.rules, buckets):
-            if not np.any(mask):
-                continue
-            flat_o[mask] = self._eval_rule(rule, gap2[mask], b[mask], d[mask])
-        if out.ndim == 0:
-            return float(flat_o[0])
-        return out
-
-    def _eval_rule(self, rule, gap2, b, d):
-        vals = (b[:, None] + gap2[:, None] / rule.omt) ** self.q @ rule.w
-        tip = (b[:, None] + gap2[:, None] / rule.tip_omt) ** self.q @ rule.tip_w
-        diag = d < rule.d_min
-        if np.any(diag):
-            if not np.isfinite(rule.tip_diag):
-                raise IntegrabilityError(
-                    f"angular kernel with beta={self.beta} <= 1 diverges on the diagonal; "
-                    "evaluate at separated radii only")
-            tip[diag] = b[diag] ** self.q * rule.tip_diag
-        return self.front * (vals + tip)
-
-    # ---------- one-time reference validation ----------
-
-    def _validate(self):
+            depth = 96
+        self.omt, self.w, self.tip_omt, self.tip_w, self.tip_diag = _build_rule(n, beta, depth)
+        self.d_min = 2.0 ** (-depth)
         checks = [16.0, 1.0, 1e-2, 1e-6]
-        if self.beta > 1.0:
+        if beta > 1.0:
             checks.append(0.0)
         for d in checks:
             # r s = 1/2 so gap2 = d and b = 1
-            got = self._eval_rule(self.rules[-1], np.array([d]), np.array([1.0]),
-                                  np.array([d]))[0]
-            want, err = _kernel_quad(self.n, self.beta, d)
+            got = self._eval_rule(np.array([d]), np.array([1.0]))[0]
+            want, err = _kernel_quad(n, beta, d)
             if not 0.0 < want < math.inf:
                 raise ParameterRangeError(
-                    f"the QUADPACK reference of the angular kernel for (n, beta)=({self.n}, "
-                    f"{self.beta}) left the floating-point range at d={d}: {want}")
+                    f"the QUADPACK reference of the angular kernel for (n, beta)=({n}, "
+                    f"{beta}) left the floating-point range at d={d}: {want}")
             achieved = abs(got - want) / abs(want)
             # written so that a NaN anywhere fails
             if not achieved <= max(1e-10, 5.0 * abs(err / want)):
                 raise AccuracyError(
-                    f"angular kernel rule for (n, beta)=({self.n}, {self.beta}) failed its "
+                    f"angular kernel rule for (n, beta)=({n}, {beta}) failed its "
                     f"build-time self check at d={d}", achieved=achieved)
+
+    def evaluate(self, r, s):
+        """k_beta at broadcast arrays r, s (elementwise), r, s >= 0, not both 0."""
+        r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+        if np.any((r == 0.0) & (s == 0.0)):
+            raise SamplingError("angular kernel undefined at r = s = 0")
+        gap2, b = ((r - s) ** 2).ravel(), (2.0 * r * s).ravel()
+        out = np.empty(gap2.size)
+        chunk = max(1, 2 ** 17 // self.omt.size)   # rows of about 1 MB of temporaries
+        for i in range(0, gap2.size, chunk):
+            out[i:i + chunk] = self._eval_rule(gap2[i:i + chunk], b[i:i + chunk])
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+    def _eval_rule(self, gap2, b):
+        vals = (b[:, None] + gap2[:, None] / self.omt) ** self.q @ self.w
+        tip = (b[:, None] + gap2[:, None] / self.tip_omt) ** self.q @ self.tip_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diag = np.where(b > 0.0, gap2 / b, np.inf) < self.d_min
+        if np.any(diag):
+            if not np.isfinite(self.tip_diag):
+                raise IntegrabilityError(
+                    f"angular kernel with beta={self.beta} <= 1 diverges on the diagonal; "
+                    "evaluate at separated radii only")
+            tip[diag] = b[diag] ** self.q * self.tip_diag
+        return self.front * (vals + tip)
 
 
 def _kernel_quad(n: int, beta: float, d: float):
@@ -284,7 +235,7 @@ def _kernel_quad(n: int, beta: float, d: float):
     (1 + d - tau)^q dtau with q = (beta-n)/2, so k_beta(r, s) = (2 r s)^q
     times it at d = (r - s)^2 / (2 r s), and the cylinder kernel is
     Khat(t) = 2^q times it at d = cosh t - 1.  This is the independent
-    reference for the Gauss-Jacobi rules.  The split is at tau = 0; on
+    reference for the Gauss-Jacobi rule.  The split is at tau = 0; on
     [0, 1] the variable w = 1 - tau puts the endpoint factor w^((n-3)/2) at
     the origin, where QUADPACK's weighted rules hold it exactly and the
     abscissae stay O(1) however large d gets.  For d < 1 that weighted
@@ -324,18 +275,18 @@ def _kernel_quad(n: int, beta: float, d: float):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _family(spec: AngularKernelSpec) -> _KernelFamily:
-    return _KernelFamily(spec.n, spec.beta)
+def _kernel_rule(spec: AngularKernelSpec) -> _KernelRule:
+    return _KernelRule(spec.n, spec.beta)
 
 
 def angular_kernel(spec: AngularKernelSpec, r, s):
     """The angular kernel k_beta(r, s); vectorized over broadcast r, s.
 
-    The rules are checked against the QUADPACK reference once per (n, beta),
-    when they are built.  On the diagonal r = s the kernel is finite only
+    The one rule per (n, beta) is checked against the QUADPACK reference
+    once, when it is built.  On the diagonal r = s the kernel is finite only
     for beta > 1; beta <= 1 raises IntegrabilityError there.
     """
-    return _family(spec).evaluate(r, s)
+    return _kernel_rule(spec).evaluate(r, s)
 
 
 # ============================================================

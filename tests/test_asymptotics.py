@@ -21,6 +21,7 @@ from hartreelab import (CylinderProfile, Field, GridError,
                         nonlinearity_for, profile_fit, sharp_constants,
                         spherical_average, symmetry_ratio, upper_bound_scan)
 from hartreelab import asymptotics, cli
+from hartreelab.fields import _radial_about
 
 P32 = ProblemParams(3, 2.0)
 
@@ -256,8 +257,7 @@ def _lsq_minimizer(u, radii, params, tau0):
     solved at 40 digits next to tau0.
     """
     r = np.asarray(radii)
-    exact = u.radial_fn is not None and not np.any(u.center)
-    uvals = u.radial_fn(r) if exact else u(r[:, None] * np.eye(u.n)[0])
+    uvals = u.radial_fn(r) if _radial_about(u, np.zeros(u.n)) else u(r[:, None] * np.eye(u.n)[0])
     small = asymptotics._smallest_decade(r)
     t, want = -np.log(r)[small], (np.log(uvals) + params.nu * np.log(r))[small]
     with mp.workdps(40):

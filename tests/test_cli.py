@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab import artifacts, cli, riesz, sharp_constants, ProblemParams
+from hartreelab import artifacts, asymptotics, cli, riesz, sharp_constants, ProblemParams
 
 
 def run(capsys, *argv):
@@ -123,6 +123,9 @@ def test_constants_summary_and_artifacts(tmp_path, capsys):
     assert doc["command"] == "constants"
     assert doc["c_n"] == sharp_constants(ProblemParams(3, 2.0)).c_n
     assert doc["artifacts"] == ["config.json", "constants.json"]
+    assert 0.0 <= doc["k_identity_defect"] < 1e-14
+    assert json.loads((out / "constants.json").read_text())["k_identity_defect"] == \
+        doc["k_identity_defect"]
     recorded = json.loads((out / "config.json").read_text())
     assert recorded["command"] == "constants"
     assert recorded["config_hash"] == doc["config_hash"]
@@ -416,6 +419,23 @@ def test_a_field_flag_its_kind_does_not_read_is_refused(capsys, tmp_path, argv):
     err = json.loads(stderr)
     assert err["error"] == "ConfigError" and "does not read it" in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_an_r_min_the_ladder_would_clip_is_refused(capsys, tmp_path):
+    # the ladder spans four decades below r_max = 2: a deeper r_min would run
+    # the 2e-4 computation under another config hash
+    for r_min in ("1.9e-4", "1e-5", "1e-8"):
+        rc, stdout, stderr = run(capsys, "asymptotics", "--r-min", r_min,
+                                 "--out", str(tmp_path / "out"))
+        assert rc == 2 and stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ConfigError" and "r_min" in err["message"]
+        assert not (tmp_path / "out").exists()
+    assert run(capsys, "asymptotics", "--r-min", "2e-4")[0] == 0
+    assert cli.main(["asymptotics", "--help"]) == 0
+    line = next(text for text in capsys.readouterr().out.splitlines()
+                if text.lstrip().startswith("--r-min "))
+    assert float(re.search(r"r_max \* (\S+)", line).group(1)) == asymptotics._REACH
 
 
 @pytest.mark.parametrize("command", ["moving-spheres", "asymptotics"])

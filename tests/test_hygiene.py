@@ -233,7 +233,6 @@ _UNCALLED = {
     "symmetry_ratio": "the paper's symmetry predicate",
     "fd_laplacian": "the reference the tests compare closed forms against",
     "bubble_image": "the reference the tests compare Kelvin images against",
-    "k_identity_defect": "the constants check, which a command is to report",
 }
 
 

@@ -143,24 +143,46 @@ def test_kernel_diagonal_just_above_beta_one(beta):
     assert abs(got / (2.0 * math.pi * 2.0 ** (beta - 1.0) / (beta - 1.0)) - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("beta", [1.01, 1.05, 1.1])
-def test_kernel_near_diagonal_matches_quadpack(beta):
+@pytest.mark.parametrize("n, beta", [(3, 1.01), (3, 1.05), (3, 1.1), (4, 2.5), (5, 3.0),
+                                     (5, 0.7)],
+                         ids=["1.01", "1.05", "1.1", "n4-2.5", "n5-3.0", "n5-0.7"])
+def test_kernel_near_diagonal_matches_quadpack(n, beta):
     # from the double just below r = 1 (d = 2^-107, the least d of distinct
-    # doubles) out to s = 40: the depth-110 rule against the QUADPACK reference
-    spec = AngularKernelSpec(3, beta)
-    q = (beta - 3.0) / 2.0
+    # doubles) out to s = 1e4: the one rule against the QUADPACK reference;
+    # for beta <= 1, whose diagonal diverges, from a relative 2^-42 away
+    spec = AngularKernelSpec(n, beta)
+    q = (beta - n) / 2.0
     for s in [1.0 - 2.0 ** -53] + [1.0 + k * 2.0 ** -52 for k in (
-            1, 2, 16, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 50)] + [1.5, 2.0, 5.0, 40.0]:
+            1, 2, 16, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 50)] + [
+            1.5, 2.0, 5.0, 40.0, 1e2, 1e3, 1e4]:
+        if beta <= 1.0 and abs(s - 1.0) < 2.0 ** -42:
+            continue
         d = (s - 1.0) ** 2 / (2.0 * s)
-        want = (2.0 * s) ** q * riesz._kernel_quad(3, beta, d)[0]
+        want = (2.0 * s) ** q * riesz._kernel_quad(n, beta, d)[0]
         assert abs(angular_kernel(spec, 1.0, s) / want - 1.0) <= 1e-13, s
 
 
 def test_kernel_self_check_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(riesz._KernelFamily, "_eval_rule",
-                        lambda self, rule, gap2, b, d: np.full(d.shape, np.nan))
+    monkeypatch.setattr(riesz._KernelRule, "_eval_rule",
+                        lambda self, gap2, b: np.full(b.shape, np.nan))
     with pytest.raises(AccuracyError):
-        riesz._KernelFamily(3, 2.5)
+        riesz._KernelRule(3, 2.5)
+
+
+def test_kernel_builds_one_rule(monkeypatch):
+    # one graded rule per (n, beta), the one its self check validates
+    depths = []
+    real = riesz._build_rule
+
+    def counting(n, beta, depth):
+        depths.append(depth)
+        return real(n, beta, depth)
+
+    monkeypatch.setattr(riesz, "_build_rule", counting)
+    spec = AngularKernelSpec(4, 2.375)   # a pair no other test builds
+    angular_kernel(spec, 1.0, np.geomspace(1e-3, 1e3, 7))
+    angular_kernel(spec, 2.0, 0.5)
+    assert len(depths) == 1, depths
 
 
 # ============================================================
@@ -371,17 +393,17 @@ def test_profile_source_refuses_grid_and_exponent_keywords():
 
 def test_convolution_never_touches_the_kernel_family(monkeypatch):
     # the convolution multiplies by the closed-form symbol; the Gauss-Jacobi
-    # rules stay behind angular_kernel
+    # rule stays behind angular_kernel
     calls = []
 
     def refuse(name):
         def fn(*args, **kwargs):
             calls.append(name)
-            raise AssertionError(f"_KernelFamily.{name} called")
+            raise AssertionError(f"_KernelRule.{name} called")
         return fn
 
     for name in ("__init__", "evaluate"):
-        monkeypatch.setattr(riesz._KernelFamily, name, refuse(name))
+        monkeypatch.setattr(riesz._KernelRule, name, refuse(name))
     grid = default_grid(16)
     for n, beta in ((5, 3.0), (3, 2.0)):
         h = lambda r: (1.0 + np.asarray(r) ** 2) ** (-(n + beta) / 2.0)
