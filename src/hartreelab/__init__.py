@@ -29,7 +29,7 @@ _EXPORTS = {
     "cylinder": ("CylinderProfile", "DelaunaySolution", "KernelTable",
                  "constant_solution", "cylinder_convolution",
                  "dispersion_function", "dispersion_root", "find_delaunay",
-                 "kernel_hat", "kernel_table", "ode_residual", "to_cylinder"),
+                 "kernel_table", "ode_residual", "to_cylinder"),
     "errors": ("AccuracyError", "ConvergenceError", "GridError",
                "HartreelabError", "IntegrabilityError", "ParameterDomainError",
                "ParameterRangeError", "SamplingError",
@@ -37,11 +37,12 @@ _EXPORTS = {
     "fields": ("Field", "RadialGrid", "RadialProfile", "make_bubble",
                "make_hls_extremal", "make_singular_power", "sample_radial",
                "sphere_quadrature", "spherical_average"),
+    "kernel": ("angular_kernel", "kernel_hat"),
     "params": ("ProblemParams",),
     "riesz": ("AngularKernelSpec", "BilinearCheck", "CfCalibration",
-              "NonlinearitySpec", "ResidualReport", "angular_kernel",
-              "calibrate_cf", "default_grid", "hartree_potential", "hartree_rhs",
-              "hls_ratio", "nonlinearity_for", "residual", "riesz_convolve"),
+              "NonlinearitySpec", "ResidualReport", "calibrate_cf",
+              "default_grid", "hartree_potential", "hartree_rhs", "hls_ratio",
+              "nonlinearity_for", "residual", "riesz_convolve"),
     "spheres": ("BubbleImage", "ComparisonReport", "CriticalRadiusValue",
                 "EqualityFit", "SphereInversion", "TestSetSpec", "bubble_image",
                 "comparison_deficit", "comparison_kernel", "critical_radius",

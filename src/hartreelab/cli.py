@@ -296,17 +296,17 @@ def _cmd_bubble_check(cfg: dict) -> dict:
 
 
 def _cmd_kernel(cfg: dict) -> dict:
-    from . import cylinder
+    from . import kernel
     params = _params(cfg)
     t = np.linspace(-cfg["t_max"], cfg["t_max"], cfg["points"])
     t = t[t != 0.0] if params.alpha <= 1.0 else t   # Khat(0) is infinite for alpha <= 1
-    khat = cylinder.kernel_hat(params, t)
+    khat = kernel.kernel_hat(params, t)
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     r = np.exp(rng.uniform(-3.0, 3.0, cfg["pairs"]))
     s = np.exp(rng.uniform(-3.0, 3.0, cfg["pairs"]))
     spec = riesz.AngularKernelSpec(params.n, params.alpha)
-    lhs = (r * s) ** ((params.n - params.alpha) / 2.0) * riesz.angular_kernel(spec, r, s)
-    rhs = cylinder.kernel_hat(params, np.log(r / s))
+    lhs = (r * s) ** ((params.n - params.alpha) / 2.0) * kernel.angular_kernel(spec, r, s)
+    rhs = kernel.kernel_hat(params, np.log(r / s))
     identity_err = float(np.max(np.abs(lhs / rhs - 1.0)))
     doc = {
         "n": params.n,

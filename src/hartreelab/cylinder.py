@@ -16,14 +16,11 @@ omega(n-1) e^{-(n-alpha)|t|/2}.  The explicit bubble becomes
 C_n(alpha) (2 cosh t)^{-(n-2)/2}; bounded oscillating solutions on the
 cylinder (Delaunay-type) correspond to singular solutions of the PDE.
 
-Khat is the radial angular kernel in log coordinates: cosh t - 1 =
-(r - s)^2 / (2 r s) for t = ln(r/s), so Khat(t) = (r s)^((n-alpha)/2)
-k_alpha(r, s).  ``kernel_hat`` evaluates it pointwise with the shared
-QUADPACK reference of the radial module; the Gauss-Jacobi rules there stay
-the independent discretization, so the two routes cross-check each other.
-No solver samples it: Khat's Fourier transform, and with it the L1 norm, is
-a closed-form Gamma ratio, the same symbol the radial module's Riesz
-convolution multiplies by.
+Khat is the radial angular kernel in log coordinates, Khat(t) =
+(r s)^((n-alpha)/2) k_alpha(r, s) at t = ln(r/s), and the ``kernel``
+module samples both by quadrature.  No solver does: Khat's Fourier
+transform, and with it the L1 norm, is a closed-form Gamma ratio, the same
+symbol the radial module's Riesz convolution multiplies by.
 
 On uniform t-grids this module owns the discrete convolution and the ODE
 residual, both by Fourier symbols, Khat^(w) and -w^2: on a period at w =
@@ -35,7 +32,7 @@ also owns the constant solution, its dispersion relation, and a finder
 that traces the even periodic (Delaunay) branch on a coarse grid with dense
 Jacobians, then polishes the prolonged orbit on the fine one matrix-free.
 A profile is its own spectrum: between its nodes it is the trigonometric
-interpolant that these symbols act on.  Only ``kernel_hat`` loads scipy.
+interpolant that these symbols act on.
 """
 
 from __future__ import annotations
@@ -49,14 +46,11 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.linalg import LinAlgError, solve
 
-from .constants import omega
-from .errors import AccuracyError, GridError, ParameterRangeError, SamplingError
+from .errors import GridError, ParameterRangeError, SamplingError
 from .fields import Field, _radial_about
 from .params import CACHE_SIZE, ProblemParams
-from .riesz import (_DIGITS, NonlinearitySpec, _kernel_quad, _khat_convolve, _khat_fourier,
-                    _next_fast_len)
+from .riesz import _DIGITS, NonlinearitySpec, _khat_convolve, _khat_fourier, _next_fast_len
 
-_ASYMPTOTIC_T = 25.0  # beyond this the two-term tail of Khat is exact to 1e-21
 _COARSE_NODES = 64   # the Delaunay branch is traced here; finer grids only polish
 _NEWTON_ITERATIONS = 8   # a Newton solve not done by then ends unconverged
 
@@ -156,46 +150,6 @@ def to_cylinder(u: Field, params: ProblemParams, *, spacing: float = 0.01) -> Cy
     r = np.exp(-t)
     vals = r ** nu * ufun(r)
     return CylinderProfile(t, vals)
-
-
-# ============================================================
-# the log-cylindrical kernel
-# ============================================================
-
-
-def _khat_asymptotic(n: int, alpha: float, t: np.ndarray) -> np.ndarray:
-    """omega(n-1) (2 cosh t)^((alpha-n)/2), overflow-safe; exact for large |t|."""
-    q = (alpha - n) / 2.0
-    at = np.abs(np.asarray(t, dtype=float))
-    log2c = at + np.log1p(np.exp(-2.0 * at))
-    return omega(n - 1) * np.exp(q * log2c)
-
-
-def kernel_hat(params: ProblemParams, t):
-    """The cylinder kernel Khat at t (scalar or array), to relative 1e-10.
-
-    The shared QUADPACK reference at d = cosh t - 1 for |t| < 25, the
-    exact exponential tail beyond; independent of the Gauss-Jacobi rule
-    in the radial module.  Raises an accuracy error if QUADPACK cannot
-    certify 1e-10, an integrability error at t = 0 when alpha <= 1, and a
-    range error where a sample underflows to 0.
-    """
-    n, alpha = params.n, params.alpha
-    arr = np.asarray(t, dtype=float)
-    flat = np.abs(arr).ravel()
-    out = _khat_asymptotic(n, alpha, flat)
-    for i in np.flatnonzero(flat < _ASYMPTOTIC_T):
-        # cosh t - 1, computed stably
-        val, err = _kernel_quad(n, alpha, 2.0 * math.sinh(flat[i] / 2.0) ** 2)
-        if abs(err) > 1e-10 * val:
-            raise AccuracyError(
-                f"kernel_hat at t={flat[i]} certified only {abs(err) / val:.2e}",
-                achieved=abs(err) / val)
-        out[i] = 2.0 ** ((alpha - n) / 2.0) * val
-    if np.any(out == 0.0):   # out >= 0, so argmin is the first zero
-        raise ParameterRangeError(f"kernel_hat for (n, alpha)=({n}, {alpha}) left the "
-                                  f"floating-point range at t={arr.ravel()[np.argmin(out)]}")
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ============================================================

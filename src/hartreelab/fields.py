@@ -247,11 +247,11 @@ def make_singular_power(params: ProblemParams) -> Field:
 def sample_radial(field: Field, grid: RadialGrid) -> RadialProfile:
     """A radial field's exact radial callable on grid, as a RadialProfile.
 
-    A field with no radial callable is refused.  Tail exponents are
-    estimated from the sampled end decades.
+    A field not radial about the origin is refused: a profile is radial
+    about 0.  Tail exponents are estimated from the sampled end decades.
     """
-    if field.radial_fn is None:
-        raise SamplingError("sample_radial wants a radial field")
+    if not _radial_about(field, np.zeros(field.n)):
+        raise SamplingError("sample_radial wants a radial field about the origin")
     prof = RadialProfile(grid, np.asarray(field.radial_fn(grid.r), dtype=float))
     return prof.with_exponents(*prof.estimate_exponents())
 

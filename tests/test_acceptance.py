@@ -44,7 +44,8 @@ from hartreelab.asymptotics import default_radii
 from hartreelab.cylinder import ode_residual
 from hartreelab.constants import k_identity_defect, omega
 from hartreelab.spheres import TestSetSpec
-from hartreelab.riesz import AngularKernelSpec, angular_kernel
+from hartreelab.kernel import angular_kernel
+from hartreelab.riesz import AngularKernelSpec
 
 ORACLE = Path(__file__).parent / "fixtures" / "sharp_constants_oracle.json"
 

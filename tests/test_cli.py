@@ -639,6 +639,18 @@ def test_kernel_past_the_double_range_exits_three(capsys, n):
     assert "left the floating-point range" in err["message"]
 
 
+def test_kernel_whose_reference_overflows_exits_three(capsys, tmp_path):
+    # at n = 120 the QUADPACK integrand (d + w)^q of the rule's self check
+    # overflows near the diagonal; it used to exit 1 with an OverflowError
+    out = tmp_path / "kernel"
+    rc, stdout, stderr = run(capsys, "kernel", "--n", "120", "--alpha", "2.0", "--t-max", "1",
+                             "--pairs", "5", "--points", "5", "--out", str(out))
+    assert rc == 3 and stdout == "" and not out.exists()
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterRangeError"
+    assert "(n, beta)=(120, 2.0)" in err["message"]
+
+
 def test_unattainable_tolerance_exits_three(capsys):
     rc, _, stderr = run(capsys, "kernel", "--points", "11", "--pairs", "10",
                         "--tolerance", "1e-30")

@@ -26,7 +26,7 @@ from hartreelab import (AccuracyError, AngularKernelSpec, CylinderProfile,
                         dispersion_root, find_delaunay, hls_ratio,
                         kernel_hat, kernel_table, make_bubble, nonlinearity_for,
                         ode_residual, sharp_constants, to_cylinder)
-from hartreelab import cylinder, riesz
+from hartreelab import cylinder, kernel, riesz
 from hartreelab.constants import omega
 from hartreelab.cylinder import _HalfGridSystem
 
@@ -68,7 +68,7 @@ def test_kernel_hat_near_the_diagonal(n, t):
     P = ProblemParams(n, 2.0)
     want = omega(n - 1) * math.exp(-(n - 2) * t / 2.0)
     assert abs(kernel_hat(P, t) / want - 1.0) < 1e-13
-    _, err = cylinder._kernel_quad(n, 2.0, 2.0 * math.sinh(t / 2.0) ** 2)
+    _, err = kernel._kernel_quad(n, 2.0, 2.0 * math.sinh(t / 2.0) ** 2)
     assert 0.0 < err
 
 
@@ -97,7 +97,7 @@ def test_kernel_hat_refuses_a_sample_that_underflows(n, t, first):
 
 def test_kernel_hat_certifies_the_error_magnitude(monkeypatch):
     # QUADPACK's error estimate is a magnitude; a negative one certifies nothing
-    monkeypatch.setattr(cylinder, "_kernel_quad", lambda n, beta, d: (1.0, -1e-3))
+    monkeypatch.setattr(kernel, "_kernel_quad", lambda n, beta, d: (1.0, -1e-3))
     with pytest.raises(AccuracyError):
         kernel_hat(P32, 1.0)
 

@@ -205,6 +205,9 @@ def test_sample_radial_uses_exact_callable():
     # a field with no radial callable has no profile to sample
     with pytest.raises(SamplingError):
         sample_radial(Field(n=3, fn=lambda pts: np.ones(len(pts))), grid)
+    # nor has one radial about another point: a profile is radial about 0
+    with pytest.raises(SamplingError, match="about the origin"):
+        sample_radial(make_bubble(P32, center=[5.0, 0.0, 0.0]), grid)
 
 
 def test_hls_extremal_shape():

@@ -1,7 +1,8 @@
 """Source hygiene: every module uses what it imports, caches only through
 ``functools.lru_cache``, imports scipy only for the kernel oracle, the CLI
-loads only what a command runs (and no argparse), and the lazy package
-resolves every exported name, each with a caller unless it is listed.
+loads only what a command runs (no argparse, and the kernel oracle only
+for ``kernel``), and the lazy package resolves every exported name, each
+with a caller unless it is listed.
 """
 
 import ast
@@ -81,7 +82,7 @@ def _scipy_imports(node, owner=None):
 def test_scipy_serves_only_the_kernel_oracle():
     # the Gauss-Jacobi rules and the QUADPACK reference cross-check the
     # angular kernel; every other path runs on numpy alone
-    oracle = {("riesz.py", "_build_rule"), ("riesz.py", "_kernel_quad")}
+    oracle = {("kernel.py", "_build_rule"), ("kernel.py", "_kernel_quad")}
     found = {(path.name, owner, line) for path in MODULES
              for owner, line in _scipy_imports(ast.parse(path.read_text()))}
     stray = sorted(f"{name}:{line} ({owner or 'module level'})"
@@ -177,6 +178,32 @@ def _probe(script):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env)
     return json.loads(out.stdout)
+
+
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import hartreelab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hartreelab.cli.main(argv) for argv in ARGVS]
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules
+                                                    if m.startswith("hartreelab."))}))
+"""
+
+
+@pytest.mark.parametrize("argvs, present, absent", [
+    ([["kernel", "--points", "11", "--pairs", "10"]], "hartreelab.kernel",
+     "hartreelab.cylinder"),
+    ([["constants"], ["bubble-check", "--per-decade", "16", "--tolerance", "1"],
+      ["hls-check", "--per-decade", "16"], ["delaunay", "--nodes", "128"],
+      ["moving-spheres", "--field", "bubble", "--x-offset", "0.3"], ["asymptotics"]],
+     "hartreelab.cylinder", "hartreelab.kernel"),
+], ids=["kernel", "the-other-six"])
+def test_only_the_kernel_command_loads_the_kernel_oracle(argvs, present, absent):
+    # the module set, not a time: the quadratures of the kernel are the
+    # kernel command's alone, and it samples Khat without the cylinder solver
+    doc = _probe(_MODULE_PROBE.replace("ARGVS", json.dumps(argvs)))
+    assert doc["codes"] == [0] * len(argvs)
+    assert present in doc["loaded"] and absent not in doc["loaded"]
 
 
 def test_solver_commands_load_no_scipy():

@@ -20,10 +20,11 @@ import pytest
 from hartreelab import (AngularKernelSpec, NonlinearitySpec, ProblemParams,
                         RadialGrid, RadialProfile, angular_kernel, calibrate_cf,
                         hls_ratio, make_bubble, nonlinearity_for,
-                        newton_constant, riesz, sample_radial, sharp_constants)
+                        kernel, newton_constant, riesz, sample_radial,
+                        sharp_constants)
 from hartreelab.constants import omega
 from hartreelab.errors import (AccuracyError, GridError, IntegrabilityError,
-                               ParameterDomainError, SamplingError)
+                               ParameterDomainError, ParameterRangeError, SamplingError)
 from hartreelab.riesz import (default_grid, hartree_potential, hartree_rhs,
                               residual, riesz_convolve)
 
@@ -148,37 +149,40 @@ def test_kernel_diagonal_just_above_beta_one(beta):
                          ids=["1.01", "1.05", "1.1", "n4-2.5", "n5-3.0", "n5-0.7"])
 def test_kernel_near_diagonal_matches_quadpack(n, beta):
     # from the double just below r = 1 (d = 2^-107, the least d of distinct
-    # doubles) out to s = 1e4: the one rule against the QUADPACK reference;
-    # for beta <= 1, whose diagonal diverges, from a relative 2^-42 away
+    # doubles) out to s = 1e4: the one rule against the QUADPACK reference
     spec = AngularKernelSpec(n, beta)
     q = (beta - n) / 2.0
     for s in [1.0 - 2.0 ** -53] + [1.0 + k * 2.0 ** -52 for k in (
             1, 2, 16, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 50)] + [
             1.5, 2.0, 5.0, 40.0, 1e2, 1e3, 1e4]:
-        if beta <= 1.0 and abs(s - 1.0) < 2.0 ** -42:
-            continue
         d = (s - 1.0) ** 2 / (2.0 * s)
-        want = (2.0 * s) ** q * riesz._kernel_quad(n, beta, d)[0]
+        want = (2.0 * s) ** q * kernel._kernel_quad(n, beta, d)[0]
         assert abs(angular_kernel(spec, 1.0, s) / want - 1.0) <= 1e-13, s
 
 
+def test_kernel_whose_reference_overflows_is_refused():
+    # from n = 106 the QUADPACK integrand (d + w)^q overflows at d = 1e-6
+    with pytest.raises(ParameterRangeError, match=r"\(n, beta\)=\(106, 2.0\).*d=1e-06"):
+        angular_kernel(AngularKernelSpec(106, 2.0), 1.0, 2.0)
+
+
 def test_kernel_self_check_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(riesz._KernelRule, "_eval_rule",
+    monkeypatch.setattr(kernel._KernelRule, "_eval_rule",
                         lambda self, gap2, b: np.full(b.shape, np.nan))
     with pytest.raises(AccuracyError):
-        riesz._KernelRule(3, 2.5)
+        kernel._KernelRule(3, 2.5)
 
 
 def test_kernel_builds_one_rule(monkeypatch):
     # one graded rule per (n, beta), the one its self check validates
     depths = []
-    real = riesz._build_rule
+    real = kernel._build_rule
 
     def counting(n, beta, depth):
         depths.append(depth)
         return real(n, beta, depth)
 
-    monkeypatch.setattr(riesz, "_build_rule", counting)
+    monkeypatch.setattr(kernel, "_build_rule", counting)
     spec = AngularKernelSpec(4, 2.375)   # a pair no other test builds
     angular_kernel(spec, 1.0, np.geomspace(1e-3, 1e3, 7))
     angular_kernel(spec, 2.0, 0.5)
@@ -403,7 +407,7 @@ def test_convolution_never_touches_the_kernel_family(monkeypatch):
         return fn
 
     for name in ("__init__", "evaluate"):
-        monkeypatch.setattr(riesz._KernelRule, name, refuse(name))
+        monkeypatch.setattr(kernel._KernelRule, name, refuse(name))
     grid = default_grid(16)
     for n, beta in ((5, 3.0), (3, 2.0)):
         h = lambda r: (1.0 + np.asarray(r) ** 2) ** (-(n + beta) / 2.0)
